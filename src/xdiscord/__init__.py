@@ -39,7 +39,6 @@ from .dynamics import (
     trajectory,
 )
 from .oracle import (
-    CavityOperators,
     CompareReport,
     FockTruncation,
     IntegrationResult,

@@ -74,6 +74,11 @@ def _write_out(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _write_json(payload, out_path):
+    # allow_nan=False: a non-finite number is refused, never printed as NaN.
+    _write_out(json.dumps(payload, indent=2, allow_nan=False) + "\n", out_path)
+
+
 def _state_to_dict(state: XState) -> dict:
     return {
         "populations": list(state.populations),
@@ -137,7 +142,7 @@ def cmd_discord(args) -> int:
     payload = dict(breakdown.as_dict())
     payload["concurrence"] = concurrence(state)
     payload["nullity"] = verdict.as_dict()
-    _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_json(payload, args.out)
     return 0
 
 
@@ -180,16 +185,17 @@ def cmd_zeros(args) -> int:
         zero_threshold=config.zero_threshold,
     )
     payload = [event.as_dict() for event in traj.zero_events]
-    _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_json(payload, args.out)
     if args.show_eq13_as_printed:
         _eq13_note(config)
     return 0
 
 
-def _verify_propagator(config: RunConfig, t_max: float, dt: float, n_max: int) -> dict:
+def _verify_propagator(config: RunConfig, t_max: float, n_max: int) -> dict:
+    n_grid = max(int(round(t_max / 0.1)), 1) + 1
     out = {
         "t_max": t_max,
-        "dt": dt,
+        "dt": t_max / (n_grid - 1),
         "n_max": n_max,
         "tolerance": PROPAGATOR_TOL,
         "trace_tolerance": TRACE_TOL,
@@ -197,11 +203,10 @@ def _verify_propagator(config: RunConfig, t_max: float, dt: float, n_max: int) -
     }
     try:
         trunc = FockTruncation.for_alpha_sq(config.params.alpha_sq, n_max=n_max)
-        n_grid = max(int(round(t_max / 0.1)), 1) + 1
         t_grid = np.linspace(0.0, t_max, n_grid)
-        report = compare(config.initial, config.params, t_grid, trunc, dt)
+        report = compare(config.initial, config.params, t_grid, trunc)
     except ValueError as exc:
-        # A rejected step size or truncation is a verification failure, not a
+        # A rejected truncation or grid is a verification failure, not a
         # config error: the requested check cannot vouch for the analytics.
         out.update({"error": str(exc), "pass": False})
         return out
@@ -271,7 +276,7 @@ def _verify_steady(config: RunConfig, preset_name) -> dict:
 def cmd_verify(args) -> int:
     config, preset_name = _resolve_config(args)
     t_max = args.t_max if args.t_max is not None else 20.0
-    propagator = _verify_propagator(config, t_max, args.dt, args.n_max)
+    propagator = _verify_propagator(config, t_max, args.n_max)
     sweep = _verify_sweep(args.sweep_states, args.seed)
     steady = _verify_steady(config, preset_name)
     overall = propagator["pass"] and sweep["pass"] and steady["pass"]
@@ -313,7 +318,7 @@ def cmd_verify(args) -> int:
     )
     line(f"overall: {'PASS' if overall else 'FAIL'}")
 
-    _write_out(json.dumps(report, indent=2) + "\n", args.out)
+    _write_json(report, args.out)
     return 0 if overall else 4
 
 
@@ -321,7 +326,7 @@ def cmd_preset(args) -> int:
     if args.action != "list":
         raise ConfigError(f"unknown preset action {args.action!r}; try: preset list")
     payload = {name: PRESETS[name].to_dict() for name in sorted(PRESETS)}
-    _write_out(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_json(payload, args.out)
     return 0
 
 
@@ -367,7 +372,6 @@ def build_parser() -> _Parser:
     p_ver = subs.add_parser("verify", help="cross-check analytic results")
     _add_common(p_ver)
     p_ver.add_argument("--n-max", dest="n_max", type=int, default=25, help="Fock cutoff")
-    p_ver.add_argument("--dt", type=float, default=1e-3, help="integrator step")
     p_ver.add_argument(
         "--sweep-states",
         dest="sweep_states",

@@ -16,6 +16,7 @@ import numpy as np
 from .xstate import (
     DEFAULT_TOL,
     InvalidStateError,
+    TWO_PI,
     XState,
     entropy_bits,
     eigenvalues,
@@ -25,8 +26,6 @@ from .xstate import (
     require_valid,
     validate,
 )
-
-TWO_PI = 2.0 * math.pi
 
 # Nullity verdict kinds.
 COHERENCE_FREE = "coherence-free"

@@ -19,8 +19,6 @@ import numpy as np
 from .discord import DiscordBreakdown, discord
 from .xstate import DEFAULT_TOL, XState, require_valid
 
-TWO_PI = 2.0 * math.pi
-
 # Zero-event kinds.
 DISCRETE = "discrete"
 PERIODIC_MEMBER = "periodic-member"
@@ -54,6 +52,8 @@ class TCParams:
     alpha_sq: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lam, self.kappa, self.alpha_sq))):
+            raise ValueError(f"parameters must be finite, got {self!r}")
         if not self.lam > 0.0:
             raise ValueError(f"lam = {self.lam!r} must be positive")
         if self.kappa < 0.0:

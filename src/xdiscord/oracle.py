@@ -1,11 +1,17 @@
 """Independent verification path: full atom-field master equation.
 
-The two-atom + cavity density matrix is integrated in a truncated Fock basis
-with fixed-step RK4, the field is traced out, and the reduced atomic state is
-compared element-wise against the analytic propagator. The dissipator is the
-standard cavity-decay form kappa*(a rho a+ - {a+a, rho}/2), under which the
-field amplitude decays at kappa/2 and the photon number at kappa; this is the
+The two-atom + cavity density matrix is propagated exactly in a truncated
+Fock basis, the field is traced out, and the reduced atomic state is compared
+element-wise against the analytic propagator. The dissipator is the standard
+cavity-decay form kappa*(a rho a+ - {a+a, rho}/2), under which the field
+amplitude decays at kappa/2 and the photon number at kappa; this is the
 convention the analytic solution and the steady coherence value correspond to.
+
+The Liouvillian -i[H, .] + kappa*D[a] is built from H and D alone, never from
+the analytic solution. It splits an X state into independent sectors, one per
+atomic group ({|gg>,|ee>} or {|ge>,|eg>}) and Fock offset n - m; each sector
+is exponentiated by scaling and squaring (Moler & Van Loan, SIAM Rev. 45,
+2003; Higham, SIMAX 26, 2005).
 
 Joint-space ordering is atomic-major: index = atomic*(n_max+1) + fock, i.e.
 kron(atomic operator, field operator).
@@ -23,9 +29,6 @@ from .xstate import DEFAULT_TOL, XState, require_valid
 
 #: Number of excited atoms in each atomic basis state |gg>,|ge>,|eg>,|ee>.
 EXCITED_COUNT = np.array([0.0, 1.0, 1.0, 2.0])
-
-#: Step-size guard: dt*max(lam*(n_max+1), kappa*n_max) must stay below this.
-STEP_GUARD = 0.05
 
 
 @dataclass(frozen=True)
@@ -85,52 +88,32 @@ def poisson_tail(alpha_sq: float, n_max: int) -> float:
     return total
 
 
-class CavityOperators:
-    """Dense matrices for the truncated field and the two-atom operators."""
+def _stark(params: TCParams, fdim: int) -> np.ndarray:
+    """Diagonal of H: stark[j, n] = (lam/2) * (n_e(j)*(n+1) - n_g(j)*n).
 
-    def __init__(self, n_max: int):
-        self.n_max = n_max
-        dim = n_max + 1
-        self.identity_field = np.eye(dim, dtype=complex)
-        self.a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-        self.adag = self.a.conj().T
-        self.number = np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-        g = np.array([1.0, 0.0])
-        e = np.array([0.0, 1.0])
-        i2 = np.eye(2)
-        sp = np.outer(e, g)  # |e><g|
-        sm = sp.T
-        self.sigma_plus_a = np.kron(sp, i2).astype(complex)
-        self.sigma_minus_a = np.kron(sm, i2).astype(complex)
-        self.sigma_plus_b = np.kron(i2, sp).astype(complex)
-        self.sigma_minus_b = np.kron(i2, sm).astype(complex)
-        self.proj_e_a = np.kron(np.outer(e, e), i2).astype(complex)
-        self.proj_g_a = np.kron(np.outer(g, g), i2).astype(complex)
-        self.proj_e_b = np.kron(i2, np.outer(e, e)).astype(complex)
-        self.proj_g_b = np.kron(i2, np.outer(g, g)).astype(complex)
-        # Excitation exchange |ge><eg| + |eg><ge|.
-        self.exchange = (
-            self.sigma_minus_a @ self.sigma_plus_b + self.sigma_plus_a @ self.sigma_minus_b
-        )
-
-
-def build_hamiltonian(params: TCParams, trunc: FockTruncation) -> np.ndarray:
-    """Dense effective Hamiltonian on the joint space.
-
-    (lam/2) * [ sum_j (|e_j><e_j| a a+ - |g_j><g_j| a+ a) + exchange ].
     a a+ is represented as n+1 on every retained level (the untruncated
     commutation value); the raw truncated product would wrongly zero the
     Stark shift of the top Fock state.
     """
-    ops = CavityOperators(trunc.n_max)
-    lam = params.lam
-    n_op = ops.number
-    aad = n_op + ops.identity_field
-    stark = np.kron(ops.proj_e_a + ops.proj_e_b, aad) - np.kron(
-        ops.proj_g_a + ops.proj_g_b, n_op
+    n = np.arange(fdim, dtype=float)
+    return 0.5 * params.lam * (
+        EXCITED_COUNT[:, None] * (n + 1.0) - (2.0 - EXCITED_COUNT)[:, None] * n
     )
-    return 0.5 * lam * (stark + np.kron(ops.exchange, ops.identity_field))
+
+
+def _exchange(params: TCParams) -> np.ndarray:
+    """Atomic factor of the exchange term, (lam/2) * (|ge><eg| + |eg><ge|)."""
+    e = np.zeros((4, 4))
+    e[1, 2] = e[2, 1] = 0.5 * params.lam
+    return e
+
+
+def build_hamiltonian(params: TCParams, trunc: FockTruncation) -> np.ndarray:
+    """Dense effective Hamiltonian on the joint space:
+    (lam/2) * [ sum_j (|e_j><e_j| a a+ - |g_j><g_j| a+ a) + exchange ].
+    """
+    diagonal = np.diag(_stark(params, trunc.dim).ravel())
+    return (diagonal + np.kron(_exchange(params), np.eye(trunc.dim))).astype(complex)
 
 
 def coherent_vector(alpha: complex, trunc: FockTruncation) -> np.ndarray:
@@ -170,124 +153,120 @@ class IntegrationResult:
     min_eigenvalue: float
 
 
-def _make_rhs(params: TCParams, trunc: FockTruncation):
-    """Right-hand side of the master equation acting on rho viewed as
-    (4, F, 4, F). Applies each operator through its exact structure, which is
-    equal to the dense-matrix expression (unit-tested) but much faster.
+# Atomic pairs (j, k) of the X elements, one row per group: the outer
+# {|gg>,|ee>} and the inner {|ge>,|eg>} block, which the Liouvillian never mixes.
+_PAIR_J = np.array([[0, 0, 3, 3], [1, 1, 2, 2]])[:, :, None]
+_PAIR_K = np.array([[0, 3, 0, 3], [1, 2, 1, 2]])[:, :, None]
+
+
+def _make_sector(params: TCParams, trunc: FockTruncation):
+    """Generators of -i[H, rho] + kappa*D[a] rho on the X sectors.
+
+    H is Fock-diagonal and D[a] maps the element (n, m) to (n-1, m-1), so the
+    offset d = n - m is conserved, and an X state evolves in independent
+    sectors, one per (atomic group, offset). sector(d) returns the joint-state
+    indices (j, n, k, m) of both groups' offset-d elements, broadcasting to
+    shape (2, 4, L), and the two generators, shape (2, 4L, 4L).
     """
-    lam, kappa = params.lam, params.kappa
-    fdim = trunc.dim
-    nvec = np.arange(fdim, dtype=float)
-    # Stark diagonal d[j, n] = (lam/2) * (n_e(j)*(n+1) - n_g(j)*n)
-    stark = 0.5 * lam * (
-        EXCITED_COUNT[:, None] * (nvec[None, :] + 1.0)
-        - (2.0 - EXCITED_COUNT)[:, None] * nvec[None, :]
-    )
-    sq = np.sqrt(nvec[1:])
-    half_lam = 0.5 * lam
+    fdim, kappa = trunc.dim, params.kappa
+    stark = _stark(params, fdim)
+    e = _exchange(params)
+    jp, jq = _PAIR_J, _PAIR_J.transpose(0, 2, 1)
+    kp, kq = _PAIR_K, _PAIR_K.transpose(0, 2, 1)
+    # -i(E rho - rho E) restricted to each group: coefficient of rho[jq, kq]
+    # in element (jp, kp).
+    exchange = -1j * (e[jp, jq] * (kp == kq) - (jp == jq) * e[kq, kp])
 
-    def rhs(rho):
-        h_rho = stark[:, :, None, None] * rho
-        h_rho[1] += half_lam * rho[2]
-        h_rho[2] += half_lam * rho[1]
-        rho_h = rho * stark[None, None, :, :]
-        rho_h[:, :, 1] += half_lam * rho[:, :, 2]
-        rho_h[:, :, 2] += half_lam * rho[:, :, 1]
-        out = -1j * (h_rho - rho_h)
-        if kappa > 0.0:
-            a_rho_ad = np.zeros_like(rho)
-            a_rho_ad[:, : fdim - 1, :, : fdim - 1] = (
-                sq[None, :, None, None] * sq[None, None, None, :] * rho[:, 1:, :, 1:]
-            )
-            out += kappa * (
-                a_rho_ad
-                - 0.5 * (nvec[None, :, None, None] * rho + rho * nvec[None, None, None, :])
-            )
-        return out
+    def sector(d: int):
+        n = np.arange(max(d, 0), fdim + min(d, 0))
+        m = n - d
+        size = n.size
+        gen = np.zeros((2, 4, size, 4, size), dtype=complex)
+        p, i = np.arange(4)[:, None], np.arange(size)
+        stark_diff = stark[_PAIR_J, n] - stark[_PAIR_K, m]
+        gen[:, p, i, p, i] = -1j * stark_diff - 0.5 * kappa * (n + m)
+        gen[:, p, i[:-1], p, i[1:]] = kappa * np.sqrt(n[1:] * m[1:])  # a rho a+
+        gen[:, :, i, :, i] += exchange
+        return (_PAIR_J, n, _PAIR_K, m), gen.reshape(2, 4 * size, 4 * size)
 
-    return rhs
+    return sector
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp of a stack of square matrices by scaling and squaring (Moler & Van
+    Loan, SIAM Rev. 45, 2003): a Taylor series of m / 2^s, whose 1-norm is at
+    most 1, summed until a term no longer counts, then squared s times."""
+    norm = np.abs(m).sum(axis=-2).max()
+    s = math.ceil(math.log2(norm)) if norm > 1.0 else 0
+    m = m / 2.0**s
+    term, out = m, m + np.eye(m.shape[-1])
+    for k in range(2, 40):
+        term = term @ m
+        term /= k
+        out += term
+        if np.abs(term).sum(axis=-2).max() <= 1e-18:
+            break
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _distinct_gaps(gaps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster gaps that agree within tol, so that a uniform grid, whose gaps
+    differ in the last bits, needs one propagator. Returns each cluster's mean
+    gap and the cluster of every gap."""
+    order = np.argsort(gaps)
+    labels = np.concatenate([[0], np.cumsum(np.diff(gaps[order]) > tol)])
+    which = np.empty_like(labels)
+    which[order] = labels
+    return np.bincount(which, gaps) / np.bincount(which), which
 
 
 def integrate(
-    initial_atoms: XState,
+    initial: XState,
     params: TCParams,
     trunc: FockTruncation,
-    t_end: float,
-    dt: float,
-    sample_times=None,
+    times,
     tol: float = DEFAULT_TOL,
 ) -> IntegrationResult:
-    """Fixed-step RK4 integration of the joint master equation.
+    """Exact propagation of the joint master equation to each sample time.
 
-    The joint state starts as rho_atoms (x) |alpha><alpha|. Hermiticity is
-    enforced by symmetrization each step; the trace is preserved by the
-    generator, and its drift over the run is recorded. Sample times must lie
-    on step boundaries (within 1e-9).
+    The joint state starts as rho_atoms (x) |alpha><alpha|. Each X sector
+    (see _make_sector) is exponentiated once per distinct gap between sorted
+    sample times and stepped from sample to sample; the sampled joint states
+    are assembled from the sectors. `times` is any nonnegative time or list of
+    times; the result is sorted by time.
     """
-    require_valid(initial_atoms, tol)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    guard = max(params.lam * (trunc.n_max + 1), params.kappa * trunc.n_max, 1e-30)
-    if dt > STEP_GUARD / guard:
-        raise ValueError(
-            f"dt = {dt!r} exceeds the stability guard {STEP_GUARD / guard:.3e} "
-            f"for n_max = {trunc.n_max}"
-        )
-    n_steps = int(round(t_end / dt))
+    require_valid(initial, tol)
+    times = np.sort(np.atleast_1d(np.asarray(times, dtype=float)))
+    if times.size == 0 or not (times[0] >= 0.0 and math.isfinite(times[-1])):
+        raise ValueError("times must be a nonempty list of finite nonnegative values")
+    # The gaps of a uniform grid differ by a few ulps of the end time.
+    gaps, which = _distinct_gaps(
+        np.diff(times, prepend=0.0), 64 * np.finfo(float).eps * times[-1]
+    )
 
-    if sample_times is None:
-        sample_times = [t_end]
-    sample_steps = {}
-    for ts in sample_times:
-        k = int(round(ts / dt))
-        if abs(k * dt - ts) > 1e-9:
-            raise ValueError(f"sample time {ts!r} is not on a step boundary (dt = {dt!r})")
-        sample_steps.setdefault(min(k, n_steps), []).append(ts)
-
-    alpha = math.sqrt(params.alpha_sq)
-    rho = joint_initial(initial_atoms, coherent_vector(alpha, trunc))
     fdim = trunc.dim
-    rho = rho.reshape(4, fdim, 4, fdim)
-    rhs = _make_rhs(params, trunc)
+    alpha = math.sqrt(params.alpha_sq)
+    rho0 = joint_initial(initial, coherent_vector(alpha, trunc)).reshape(4, fdim, 4, fdim)
+    states = np.zeros((times.size, 4, fdim, 4, fdim), dtype=complex)
+    sector = _make_sector(params, trunc)
+    for d in range(-trunc.n_max, fdim):
+        index, gen = sector(d)
+        props = [_expm(gen * gap) if gap > 0.0 else None for gap in gaps]
+        vec = rho0[index].reshape(2, -1, 1)
+        for s, u in enumerate(which):
+            if props[u] is not None:
+                vec = props[u] @ vec
+            states[(s,) + index] = vec.reshape(2, 4, -1)
 
-    def trace_of(r):
-        return float(np.einsum("amam->", r).real)
-
-    out_times, out_states = [], []
-    max_drift = abs(trace_of(rho) - 1.0)
-
-    def record(step):
-        if step in sample_steps:
-            for ts in sample_steps[step]:
-                out_times.append(ts)
-                out_states.append(rho.reshape(4 * fdim, 4 * fdim).copy())
-
-    record(0)
-    sixth = dt / 6.0
-    for step in range(1, n_steps + 1):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.transpose(2, 3, 0, 1).conj())
-        drift = abs(trace_of(rho) - 1.0)
-        if drift > max_drift:
-            max_drift = drift
-        record(step)
-
-    min_eig = math.inf
-    for m in out_states:
-        ev = np.linalg.eigvalsh(m)
-        if ev[0] < min_eig:
-            min_eig = float(ev[0])
-
-    order = np.argsort(out_times)
+    drift = np.abs(np.einsum("sjnjn->s", states) - 1.0)
+    joint = states.reshape(times.size, 4 * fdim, 4 * fdim)
     return IntegrationResult(
-        times=np.asarray(out_times)[order],
-        states=tuple(out_states[i] for i in order),
-        max_trace_drift=max_drift,
-        min_eigenvalue=min_eig,
+        times=times,
+        states=tuple(joint),
+        max_trace_drift=float(drift.max()),
+        min_eigenvalue=min(float(np.linalg.eigvalsh(x)[0]) for x in joint),
     )
 
 
@@ -366,18 +345,12 @@ def compare(
     params: TCParams,
     t_grid,
     trunc: FockTruncation,
-    dt: float,
     tol: float = DEFAULT_TOL,
 ) -> CompareReport:
-    """Integrate the master equation once and compare the reduced atomic state
+    """Propagate the master equation once and compare the reduced atomic state
     against evolve() at every grid time."""
-    t_grid = np.asarray(list(t_grid), dtype=float)
-    if t_grid.size == 0:
-        raise ValueError("t_grid is empty")
-    result = integrate(
-        initial, params, trunc, float(t_grid.max()), dt, sample_times=t_grid, tol=tol
-    )
-    deviations = np.empty(t_grid.size)
+    result = integrate(initial, params, trunc, list(t_grid), tol)
+    deviations = np.empty(result.times.size)
     off_x_max = 0.0
     p1_drift = 0.0
     p4_drift = 0.0

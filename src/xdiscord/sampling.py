@@ -6,9 +6,7 @@ import math
 
 import numpy as np
 
-from .xstate import XState
-
-TWO_PI = 2.0 * math.pi
+from .xstate import TWO_PI, XState
 
 
 def random_xstate(rng: np.random.Generator, boundary_fraction: float = 0.1) -> XState:

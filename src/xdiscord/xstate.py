@@ -130,10 +130,14 @@ class ValidationReport:
 
 
 def validate(state: XState, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check trace normalization, population positivity and positivity of the
-    outer (1,4) and inner (2,3) coherence blocks, each within `tol`."""
-    v = []
+    """Check that every field is finite, then trace normalization, population
+    positivity and positivity of the outer (1,4) and inner (2,3) coherence
+    blocks, each within `tol`."""
     trace = state.p1 + state.p2 + state.p3 + state.p4
+    # A NaN or infinite field makes this sum non-finite.
+    if not math.isfinite(trace + state.r14 + state.phi1 + state.r23 + state.phi2):
+        return ValidationReport((f"non-finite field in {state!r}",))
+    v = []
     if abs(trace - 1.0) > tol:
         v.append(f"trace {trace!r} differs from 1 by more than {tol}")
     for name, p in zip(("p1", "p2", "p3", "p4"), state.populations):

@@ -104,7 +104,7 @@ def test_criterion_04_propagator_vs_master_equation():
     cfg = xd.preset_config("fig1")
     trunc = xd.FockTruncation.for_alpha_sq(cfg.params.alpha_sq, n_max=25)
     rep = xd.compare(
-        cfg.initial, cfg.params, np.linspace(0.0, 20.0, 201), trunc, dt=1e-3
+        cfg.initial, cfg.params, np.linspace(0.0, 20.0, 201), trunc
     )
     elapsed = time.perf_counter() - start
     ok = (
@@ -342,7 +342,7 @@ def test_criterion_10_invariant_suites():
     finals = []
     for n_max in (14, 28):
         trunc = xd.FockTruncation.for_alpha_sq(1.0, n_max=n_max)
-        result = xd.integrate(initial, tc_params, trunc, 2.0, 1e-3)
+        result = xd.integrate(initial, tc_params, trunc, 2.0)
         reduced, _ = xd.trace_out_field(result.states[-1])
         finals.append(reduced.to_matrix())
     converged = bool(np.abs(finals[0] - finals[1]).max() <= 1e-9)

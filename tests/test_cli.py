@@ -1,9 +1,10 @@
 import json
 import math
 
+import pytest
 from numpy.testing import assert_allclose
 
-from xdiscord.cli import CSV_COLUMNS, main
+from xdiscord.cli import CSV_COLUMNS, _write_json, main
 
 BELL_STATE_JSON = json.dumps({"populations": [0.5, 0.0, 0.0, 0.5], "r14": 0.5})
 EQ9_STATE_JSON = json.dumps(
@@ -38,6 +39,13 @@ class TestDiscordCommand:
         code, _, err = run_cli(["discord", "--state", INVALID_STATE_JSON], capsys)
         assert code == 2
         assert "invalid state" in err
+
+    def test_nan_state_exit_2(self, capsys):
+        state = '{"populations": [NaN, NaN, NaN, NaN]}'
+        code, out, err = run_cli(["discord", "--state", state], capsys)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
     def test_malformed_json_exit_3(self, capsys):
         code, _, err = run_cli(["discord", "--state", "{not json"], capsys)
@@ -166,6 +174,18 @@ class TestPresetCommand:
         code, _, _ = run_cli(["evolve", "--preset", "fig9"], capsys)
         assert code == 3
 
+    def test_nan_kappa_config_exit_3(self, capsys, tmp_path):
+        from xdiscord import PRESETS
+
+        config = PRESETS["fig1"].to_dict()
+        config["params"]["kappa"] = math.nan
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(["evolve", "--config", str(path)], capsys)
+        assert code == 3
+        assert out == ""
+        assert "finite" in err
+
     def test_config_serialization_roundtrips_bit_exact(self):
         from xdiscord import PRESETS
         from xdiscord.presets import config_from_json
@@ -189,14 +209,15 @@ class TestVerifyCommand:
         assert "as_printed_alternative" in report["steady_coherence"]
         assert "overall: PASS" in err
 
-    def test_coarse_dt_exit_4(self, capsys):
+    def test_undersized_truncation_exit_4(self, capsys):
         code, out, _ = run_cli(
-            ["verify", "--preset", "fig1", "--t-max", "1.0", "--dt", "0.5",
+            ["verify", "--preset", "fig1", "--t-max", "1.0", "--n-max", "3",
              "--sweep-states", "5"], capsys
         )
         assert code == 4
         report = json.loads(out)
         assert report["propagator"]["pass"] is False
+        assert "need n_max" in report["propagator"]["error"]
 
     def test_fig3_separable_steady_report(self, capsys):
         code, out, _ = run_cli(
@@ -217,6 +238,12 @@ class TestVerifyCommand:
         code2, out2, _ = run_cli(args, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestJsonOutput:
+    def test_non_finite_value_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json({"discord": math.nan}, tmp_path / "out.json")
 
 
 class TestCsvFormatting:

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from xdiscord import (
-    CavityOperators,
     FockTruncation,
     TCParams,
     XState,
@@ -15,10 +14,12 @@ from xdiscord import (
     integrate,
     joint_initial,
     poisson_tail,
+    preset_config,
     random_xstate,
+    steady_coherence,
     trace_out_field,
 )
-from xdiscord.oracle import EXCITED_COUNT, _make_rhs
+from xdiscord.oracle import EXCITED_COUNT, _make_sector
 
 
 class TestFockTruncation:
@@ -116,38 +117,39 @@ class TestHamiltonian:
         h = build_hamiltonian(params, trunc)
         assert_allclose(np.diag(h).real, [0.0, 1.0, 1.0, 2.0])
 
-    def test_ladder_identities(self):
-        ops = CavityOperators(9)
-        n_op = ops.adag @ ops.a
-        assert_allclose(np.diag(n_op).real, np.arange(10))
-        comm = ops.a @ ops.adag - ops.adag @ ops.a
-        assert_allclose(comm[:9, :9], np.eye(9), atol=1e-14)
-        for sp, sm in (
-            (ops.sigma_plus_a, ops.sigma_minus_a),
-            (ops.sigma_plus_b, ops.sigma_minus_b),
-        ):
-            assert_allclose(sp @ sm + sm @ sp, np.eye(4), atol=1e-14)
 
-
-class TestRhsEquivalence:
-    def test_structured_rhs_matches_dense_expression(self):
-        rng = np.random.default_rng(40)
+class TestSectorGenerator:
+    def test_sectors_match_dense_superoperator(self):
+        # oracle: the dense superoperator -i[H, .] + kappa*D[a] on row-major
+        # vec(rho), from build_hamiltonian and an inline truncated a
         params = TCParams(lam=0.9, kappa=0.23, alpha_sq=0.6)
         trunc = FockTruncation(n_max=6, tail_mass=0.0)
         fdim = trunc.dim
         dim = 4 * fdim
         h = build_hamiltonian(params, trunc)
-        a_full = np.kron(np.eye(4, dtype=complex), CavityOperators(trunc.n_max).a)
-        n_full = a_full.conj().T @ a_full
-        rhs = _make_rhs(params, trunc)
-        for _ in range(5):
-            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            rho = m + m.conj().T
-            dense = -1j * (h @ rho - rho @ h) + params.kappa * (
-                a_full @ rho @ a_full.conj().T - 0.5 * (n_full @ rho + rho @ n_full)
-            )
-            structured = rhs(rho.reshape(4, fdim, 4, fdim).copy()).reshape(dim, dim)
-            assert np.abs(structured - dense).max() <= 1e-12 * np.abs(dense).max()
+        a = np.kron(np.eye(4), np.diag(np.sqrt(np.arange(1.0, fdim)), k=1))
+        n_op = a.T @ a
+        eye = np.eye(dim)
+        dense = -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + params.kappa * (
+            np.kron(a, a) - 0.5 * (np.kron(n_op, eye) + np.kron(eye, n_op.T))
+        )
+        # label every element of rho by its sector; off-X elements get -1
+        label = np.full((4, fdim, 4, fdim), -1)
+        sector = _make_sector(params, trunc)
+        generators = []
+        for d in range(-trunc.n_max, fdim):
+            index, gen = sector(d)
+            flat = np.ravel_multi_index(np.broadcast_arrays(*index), label.shape)
+            for g in range(2):
+                assert np.all(label.flat[flat[g]] == -1)
+                label.flat[flat[g]] = len(generators)
+                generators.append((flat[g].ravel(), gen[g]))
+        assert len(generators) == 2 * (2 * trunc.n_max + 1)
+        assert np.count_nonzero(label >= 0) == 8 * fdim * fdim
+        rows, cols = np.nonzero(dense)
+        assert np.array_equal(label.flat[rows], label.flat[cols])
+        for flat, gen in generators:
+            assert np.abs(dense[np.ix_(flat, flat)] - gen).max() <= 1e-12
 
 
 class TestIntegrate:
@@ -158,36 +160,42 @@ class TestIntegrate:
         trunc = FockTruncation.for_alpha_sq(0.0)
         initial = XState(0.0, 1.0, 0.0, 0.0)
         sample_times = [0.5, 1.0, 2.0, 3.0]
-        result = integrate(initial, params, trunc, 3.0, 1e-3, sample_times=sample_times)
+        result = integrate(initial, params, trunc, sample_times)
         for t, joint in zip(result.times, result.states):
             reduced, off_x = trace_out_field(joint)
-            assert_allclose(reduced.p2, 0.5 * (1.0 + math.cos(t)), atol=1e-6)
+            assert_allclose(reduced.p2, 0.5 * (1.0 + math.cos(t)), atol=1e-12)
             assert off_x <= 1e-10
 
     def test_trace_preserved(self):
         params = TCParams(lam=1.0, kappa=0.2, alpha_sq=0.8)
         trunc = FockTruncation.for_alpha_sq(0.8)
         initial = XState(0.25, 3 / 16, 5 / 16, 0.25, r14=0.25, r23=0.05)
-        result = integrate(initial, params, trunc, 2.0, 1e-3)
+        result = integrate(initial, params, trunc, 2.0)
         assert result.max_trace_drift <= 1e-8
         assert result.min_eigenvalue >= -1e-8
 
-    def test_step_guard(self):
-        params = TCParams(lam=1.0, kappa=0.05, alpha_sq=0.5922)
-        trunc = FockTruncation.for_alpha_sq(0.5922, n_max=25)
-        initial = XState(0.25, 0.25, 0.25, 0.25)
-        with pytest.raises(ValueError, match="guard"):
-            integrate(initial, params, trunc, 1.0, 0.5)
+    def test_arbitrary_unsorted_times(self):
+        # non-uniform, unsorted, with a repeat: the result is sorted by time and
+        # each sample matches a propagation straight to that time
+        params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
+        trunc = FockTruncation.for_alpha_sq(0.8)
+        initial = random_xstate(np.random.default_rng(45))
+        times = [2.5, 0.0, 0.31, 1.7, 0.31, 4.0]
+        result = integrate(initial, params, trunc, times)
+        assert np.array_equal(result.times, np.sort(times))
+        for t, joint in zip(result.times, result.states):
+            alone = integrate(initial, params, trunc, t).states[0]
+            assert np.abs(joint - alone).max() <= 1e-12
+        report = compare(initial, params, times, trunc)
+        assert np.array_equal(report.times, np.sort(times))
+        assert report.max_deviation <= 1e-12
 
-    def test_sample_time_must_hit_grid(self):
+    def test_rejects_negative_or_empty_times(self):
         params = TCParams(lam=1.0, kappa=0.0, alpha_sq=0.0)
         trunc = FockTruncation.for_alpha_sq(0.0)
-        with pytest.raises(ValueError, match="step boundary"):
-            integrate(XState(1, 0, 0, 0), params, trunc, 1.0, 1e-2,
-                      sample_times=[0.1234567])
-        # grid-aligned samples pass
-        integrate(XState(1, 0, 0, 0), params, trunc, 1.0, 1e-2,
-                  sample_times=list(np.linspace(0.0, 1.0, 11)))
+        for times in ([], [1.0, -0.5], [math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="times"):
+                integrate(XState(1, 0, 0, 0), params, trunc, times)
 
 
 class TestTraceOutField:
@@ -217,24 +225,23 @@ class TestCompare:
         params = TCParams(lam=1.0, kappa=0.05, alpha_sq=0.5922)
         trunc = FockTruncation.for_alpha_sq(0.5922)
         initial = XState(0.25, 3 / 16, 5 / 16, 0.25, r14=0.25, r23=0.05)
-        report = compare(initial, params, [0.0], trunc, 1e-3)
+        report = compare(initial, params, [0.0], trunc)
         assert report.max_deviation <= 1e-14
 
     def test_field_decoupled_case(self):
-        # no photons, no damping: the propagator is exact and the only
-        # deviation is integrator error
+        # no photons, no damping: both paths are exact up to roundoff
         params = TCParams(lam=1.0, kappa=0.0, alpha_sq=0.0)
         trunc = FockTruncation.for_alpha_sq(0.0)
         initial = XState(0.3, 0.25, 0.25, 0.2, r14=0.15, r23=0.1)
-        report = compare(initial, params, np.linspace(0.0, 5.0, 11), trunc, 1e-3)
-        assert report.max_deviation <= 1e-6
+        report = compare(initial, params, np.linspace(0.0, 5.0, 11), trunc)
+        assert report.max_deviation <= 1e-12
 
     def test_random_phase_initial_state(self):
         rng = np.random.default_rng(44)
         initial = random_xstate(rng)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
         trunc = FockTruncation.for_alpha_sq(0.8)
-        report = compare(initial, params, np.linspace(0.0, 2.0, 5), trunc, 1e-3)
+        report = compare(initial, params, np.linspace(0.0, 2.0, 5), trunc)
         assert report.max_deviation <= 1e-9
         assert report.max_off_x_residual <= 1e-10
         assert report.p1_drift <= 1e-9
@@ -247,7 +254,21 @@ class TestCompare:
         finals = []
         for n_max in (14, 28):
             trunc = FockTruncation.for_alpha_sq(1.0, n_max=n_max)
-            result = integrate(initial, params, trunc, 2.0, 1e-3)
+            result = integrate(initial, params, trunc, 2.0)
             reduced, _ = trace_out_field(result.states[-1])
             finals.append(reduced.to_matrix())
         assert np.abs(finals[0] - finals[1]).max() <= 1e-9
+
+    def test_fig3_separable_long_time_steady_coherence(self):
+        # |rho14| reaches the stationary value and the analytic propagator
+        # holds to roundoff over 300/lambda
+        cfg = preset_config("fig3-separable")
+        trunc = FockTruncation.for_alpha_sq(cfg.params.alpha_sq)
+        assert trunc.n_max == 14
+        times = [0.0, 100.0, 200.0, 300.0]
+        report = compare(cfg.initial, cfg.params, times, trunc)
+        assert report.max_deviation <= 1e-12
+        result = integrate(cfg.initial, cfg.params, trunc, times)
+        reduced, _ = trace_out_field(result.states[-1])
+        steady = steady_coherence(cfg.initial.r14, cfg.params)
+        assert abs(reduced.r14 - steady) <= 1e-6
