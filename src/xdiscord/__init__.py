@@ -6,6 +6,7 @@ from .discord import (
     COHERENCE_FREE,
     DEGENERATE_BALANCED,
     NOT_NULL,
+    BreakdownColumns,
     DiscordBreakdown,
     MeasurementBasis,
     NullityVerdict,
@@ -18,6 +19,7 @@ from .discord import (
     discord,
     discord_numeric,
     minimize_numeric,
+    mutual_information,
     nullity_check,
     upsilon,
 )
@@ -27,7 +29,6 @@ from .dynamics import (
     DISCRETE,
     PERIODIC_MEMBER,
     DispersiveRegimeWarning,
-    PropagatorCoefficients,
     TCParams,
     Trajectory,
     ZeroEvent,
@@ -57,13 +58,14 @@ from .xstate import (
     InvalidStateError,
     QubitMarginal,
     ValidationReport,
+    XColumns,
     XState,
     entropy_bits,
     eigenvalues,
     marginal_a,
     marginal_b,
-    mutual_information,
     validate,
+    validate_columns,
 )
 
 __version__ = "0.1.0"

@@ -9,7 +9,7 @@ deterministic grid + shrink search over all projective bases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,12 +17,12 @@ from .xstate import (
     DEFAULT_TOL,
     InvalidStateError,
     TWO_PI,
+    XColumns,
     XState,
-    entropy_bits,
     eigenvalues,
+    entropy_bits,
     marginal_a,
-    marginal_b,
-    mutual_information,
+    plogp,
     require_valid,
     validate,
 )
@@ -74,6 +74,26 @@ class DiscordBreakdown:
 
 
 @dataclass(frozen=True)
+class BreakdownColumns:
+    """The DiscordBreakdown fields of a batch of states as arrays, plus the
+    concurrence, one entry per state."""
+
+    mutual_info: np.ndarray
+    c_m1: np.ndarray
+    c_m2: np.ndarray
+    upsilon: np.ndarray
+    classical_corr: np.ndarray
+    discord: np.ndarray
+    concurrence: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.discord)
+
+    def row(self, i: int) -> DiscordBreakdown:
+        return DiscordBreakdown(*(getattr(self, f.name).item(i) for f in fields(DiscordBreakdown)))
+
+
+@dataclass(frozen=True)
 class NullityVerdict:
     """Zero-discord classification with the residuals of both conditions.
 
@@ -99,11 +119,7 @@ class NullityVerdict:
 def _binary_entropy(x) -> np.ndarray:
     """h(x) = -x*log2(x) - (1-x)*log2(1-x), elementwise, 0 at the endpoints."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = (x > 0.0) & (x < 1.0)
-    xi = x[inside]
-    out[inside] = -(xi * np.log2(xi) + (1.0 - xi) * np.log2(1.0 - xi))
-    return out
+    return np.where((x > 0.0) & (x < 1.0), plogp(x) + plogp(1.0 - x), 0.0)
 
 
 def _cond_entropy_grid(state: XState, thetas, phis) -> np.ndarray:
@@ -151,6 +167,63 @@ def cond_entropy_basis(state: XState, basis: MeasurementBasis, tol: float = DEFA
     return float(_cond_entropy_grid(state, [basis.theta], [basis.phi])[0, 0])
 
 
+def _breakdown(states: XColumns, tol: float) -> BreakdownColumns:
+    """The closed-form kernel: every correlation quantity of a validated
+    batch, elementwise.
+
+    S(A), S(B) from the marginals (p1+p2, p3+p4) and (p1+p3, p2+p4); S(AB)
+    from the block spectra; C_m1 the theta = 0 conditional entropy
+    (p2+p4)*h(p2/(p2+p4)) + (p1+p3)*h(p1/(p1+p3)), an empty branch giving 0;
+    C_m2 = h((1 + upsilon)/2) with upsilon = sqrt((p1+p2-p3-p4)^2 +
+    4*(r14+r23)^2); classical_corr = S(A) - min(C_m1, C_m2); discord =
+    mutual_info - classical_corr; concurrence = 2*max(0, r14 - sqrt(p2*p3),
+    r23 - sqrt(p1*p4)).
+    """
+    s_ab = entropy_bits(eigenvalues(states, tol), tol)  # validates the batch
+    p1, p2, p3, p4 = states.p1, states.p2, states.p3, states.p4
+    s_a = entropy_bits(np.stack([p1 + p2, p3 + p4], axis=-1), tol)
+    s_b = entropy_bits(np.stack([p1 + p3, p2 + p4], axis=-1), tol)
+
+    def branch(a, b):
+        s = a + b
+        return s * _binary_entropy(np.divide(a, s, out=np.zeros_like(s), where=s > 0.0))
+
+    cm1 = branch(p2, p4) + branch(p1, p3)
+    ups = np.hypot(p1 + p2 - p3 - p4, 2.0 * (states.r14 + states.r23))
+    cm2 = _binary_entropy(0.5 * (1.0 + ups))
+    mutual = s_a + s_b - s_ab
+    classical = s_a - np.minimum(cm1, cm2)
+    conc = 2.0 * np.maximum(
+        0.0,
+        np.maximum(
+            states.r14 - np.sqrt(np.maximum(p2 * p3, 0.0)),
+            states.r23 - np.sqrt(np.maximum(p1 * p4, 0.0)),
+        ),
+    )
+    return BreakdownColumns(mutual, cm1, cm2, ups, classical, mutual - classical, conc)
+
+
+def _one(state: XState, tol: float) -> BreakdownColumns:
+    return _breakdown(XColumns.from_states([state]), tol)
+
+
+def discord(state, tol: float = DEFAULT_TOL):
+    """Closed-form correlation breakdown.
+
+    classical_corr = S(A) - min(C_m1, C_m2); discord = mutual_info - classical_corr.
+    An XState gives a DiscordBreakdown; an XColumns batch gives
+    BreakdownColumns, one entry per row, from one kernel call.
+    """
+    if isinstance(state, XColumns):
+        return _breakdown(state, tol)
+    return _one(state, tol).row(0)
+
+
+def mutual_information(state: XState, tol: float = DEFAULT_TOL) -> float:
+    """S(A) + S(B) - S(AB) in bits."""
+    return float(_one(state, tol).mutual_info[0])
+
+
 def c_m1(state: XState, tol: float = DEFAULT_TOL) -> float:
     """Conditional entropy for the theta = 0 (or pi/2) measurement.
 
@@ -158,53 +231,25 @@ def c_m1(state: XState, tol: float = DEFAULT_TOL) -> float:
     -p4*log2(p4/(p2+p4)) - p2*log2(p2/(p2+p4)) - p3*log2(p3/(p1+p3)) - p1*log2(p1/(p1+p3)),
     with empty branches (zero denominator) contributing zero.
     """
-    require_valid(state, tol)
-
-    def branch(a, b):
-        s = a + b
-        if s <= 0.0:
-            return 0.0
-        return s * float(_binary_entropy(a / s))
-
-    return branch(state.p2, state.p4) + branch(state.p1, state.p3)
+    return float(_one(state, tol).c_m1[0])
 
 
 def upsilon(state: XState, tol: float = DEFAULT_TOL) -> float:
     """Bloch length of the conditional A state for the theta = pi/4 measurement:
     sqrt((p1+p2-p3-p4)^2 + 4*(r14+r23)^2). Lies in [0, 1] for valid states."""
-    require_valid(state, tol)
-    pop = state.p1 + state.p2 - state.p3 - state.p4
-    return math.hypot(pop, 2.0 * (state.r14 + state.r23))
+    return float(_one(state, tol).upsilon[0])
 
 
 def c_m2(state: XState, tol: float = DEFAULT_TOL) -> float:
     """Conditional entropy for the theta = pi/4, phi = (phi1-phi2)/2 measurement:
     the binary entropy of (1 + upsilon)/2."""
-    return float(_binary_entropy(0.5 * (1.0 + upsilon(state, tol))))
+    return float(_one(state, tol).c_m2[0])
 
 
-def discord(state: XState, tol: float = DEFAULT_TOL) -> DiscordBreakdown:
-    """Closed-form correlation breakdown.
-
-    classical_corr = S(A) - min(C_m1, C_m2); discord = mutual_info - classical_corr.
-    """
-    require_valid(state, tol)
-    s_a = entropy_bits(marginal_a(state, tol).probabilities)
-    s_b = entropy_bits(marginal_b(state, tol).probabilities)
-    s_ab = entropy_bits(eigenvalues(state, tol))
-    cm1 = c_m1(state, tol)
-    ups = upsilon(state, tol)
-    cm2 = float(_binary_entropy(0.5 * (1.0 + ups)))
-    mutual = s_a + s_b - s_ab
-    classical = s_a - min(cm1, cm2)
-    return DiscordBreakdown(
-        mutual_info=mutual,
-        c_m1=cm1,
-        c_m2=cm2,
-        upsilon=ups,
-        classical_corr=classical,
-        discord=mutual - classical,
-    )
+def concurrence(state: XState, tol: float = DEFAULT_TOL) -> float:
+    """Two-qubit entanglement monotone, in closed form for X states:
+    2*max(0, r14 - sqrt(p2*p3), r23 - sqrt(p1*p4))."""
+    return float(_one(state, tol).concurrence[0])
 
 
 def _candidate_phis(state: XState, n_phi: int) -> np.ndarray:
@@ -315,14 +360,3 @@ def build_chi_m2(state: XState, tol: float = DEFAULT_TOL) -> XState:
             + "; ".join(report.violations)
         )
     return chi
-
-
-def concurrence(state: XState, tol: float = DEFAULT_TOL) -> float:
-    """Two-qubit entanglement monotone, in closed form for X states:
-    2*max(0, r14 - sqrt(p2*p3), r23 - sqrt(p1*p4))."""
-    require_valid(state, tol)
-    return 2.0 * max(
-        0.0,
-        state.r14 - math.sqrt(max(state.p2 * state.p3, 0.0)),
-        state.r23 - math.sqrt(max(state.p1 * state.p4, 0.0)),
-    )

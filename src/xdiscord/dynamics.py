@@ -9,15 +9,14 @@ times are the dimensionless lam*t; kappa is expressed in units of lam.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discord import DiscordBreakdown, discord
-from .xstate import DEFAULT_TOL, XState, require_valid
+from .discord import BreakdownColumns, discord
+from .xstate import DEFAULT_TOL, XColumns, XState, require_valid
 
 # Zero-event kinds.
 DISCRETE = "discrete"
@@ -63,27 +62,6 @@ class TCParams:
 
 
 @dataclass(frozen=True)
-class PropagatorCoefficients:
-    """Initial-condition constants of the inner-block solution:
-    c_plus/c_minus = (p2(0) +- p3(0))/2 and rho23(0) = c1 + i*c2."""
-
-    c_plus: float
-    c_minus: float
-    c1: float
-    c2: float
-
-    @classmethod
-    def from_state(cls, state: XState) -> "PropagatorCoefficients":
-        rho23 = state.rho23
-        return cls(
-            c_plus=0.5 * (state.p2 + state.p3),
-            c_minus=0.5 * (state.p2 - state.p3),
-            c1=rho23.real,
-            c2=rho23.imag,
-        )
-
-
-@dataclass(frozen=True)
 class ZeroEvent:
     """A maximal time interval where the discord stays below the threshold.
 
@@ -111,11 +89,13 @@ class ZeroEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled evolution with per-sample correlation breakdowns."""
+    """Uniformly sampled evolution with the correlation breakdown of every
+    sample, as columns: `states.r14`, `breakdowns.discord` and so on are
+    arrays over `times`."""
 
     times: np.ndarray
-    states: tuple[XState, ...]
-    breakdowns: tuple[DiscordBreakdown, ...]
+    states: XColumns
+    breakdowns: BreakdownColumns
     zero_events: tuple[ZeroEvent, ...]
     initial: XState
     params: TCParams
@@ -139,35 +119,51 @@ def lambda_from_g_delta(g: float, delta: float) -> float:
     return g * g / (2.0 * delta)
 
 
-def _outer_phase_factor(params: TCParams, t: float) -> complex:
-    """Damping/phase factor multiplying rho41(0) at time t."""
-    lam, kap, asq = params.lam, params.kappa, params.alpha_sq
-    z = complex(kap, 2.0 * lam)
-    w = -1j * lam * t - (2j * lam * asq / z) * (1.0 - cmath.exp(-z * t))
-    return cmath.exp(w)
+def _cmul(a, b):
+    """Complex product a*b rounded as Python's scalar product; numpy's complex
+    multiply may fuse multiply-adds and differ in the last bit."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
-def evolve(initial: XState, params: TCParams, t: float, tol: float = DEFAULT_TOL) -> XState:
-    """Propagate the X state to time t (t >= 0, in units of 1/lam when lam=1).
+def evolve(initial: XState, params: TCParams, t, tol: float = DEFAULT_TOL):
+    """Propagate the X state to time t >= 0 (in units of 1/lam when lam=1).
+
+    A scalar t gives an XState; an array of times gives XColumns, one row per
+    time, from one vectorized evaluation.
 
     p1 and p4 are held at their initial values; p3 closes the trace, so the
-    trace is exact by construction. The inner block is a rigid rotation, so
-    its positivity is preserved; the outer coherence magnitude only shrinks.
+    trace is exact by construction. The inner block is a rigid rotation of
+    its initial values c_plus/c_minus = (p2(0) +- p3(0))/2 and rho23(0) =
+    c1 + i*c2, so its positivity is preserved; the outer coherence rho41(0)
+    is multiplied by exp(-i*lam*t - (2i*lam*|alpha|^2/z)*(1 - exp(-z*t)))
+    with z = kappa + 2i*lam, so its magnitude only shrinks.
     """
     require_valid(initial, tol)
-    if t < 0.0:
-        raise ValueError(f"t = {t!r} must be nonnegative")
-    lam = params.lam
-    co = PropagatorCoefficients.from_state(initial)
-    cos_lt = math.cos(lam * t)
-    sin_lt = math.sin(lam * t)
-    p2_t = co.c_plus + co.c_minus * cos_lt - co.c2 * sin_lt
+    times = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0.0)):
+        raise ValueError(f"t = {t!r} must be finite and nonnegative")
+    lam, asq = params.lam, params.alpha_sq
+    ts = np.atleast_1d(times)
+    c_plus = 0.5 * (initial.p2 + initial.p3)
+    c_minus = 0.5 * (initial.p2 - initial.p3)
+    c1, c2 = initial.rho23.real, initial.rho23.imag
+    cos_lt = np.cos(lam * ts)
+    sin_lt = np.sin(lam * ts)
+    p2_t = c_plus + c_minus * cos_lt - c2 * sin_lt
     p3_t = 1.0 - initial.p1 - p2_t - initial.p4
-    rho23_t = complex(co.c1, co.c2 * cos_lt + co.c_minus * sin_lt)
-    rho41_t = initial.rho14.conjugate() * _outer_phase_factor(params, t)
-    return XState.from_coherences(
-        initial.p1, p2_t, p3_t, initial.p4, rho14=rho41_t.conjugate(), rho23=rho23_t
+    rho23_t = c1 + 1j * (c2 * cos_lt + c_minus * sin_lt)
+    z = complex(params.kappa, 2.0 * lam)
+    w = -1j * lam * ts - _cmul(2j * lam * asq / z, 1.0 - np.exp(-z * ts))
+    rho41_t = _cmul(initial.rho14.conjugate(), np.exp(w))
+    states = XColumns.from_coherences(
+        np.full_like(ts, initial.p1),
+        p2_t,
+        p3_t,
+        np.full_like(ts, initial.p4),
+        rho41_t.conjugate(),
+        rho23_t,
     )
+    return states if times.ndim else states.row(0)
 
 
 def steady_coherence(initial_r14: float, params: TCParams) -> float:
@@ -198,15 +194,14 @@ def trajectory(
     require_valid(initial, tol)
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples!r} must be at least 2")
-    if not t_max > 0.0:
-        raise ValueError(f"t_max = {t_max!r} must be positive")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max = {t_max!r} must be finite and positive")
     times = np.linspace(0.0, t_max, n_samples)
-    states = tuple(evolve(initial, params, float(t), tol) for t in times)
-    breakdowns = tuple(discord(s, tol) for s in states)
+    states = evolve(initial, params, times, tol)
     traj = Trajectory(
         times=times,
         states=states,
-        breakdowns=breakdowns,
+        breakdowns=discord(states, tol),
         zero_events=(),
         initial=initial,
         params=params,
@@ -216,25 +211,31 @@ def trajectory(
     return replace(traj, zero_events=tuple(find_zeros(traj, zero_threshold)))
 
 
-def _discord_at(initial: XState, params: TCParams, t: float) -> float:
-    return discord(evolve(initial, params, t)).discord
-
-
-def _golden_min(fn, a: float, b: float, tol: float):
-    """Golden-section minimum of fn on [a, b] to within tol in the argument."""
+def _golden_min(fn, a: np.ndarray, b: np.ndarray, tol: float):
+    """Golden-section minima of fn on the brackets [a_i, b_i], to within tol
+    in the argument, all in lockstep: fn maps an array of arguments to an
+    array of values, and each step calls it once on the brackets still
+    narrowing. Each bracket makes the comparisons a search on it alone would.
+    Returns the bracket midpoints and fn there."""
     gr = (1.0 + math.sqrt(5.0)) / 2.0
+    a, b = a.copy(), b.copy()
     c = b - (b - a) / gr
     d = a + (b - a) / gr
-    fc, fd = fn(c), fn(d)
-    while abs(c - d) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) / gr
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) / gr
-            fd = fn(d)
+    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
+    active = np.abs(c - d) > tol
+    while active.any():
+        i = np.flatnonzero(active)
+        left = fc[i] < fd[i]
+        lo, hi = i[left], i[~left]
+        # Minimum left of d: [a, d] is the new bracket, the old c its new d.
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - (b[lo] - a[lo]) / gr
+        # Minimum right of c: [c, b] is the new bracket, the old d its new c.
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + (b[hi] - a[hi]) / gr
+        f = fn(np.concatenate([c[lo], d[hi]]))
+        fc[lo], fd[hi] = f[: lo.size], f[lo.size :]
+        active[i] = np.abs(c[i] - d[i]) > tol
     m = 0.5 * (a + b)
     return m, fn(m)
 
@@ -251,34 +252,45 @@ def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> l
 
     Each maximal run of below-threshold samples becomes one event; its minimum
     is refined by golden-section search on discord(evolve(.)) to a time
-    resolution of 1e-6. Kinds: an event whose excursion reaches t_max is
-    `asymptotic`; events recurring with near-constant spacing (at least three
-    of them, spacing within 25% of their median) are `periodic-member`;
-    anything else is `discrete`.
+    resolution of 1e-6, all events together. Kinds: an event whose excursion
+    reaches t_max is `asymptotic`; events recurring with near-constant spacing
+    (at least three of them, spacing within 25% of their median) are
+    `periodic-member`; anything else is `discrete`.
 
     An event marks an excursion, not a zero: its min_discord may lie anywhere
     below the threshold, so at the default 5e-3 shallow dips of depth ~1e-4
     are reported alongside exact zeros (see ZeroEvent).
     """
+    if not math.isfinite(threshold):
+        raise ValueError(f"zero threshold {threshold!r} must be finite")
     if len(traj.times) == 0:
         raise ValueError("trajectory is empty")
     times = np.asarray(traj.times, dtype=float)
-    disc = np.array([b.discord for b in traj.breakdowns])
-    below = disc < threshold
+    disc = np.asarray(traj.breakdowns.discord, dtype=float)
+    n = len(times)
+    # Runs of below-threshold samples: [start, stop] inclusive.
+    edges = np.diff(np.concatenate([[0], (disc < threshold).astype(np.int8), [0]]))
+    starts = np.flatnonzero(edges == 1)
+    stops = np.flatnonzero(edges == -1) - 1
+    # Each run's sampled minimum k, bracketed by its neighbouring samples.
+    ks = np.array(
+        [start + int(np.argmin(disc[start : stop + 1])) for start, stop in zip(starts, stops)],
+        dtype=int,
+    )
+    lo = times[np.maximum(ks - 1, 0)]
+    hi = times[np.minimum(ks + 1, n - 1)]
+    t_center = times[ks]
+    refined = disc[ks]
+
+    def fn(t):
+        return discord(evolve(traj.initial, traj.params, t)).discord
+
+    wide = hi > lo
+    if wide.any():
+        t_center[wide], refined[wide] = _golden_min(fn, lo[wide], hi[wide], REFINE_TIME_TOL)
 
     events = []
-    idx = 0
-    n = len(times)
-    while idx < n:
-        if not below[idx]:
-            idx += 1
-            continue
-        start = idx
-        while idx + 1 < n and below[idx + 1]:
-            idx += 1
-        stop = idx
-        idx += 1
-
+    for j, (start, stop) in enumerate(zip(starts, stops)):
         if start == 0:
             t_enter = float(times[0])
         else:
@@ -288,22 +300,10 @@ def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> l
             t_exit = float(times[-1])
         else:
             t_exit = _crossing(times[stop], times[stop + 1], disc[stop], disc[stop + 1], threshold)
-
-        k = start + int(np.argmin(disc[start : stop + 1]))
-        lo = times[max(k - 1, 0)]
-        hi = times[min(k + 1, n - 1)]
-        if hi > lo:
-            t_center, refined = _golden_min(
-                lambda t: _discord_at(traj.initial, traj.params, t), lo, hi, REFINE_TIME_TOL
-            )
-        else:
-            t_center, refined = float(times[k]), float(disc[k])
-        min_discord = min(refined, float(disc[start : stop + 1].min()))
-        t_center = min(max(t_center, t_enter), t_exit)
+        min_discord = min(float(refined[j]), float(disc[ks[j]]))
+        center = min(max(float(t_center[j]), t_enter), t_exit)
         kind = ASYMPTOTIC if reaches_end else DISCRETE
-        events.append(
-            ZeroEvent(float(t_center), float(t_enter), float(t_exit), float(min_discord), kind)
-        )
+        events.append(ZeroEvent(center, float(t_enter), float(t_exit), min_discord, kind))
 
     _mark_periodic(events)
     return events

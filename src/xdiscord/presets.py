@@ -8,6 +8,7 @@ to 0, so scenario definitions that quote only magnitudes map directly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .dynamics import DEFAULT_ZERO_THRESHOLD, TCParams
@@ -25,6 +26,12 @@ class RunConfig:
     t_max: float
     n_samples: int
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD
+
+    def __post_init__(self):
+        for name in ("t_max", "zero_threshold"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} = {value!r} must be finite")
 
     def to_dict(self) -> dict:
         return {

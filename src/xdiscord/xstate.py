@@ -129,31 +129,102 @@ class ValidationReport:
         return self.ok
 
 
+#: The eight fields of an X state, in XState order.
+FIELDS = ("p1", "p2", "p3", "p4", "r14", "phi1", "r23", "phi2")
+
+
+@dataclass(frozen=True)
+class XColumns:
+    """A batch of X states as columns: each field of XState is a float array,
+    all of one length. Row i is one state; magnitudes are nonnegative and
+    phases lie in [0, 2*pi), as in XState. Physicality is checked by
+    :func:`validate_columns`, not by the constructor."""
+
+    p1: np.ndarray
+    p2: np.ndarray
+    p3: np.ndarray
+    p4: np.ndarray
+    r14: np.ndarray
+    phi1: np.ndarray
+    r23: np.ndarray
+    phi2: np.ndarray
+
+    @classmethod
+    def from_states(cls, states) -> "XColumns":
+        rows = np.array([[getattr(s, f) for f in FIELDS] for s in states], dtype=float)
+        return cls(*rows.reshape(-1, len(FIELDS)).T)
+
+    @classmethod
+    def from_coherences(cls, p1, p2, p3, p4, rho14, rho23) -> "XColumns":
+        """Build from population arrays and complex coherence arrays."""
+        return cls(p1, p2, p3, p4, _abs(rho14), _angle(rho14), _abs(rho23), _angle(rho23))
+
+    def __len__(self) -> int:
+        return len(self.p1)
+
+    def row(self, i: int) -> XState:
+        return XState(*(getattr(self, f).item(i) for f in FIELDS))
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as abs(complex) rounds it; np.abs may differ in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _angle(z: np.ndarray) -> np.ndarray:
+    """Phase of z wrapped to [0, 2*pi); 0 for z = 0."""
+    phi = np.arctan2(z.imag, z.real)
+    return np.where(phi < 0.0, phi + TWO_PI, phi)
+
+
+def _checks(c: XColumns, tol: float):
+    """The physicality predicates, elementwise over a batch: pairs of
+    (rows that fail, message for row i). Finiteness comes first; a row with a
+    non-finite field fails that check alone."""
+    trace = c.p1 + c.p2 + c.p3 + c.p4
+    # A NaN or infinite field makes this sum non-finite.
+    finite = np.isfinite(trace + c.r14 + c.phi1 + c.r23 + c.phi2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        outer, inner = c.p1 * c.p4, c.p2 * c.p3
+        r14_sq, r23_sq = c.r14**2, c.r23**2
+    checks = [
+        (~finite, lambda i: f"non-finite field in {c.row(i)!r}"),
+        (
+            finite & (np.abs(trace - 1.0) > tol),
+            lambda i: f"trace {trace.item(i)!r} differs from 1 by more than {tol}",
+        ),
+    ]
+    for name in ("p1", "p2", "p3", "p4"):
+        p = getattr(c, name)
+        checks.append(
+            (
+                finite & (p < -tol),
+                lambda i, name=name, p=p: f"population {name} = {p.item(i)!r} is negative",
+            )
+        )
+    checks.append(
+        (
+            finite & (outer < r14_sq - tol),
+            lambda i: f"outer block not positive: p1*p4 = {outer.item(i)!r} "
+            f"< r14^2 = {r14_sq.item(i)!r}",
+        )
+    )
+    checks.append(
+        (
+            finite & (inner < r23_sq - tol),
+            lambda i: f"inner block not positive: p2*p3 = {inner.item(i)!r} "
+            f"< r23^2 = {r23_sq.item(i)!r}",
+        )
+    )
+    return checks
+
+
 def validate(state: XState, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check that every field is finite, then trace normalization, population
     positivity and positivity of the outer (1,4) and inner (2,3) coherence
     blocks, each within `tol`."""
-    trace = state.p1 + state.p2 + state.p3 + state.p4
-    # A NaN or infinite field makes this sum non-finite.
-    if not math.isfinite(trace + state.r14 + state.phi1 + state.r23 + state.phi2):
-        return ValidationReport((f"non-finite field in {state!r}",))
-    v = []
-    if abs(trace - 1.0) > tol:
-        v.append(f"trace {trace!r} differs from 1 by more than {tol}")
-    for name, p in zip(("p1", "p2", "p3", "p4"), state.populations):
-        if p < -tol:
-            v.append(f"population {name} = {p!r} is negative")
-    if state.p1 * state.p4 < state.r14**2 - tol:
-        v.append(
-            f"outer block not positive: p1*p4 = {state.p1 * state.p4!r} "
-            f"< r14^2 = {state.r14**2!r}"
-        )
-    if state.p2 * state.p3 < state.r23**2 - tol:
-        v.append(
-            f"inner block not positive: p2*p3 = {state.p2 * state.p3!r} "
-            f"< r23^2 = {state.r23**2!r}"
-        )
-    return ValidationReport(tuple(v))
+    checks = _checks(XColumns.from_states([state]), tol)
+    return ValidationReport(tuple(message(0) for failed, message in checks if failed[0]))
 
 
 def require_valid(state: XState, tol: float = DEFAULT_TOL) -> None:
@@ -162,31 +233,63 @@ def require_valid(state: XState, tol: float = DEFAULT_TOL) -> None:
         raise InvalidStateError("; ".join(report.violations))
 
 
-def eigenvalues(state: XState, tol: float = DEFAULT_TOL) -> np.ndarray:
+def validate_columns(states: XColumns, tol: float = DEFAULT_TOL) -> None:
+    """The checks of :func:`validate` on every row at once. Raises
+    InvalidStateError naming the first failing row and the number that fail."""
+    checks = _checks(states, tol)
+    bad = np.zeros(len(states), dtype=bool)
+    for failed, _ in checks:
+        bad |= failed
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidStateError(
+            f"row {i} of {len(states)} ({int(bad.sum())} invalid): "
+            + "; ".join(message(i) for failed, message in checks if failed[i])
+        )
+
+
+def eigenvalues(state, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Spectrum of the X matrix from its two 2x2 blocks, sorted descending.
 
     Each block contributes (mean of its populations) +- the block radius.
     Tiny negative values (boundary states under roundoff) are clamped to 0.
+    An XState gives 4 values; an XColumns batch gives shape (n, 4), one
+    validated spectrum per row.
     """
-    require_valid(state, tol)
-    outer_mid = 0.5 * (state.p1 + state.p4)
-    outer_rad = math.hypot(0.5 * (state.p1 - state.p4), state.r14)
-    inner_mid = 0.5 * (state.p2 + state.p3)
-    inner_rad = math.hypot(0.5 * (state.p2 - state.p3), state.r23)
-    vals = np.array(
+    if isinstance(state, XColumns):
+        validate_columns(state, tol)
+        c = state
+    else:
+        require_valid(state, tol)
+        c = XColumns.from_states([state])
+    outer_mid = 0.5 * (c.p1 + c.p4)
+    outer_rad = np.hypot(0.5 * (c.p1 - c.p4), c.r14)
+    inner_mid = 0.5 * (c.p2 + c.p3)
+    inner_rad = np.hypot(0.5 * (c.p2 - c.p3), c.r23)
+    vals = np.stack(
         [
             outer_mid + outer_rad,
             outer_mid - outer_rad,
             inner_mid + inner_rad,
             inner_mid - inner_rad,
-        ]
+        ],
+        axis=-1,
     )
     vals[(vals < 0.0) & (vals > -tol)] = 0.0
-    return np.sort(vals)[::-1]
+    vals = np.sort(vals, axis=-1)[..., ::-1]
+    return vals if isinstance(state, XColumns) else vals[0]
 
 
-def entropy_bits(probabilities, tol: float = DEFAULT_TOL) -> float:
-    """Shannon entropy -sum p*log2(p) with 0*log(0) = 0.
+def plogp(p) -> np.ndarray:
+    """Elementwise entropy terms -p*log2(p), with 0 where p <= 0."""
+    p = np.asarray(p, dtype=float)
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -p * logs
+
+
+def entropy_bits(probabilities, tol: float = DEFAULT_TOL):
+    """Shannon entropy -sum p*log2(p) with 0*log(0) = 0, over the last axis:
+    a float for one distribution, an array for a stack of them.
 
     Entries may be any probability-like list (state spectra, marginals).
     Negative entries beyond `tol` are rejected; tiny negatives are clamped.
@@ -194,9 +297,8 @@ def entropy_bits(probabilities, tol: float = DEFAULT_TOL) -> float:
     p = np.asarray(probabilities, dtype=float)
     if p.size and p.min() < -tol:
         raise ValueError(f"negative probability {p.min()!r} beyond tolerance {tol}")
-    p = np.clip(p, 0.0, None)
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    h = plogp(p).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def marginal_a(state: XState, tol: float = DEFAULT_TOL) -> QubitMarginal:
@@ -209,11 +311,3 @@ def marginal_b(state: XState, tol: float = DEFAULT_TOL) -> QubitMarginal:
     """Reduced state of qubit B; the X coherences never enter."""
     require_valid(state, tol)
     return QubitMarginal(state.p1 + state.p3, state.p2 + state.p4)
-
-
-def mutual_information(state: XState, tol: float = DEFAULT_TOL) -> float:
-    """S(A) + S(B) - S(AB) in bits."""
-    s_a = entropy_bits(marginal_a(state, tol).probabilities)
-    s_b = entropy_bits(marginal_b(state, tol).probabilities)
-    s_ab = entropy_bits(eigenvalues(state, tol))
-    return s_a + s_b - s_ab

@@ -128,9 +128,9 @@ def test_criterion_05_separable_preset_steady_state():
     cfg = xd.preset_config("fig3-separable")
     traj = xd.trajectory(cfg.initial, cfg.params, 300.0, 3001, zero_threshold=None)
     late = traj.times >= 200.0
-    r14 = np.array([s.r14 for s in traj.states])
-    r23 = np.array([s.r23 for s in traj.states])
-    disc = np.array([b.discord for b in traj.breakdowns])
+    r14 = traj.states.r14
+    r23 = traj.states.r23
+    disc = traj.breakdowns.discord
     r14_err = float(np.abs(r14[late] - 0.0736).max())
     r23_err = float(np.abs(r23 - 0.0736).max())
     late_disc = float(disc[late].max())
@@ -234,7 +234,7 @@ def test_criterion_07_fig2_zero_structure():
     ]
     near_zero = [num <= 1e-5 and inside for _, num, inside in late]
     recurring = any(a and b for a, b in zip(near_zero, near_zero[1:]))
-    disc = np.array([b.discord for b in traj.breakdowns])
+    disc = traj.breakdowns.discord
     early_floor = float(disc[traj.times < TWO_PI].min())
     ok = early_dips and recurring and early_floor > 1e-5
     assert report(
@@ -255,7 +255,7 @@ def test_criterion_07_fig2_zero_structure():
 def test_criterion_08_entangled_preset_persistent_discord():
     cfg = xd.preset_config("fig3-entangled")
     traj = xd.trajectory(cfg.initial, cfg.params, 50.0, 2001, zero_threshold=None)
-    min_disc = min(b.discord for b in traj.breakdowns)
+    min_disc = float(traj.breakdowns.discord.min())
     c_ent = xd.concurrence(cfg.initial)
     c_sep = xd.concurrence(xd.preset_config("fig3-separable").initial)
     ok = min_disc > 1e-2 and abs(c_ent - 0.6) <= 1e-12 and c_sep == 0.0

@@ -95,6 +95,18 @@ class TestEvolveCommand:
         )
         assert code == 3
 
+    def test_infinite_t_max_exit_3(self, capsys, tmp_path):
+        code, out, err = run_cli(["evolve", "--preset", "fig1", "--t-max", "inf"], capsys)
+        assert (code, out) == (3, "")
+        assert "t_max = inf must be finite" in err
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"initial": {"populations": [0.25, 0.25, 0.25, 0.25]}, "grid": {"t_max": Infinity}}'
+        )
+        code, out, err = run_cli(["evolve", "--config", str(config)], capsys)
+        assert (code, out) == (3, "")
+        assert "t_max = inf must be finite" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "series.csv"
         code, out, _ = run_cli(
@@ -124,6 +136,13 @@ class TestZerosCommand:
         assert len(events) == 1
         assert abs(events[0]["t_center"] - math.pi / 2) < 1e-3
         assert events[0]["kind"] == "discrete"
+
+    def test_nan_threshold_exit_3(self, capsys):
+        code, out, err = run_cli(
+            ["zeros", "--preset", "fig1", "--zero-threshold", "nan"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "zero_threshold = nan must be finite" in err
 
     def test_fig3_entangled_no_events(self, capsys):
         code, out, _ = run_cli(
@@ -218,6 +237,13 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["propagator"]["pass"] is False
         assert "need n_max" in report["propagator"]["error"]
+
+    def test_infinite_t_max_exit_3(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--preset", "fig1", "--t-max", "inf", "--sweep-states", "1"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "t_max = inf must be finite" in err
 
     def test_fig3_separable_steady_report(self, capsys):
         code, out, _ = run_cli(

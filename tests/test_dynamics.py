@@ -9,7 +9,6 @@ from xdiscord import (
     DISCRETE,
     PERIODIC_MEMBER,
     DispersiveRegimeWarning,
-    PropagatorCoefficients,
     TCParams,
     XState,
     evolve,
@@ -43,16 +42,19 @@ class TestLambdaFromGDelta:
             lambda_from_g_delta(1.0, 0.0)
 
 
-class TestPropagatorCoefficients:
-    def test_from_state(self):
-        s = XState(0.25, 3 / 16, 5 / 16, 0.25, r23=0.05, phi2=0.4)
-        co = PropagatorCoefficients.from_state(s)
-        assert_allclose(co.c_plus + co.c_minus, s.p2)
-        assert_allclose(co.c_plus - co.c_minus, s.p3)
-        assert_allclose(math.hypot(co.c1, co.c2), s.r23)
-
-
 class TestEvolve:
+    def test_inner_block_at_zero_and_quarter_cycle(self):
+        # p2(t) = c_plus + c_minus*cos(lam t) - c2*sin(lam t) and
+        # rho23(t) = c1 + i*(c2*cos(lam t) + c_minus*sin(lam t)), with
+        # c_plus/c_minus = (p2(0) +- p3(0))/2 and rho23(0) = c1 + i*c2
+        s = XState(0.25, 3 / 16, 5 / 16, 0.25, r23=0.05, phi2=0.4)
+        c_plus, c_minus = 0.5 * (s.p2 + s.p3), 0.5 * (s.p2 - s.p3)
+        c1, c2 = s.rho23.real, s.rho23.imag
+        cols = evolve(s, TCParams(), [0.0, math.pi / 2])
+        rho23 = cols.r23 * np.exp(1j * cols.phi2)
+        assert_allclose(cols.p2, [s.p2, c_plus - c2], atol=1e-15)
+        assert_allclose(rho23, [s.rho23, complex(c1, c_minus)], atol=1e-15)
+
     def test_identity_at_t_zero(self):
         rng = np.random.default_rng(30)
         params = TCParams(lam=1.0, kappa=0.07, alpha_sq=0.9)
@@ -64,8 +66,9 @@ class TestEvolve:
             assert_allclose(out.rho23, s.rho23, atol=1e-15)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            evolve(XState(0.25, 0.25, 0.25, 0.25), TCParams(), -1.0)
+        for t in (-1.0, math.inf, math.nan, [0.0, -1.0]):
+            with pytest.raises(ValueError):
+                evolve(XState(0.25, 0.25, 0.25, 0.25), TCParams(), t)
 
     def test_fig3_separable_inner_block_frozen(self):
         cfg = preset_config("fig3-separable")
@@ -155,6 +158,9 @@ class TestTrajectory:
             trajectory(s, TCParams(), t_max=0.0, n_samples=2)
         with pytest.raises(ValueError):
             trajectory(s, TCParams(), t_max=10.0, n_samples=1)
+        for t_max in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                trajectory(s, TCParams(), t_max=t_max, n_samples=2)
 
     def test_grid_and_payload(self):
         cfg = preset_config("fig1")
@@ -162,17 +168,18 @@ class TestTrajectory:
         assert_allclose(traj.times, np.linspace(0.0, 5.0, 51))
         assert len(traj.states) == 51
         assert len(traj.breakdowns) == 51
+        assert traj.states.r14.shape == traj.breakdowns.discord.shape == (51,)
         assert traj.zero_events == ()
 
     def test_fig3_separable_reaches_zero_discord(self):
         cfg = preset_config("fig3-separable")
         traj = trajectory(cfg.initial, cfg.params, 300.0, 1501, zero_threshold=None)
-        assert traj.breakdowns[-1].discord <= 1e-3
+        assert traj.breakdowns.discord[-1] <= 1e-3
 
     def test_fig3_entangled_discord_never_small(self):
         cfg = preset_config("fig3-entangled")
         traj = trajectory(cfg.initial, cfg.params, 50.0, 1001, zero_threshold=None)
-        assert min(b.discord for b in traj.breakdowns) > 1e-2
+        assert traj.breakdowns.discord.min() > 1e-2
 
 
 class TestFindZeros:
@@ -239,6 +246,13 @@ class TestFindZeros:
         assert events, "expected zero events at later times"
         assert all(e.t_center >= TWO_PI for e in events)
         assert sum(1 for e in events if e.kind == PERIODIC_MEMBER) >= 2
+
+    def test_non_finite_threshold_rejected(self):
+        cfg = preset_config("fig1")
+        traj = trajectory(cfg.initial, cfg.params, 5.0, 11, zero_threshold=None)
+        for threshold in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                find_zeros(traj, threshold)
 
     def test_find_zeros_empty_trajectory_rejected(self):
         cfg = preset_config("fig1")
