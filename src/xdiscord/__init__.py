@@ -12,16 +12,11 @@ from .discord import (
     NullityVerdict,
     build_chi_m1,
     build_chi_m2,
-    c_m1,
-    c_m2,
-    concurrence,
     cond_entropy_basis,
     discord,
     discord_numeric,
     minimize_numeric,
-    mutual_information,
     nullity_check,
-    upsilon,
 )
 from .dynamics import (
     ASYMPTOTIC,
@@ -56,16 +51,13 @@ from .sampling import random_coherence_free, random_degenerate_balanced, random_
 from .xstate import (
     DEFAULT_TOL,
     InvalidStateError,
-    QubitMarginal,
     ValidationReport,
     XColumns,
     XState,
     entropy_bits,
     eigenvalues,
-    marginal_a,
-    marginal_b,
+    require_valid,
     validate,
-    validate_columns,
 )
 
 __version__ = "0.1.0"

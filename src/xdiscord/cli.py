@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .discord import concurrence, discord, minimize_numeric, nullity_check
+from .discord import discord, minimize_numeric, nullity_check
 from .dynamics import TCParams, steady_coherence, steady_coherence_as_printed, trajectory
 from .oracle import FockTruncation, compare
 from .presets import (
@@ -26,9 +27,10 @@ from .presets import (
     config_from_json,
     preset_config,
     state_from_dict,
+    state_to_dict,
 )
 from .sampling import random_xstate
-from .xstate import InvalidStateError, XColumns, XState, require_valid
+from .xstate import InvalidStateError, XColumns
 
 CSV_COLUMNS = (
     "lambda_t",
@@ -73,16 +75,6 @@ def _write_out(text: str, out_path):
 def _write_json(payload, out_path):
     # allow_nan=False: a non-finite number is refused, never printed as NaN.
     _write_out(json.dumps(payload, indent=2, allow_nan=False) + "\n", out_path)
-
-
-def _state_to_dict(state: XState) -> dict:
-    return {
-        "populations": list(state.populations),
-        "r14": state.r14,
-        "phi1": state.phi1,
-        "r23": state.r23,
-        "phi2": state.phi2,
-    }
 
 
 def _resolve_config(args) -> tuple[RunConfig, str | None]:
@@ -132,12 +124,8 @@ def _eq13_note(config: RunConfig):
 def cmd_discord(args) -> int:
     config, _ = _resolve_config(args)
     state = config.initial
-    require_valid(state)
-    breakdown = discord(state)
-    verdict = nullity_check(state)
-    payload = dict(breakdown.as_dict())
-    payload["concurrence"] = concurrence(state)
-    payload["nullity"] = verdict.as_dict()
+    payload = asdict(discord(state))
+    payload["nullity"] = asdict(nullity_check(state))
     _write_json(payload, args.out)
     return 0
 
@@ -182,7 +170,7 @@ def cmd_zeros(args) -> int:
         config.n_samples,
         zero_threshold=config.zero_threshold,
     )
-    payload = [event.as_dict() for event in traj.zero_events]
+    payload = [asdict(event) for event in traj.zero_events]
     _write_json(payload, args.out)
     if args.show_eq13_as_printed:
         _eq13_note(config)
@@ -227,7 +215,7 @@ def _verify_sweep(n_states: int, seed: int) -> dict:
         numeric = np.array([minimize_numeric(state)[1] for state in states])
         gaps = np.minimum(br.c_m1, br.c_m2) - numeric
     discrepancies = [
-        {"state": _state_to_dict(state), "gap": float(gap)}
+        {"state": state_to_dict(state), "gap": float(gap)}
         for state, gap in zip(states, gaps)
         if gap > SWEEP_LOG_LEVEL
     ]

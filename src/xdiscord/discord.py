@@ -21,7 +21,6 @@ from .xstate import (
     XState,
     eigenvalues,
     entropy_bits,
-    marginal_a,
     plogp,
     require_valid,
     validate,
@@ -53,7 +52,17 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class DiscordBreakdown:
-    """All correlation quantities for one state, in bits."""
+    """All correlation quantities for one state: the entropies in bits, the
+    Bloch length `upsilon` and the concurrence.
+
+    mutual_info = S(A) + S(B) - S(AB). c_m1 is the conditional entropy for
+    the theta = 0 (or pi/2) measurement, a populations-only expression. c_m2
+    is the conditional entropy for the theta = pi/4, phi = (phi1-phi2)/2
+    measurement, the binary entropy of (1 + upsilon)/2, where upsilon =
+    sqrt((p1+p2-p3-p4)^2 + 4*(r14+r23)^2) lies in [0, 1]. classical_corr =
+    S(A) - min(c_m1, c_m2); discord = mutual_info - classical_corr.
+    concurrence = 2*max(0, r14 - sqrt(p2*p3), r23 - sqrt(p1*p4)).
+    """
 
     mutual_info: float
     c_m1: float
@@ -61,22 +70,13 @@ class DiscordBreakdown:
     upsilon: float
     classical_corr: float
     discord: float
-
-    def as_dict(self) -> dict:
-        return {
-            "mutual_info": self.mutual_info,
-            "c_m1": self.c_m1,
-            "c_m2": self.c_m2,
-            "upsilon": self.upsilon,
-            "classical_corr": self.classical_corr,
-            "discord": self.discord,
-        }
+    concurrence: float
 
 
 @dataclass(frozen=True)
 class BreakdownColumns:
-    """The DiscordBreakdown fields of a batch of states as arrays, plus the
-    concurrence, one entry per state."""
+    """The DiscordBreakdown fields of a batch of states as arrays, one entry
+    per state."""
 
     mutual_info: np.ndarray
     c_m1: np.ndarray
@@ -107,13 +107,6 @@ class NullityVerdict:
     kind: str
     coherence_residual: float
     balance_residual: float
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "coherence_residual": self.coherence_residual,
-            "balance_residual": self.balance_residual,
-        }
 
 
 def _binary_entropy(x) -> np.ndarray:
@@ -167,19 +160,17 @@ def cond_entropy_basis(state: XState, basis: MeasurementBasis, tol: float = DEFA
     return float(_cond_entropy_grid(state, [basis.theta], [basis.phi])[0, 0])
 
 
-def _breakdown(states: XColumns, tol: float) -> BreakdownColumns:
+def _breakdown(state, tol: float) -> BreakdownColumns:
     """The closed-form kernel: every correlation quantity of a validated
-    batch, elementwise.
+    state or batch, elementwise, as columns (one row for an XState).
 
     S(A), S(B) from the marginals (p1+p2, p3+p4) and (p1+p3, p2+p4); S(AB)
-    from the block spectra; C_m1 the theta = 0 conditional entropy
-    (p2+p4)*h(p2/(p2+p4)) + (p1+p3)*h(p1/(p1+p3)), an empty branch giving 0;
-    C_m2 = h((1 + upsilon)/2) with upsilon = sqrt((p1+p2-p3-p4)^2 +
-    4*(r14+r23)^2); classical_corr = S(A) - min(C_m1, C_m2); discord =
-    mutual_info - classical_corr; concurrence = 2*max(0, r14 - sqrt(p2*p3),
-    r23 - sqrt(p1*p4)).
+    from the block spectra; C_m1 = (p2+p4)*h(p2/(p2+p4)) +
+    (p1+p3)*h(p1/(p1+p3)), an empty branch giving 0; the other fields as in
+    DiscordBreakdown.
     """
-    s_ab = entropy_bits(eigenvalues(states, tol), tol)  # validates the batch
+    s_ab = entropy_bits(eigenvalues(state, tol), tol)  # validates the input
+    states = state if isinstance(state, XColumns) else XColumns.from_states([state])
     p1, p2, p3, p4 = states.p1, states.p2, states.p3, states.p4
     s_a = entropy_bits(np.stack([p1 + p2, p3 + p4], axis=-1), tol)
     s_b = entropy_bits(np.stack([p1 + p3, p2 + p4], axis=-1), tol)
@@ -203,53 +194,14 @@ def _breakdown(states: XColumns, tol: float) -> BreakdownColumns:
     return BreakdownColumns(mutual, cm1, cm2, ups, classical, mutual - classical, conc)
 
 
-def _one(state: XState, tol: float) -> BreakdownColumns:
-    return _breakdown(XColumns.from_states([state]), tol)
-
-
 def discord(state, tol: float = DEFAULT_TOL):
     """Closed-form correlation breakdown.
 
-    classical_corr = S(A) - min(C_m1, C_m2); discord = mutual_info - classical_corr.
     An XState gives a DiscordBreakdown; an XColumns batch gives
-    BreakdownColumns, one entry per row, from one kernel call.
+    BreakdownColumns, one entry per row. Either way it is one kernel call.
     """
-    if isinstance(state, XColumns):
-        return _breakdown(state, tol)
-    return _one(state, tol).row(0)
-
-
-def mutual_information(state: XState, tol: float = DEFAULT_TOL) -> float:
-    """S(A) + S(B) - S(AB) in bits."""
-    return float(_one(state, tol).mutual_info[0])
-
-
-def c_m1(state: XState, tol: float = DEFAULT_TOL) -> float:
-    """Conditional entropy for the theta = 0 (or pi/2) measurement.
-
-    Equals the population-only expression
-    -p4*log2(p4/(p2+p4)) - p2*log2(p2/(p2+p4)) - p3*log2(p3/(p1+p3)) - p1*log2(p1/(p1+p3)),
-    with empty branches (zero denominator) contributing zero.
-    """
-    return float(_one(state, tol).c_m1[0])
-
-
-def upsilon(state: XState, tol: float = DEFAULT_TOL) -> float:
-    """Bloch length of the conditional A state for the theta = pi/4 measurement:
-    sqrt((p1+p2-p3-p4)^2 + 4*(r14+r23)^2). Lies in [0, 1] for valid states."""
-    return float(_one(state, tol).upsilon[0])
-
-
-def c_m2(state: XState, tol: float = DEFAULT_TOL) -> float:
-    """Conditional entropy for the theta = pi/4, phi = (phi1-phi2)/2 measurement:
-    the binary entropy of (1 + upsilon)/2."""
-    return float(_one(state, tol).c_m2[0])
-
-
-def concurrence(state: XState, tol: float = DEFAULT_TOL) -> float:
-    """Two-qubit entanglement monotone, in closed form for X states:
-    2*max(0, r14 - sqrt(p2*p3), r23 - sqrt(p1*p4))."""
-    return float(_one(state, tol).concurrence[0])
+    columns = _breakdown(state, tol)
+    return columns if isinstance(state, XColumns) else columns.row(0)
 
 
 def _candidate_phis(state: XState, n_phi: int) -> np.ndarray:
@@ -309,8 +261,8 @@ def discord_numeric(
     """Discord with the measurement optimization done by direct search instead
     of the closed form: mutual_info - S(A) + (numeric minimum)."""
     basis, value = minimize_numeric(state, grid, refine_iters, tol)
-    s_a = entropy_bits(marginal_a(state, tol).probabilities)
-    return mutual_information(state, tol) - s_a + value, basis
+    s_a = entropy_bits([state.p1 + state.p2, state.p3 + state.p4])
+    return discord(state, tol).mutual_info - s_a + value, basis
 
 
 def nullity_check(state: XState, tol: float = 1e-8) -> NullityVerdict:

@@ -77,15 +77,6 @@ class ZeroEvent:
     min_discord: float
     kind: str
 
-    def as_dict(self) -> dict:
-        return {
-            "t_center": self.t_center,
-            "t_enter": self.t_enter,
-            "t_exit": self.t_exit,
-            "min_discord": self.min_discord,
-            "kind": self.kind,
-        }
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -56,20 +56,23 @@ class FockTruncation:
         if alpha_sq < 0.0:
             raise ValueError("alpha_sq must be nonnegative")
         if n_max is None:
-            n = 0
-            while poisson_tail(alpha_sq, n) > tail_bound:
-                n += 1
+            n = _min_cutoff(alpha_sq, tail_bound)
             return cls(n_max=n, tail_mass=poisson_tail(alpha_sq, n), tail_bound=tail_bound)
         tail = poisson_tail(alpha_sq, n_max)
         if tail > tail_bound:
-            need = n_max
-            while poisson_tail(alpha_sq, need) > tail_bound:
-                need += 1
             raise ValueError(
                 f"n_max = {n_max} leaves a coherent tail of {tail:.3e} > {tail_bound:.3e}; "
-                f"need n_max >= {need}"
+                f"need n_max >= {_min_cutoff(alpha_sq, tail_bound)}"
             )
         return cls(n_max=n_max, tail_mass=tail, tail_bound=tail_bound)
+
+
+def _min_cutoff(alpha_sq: float, tail_bound: float) -> int:
+    """Smallest n_max whose Poisson tail is at most tail_bound."""
+    n = 0
+    while poisson_tail(alpha_sq, n) > tail_bound:
+        n += 1
+    return n
 
 
 def poisson_tail(alpha_sq: float, n_max: int) -> float:
@@ -121,10 +124,9 @@ def coherent_vector(alpha: complex, trunc: FockTruncation) -> np.ndarray:
     alpha = complex(alpha)
     tail = poisson_tail(abs(alpha) ** 2, trunc.n_max)
     if tail > trunc.tail_bound:
-        need = FockTruncation.for_alpha_sq(abs(alpha) ** 2, tail_bound=trunc.tail_bound)
         raise ValueError(
             f"truncation n_max = {trunc.n_max} too small for |alpha|^2 = {abs(alpha)**2:.4g} "
-            f"(tail {tail:.3e}); need n_max >= {need.n_max}"
+            f"(tail {tail:.3e}); need n_max >= {_min_cutoff(abs(alpha) ** 2, trunc.tail_bound)}"
         )
     n = np.arange(trunc.dim)
     log_fact = np.array([math.lgamma(k + 1) for k in n])

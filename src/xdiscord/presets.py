@@ -35,13 +35,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "initial": {
-                "populations": list(self.initial.populations),
-                "r14": self.initial.r14,
-                "phi1": self.initial.phi1,
-                "r23": self.initial.r23,
-                "phi2": self.initial.phi2,
-            },
+            "initial": state_to_dict(self.initial),
             "params": {
                 "lambda": self.params.lam,
                 "kappa": self.params.kappa,
@@ -59,6 +53,16 @@ def _require(mapping, key, context):
     if key not in mapping:
         raise ConfigError(f"missing key {key!r} in {context}")
     return mapping[key]
+
+
+def state_to_dict(state: XState) -> dict:
+    return {
+        "populations": list(state.populations),
+        "r14": state.r14,
+        "phi1": state.phi1,
+        "r23": state.r23,
+        "phi2": state.phi2,
+    }
 
 
 def state_from_dict(d) -> XState:

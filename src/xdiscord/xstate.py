@@ -27,6 +27,8 @@ class InvalidStateError(ValueError):
 
 
 def _wrap_phase(phi: float) -> float:
+    if not math.isfinite(phi):
+        return phi
     phi = math.fmod(phi, TWO_PI)
     return phi + TWO_PI if phi < 0.0 else phi
 
@@ -36,8 +38,9 @@ class XState:
     """X-form two-qubit density matrix: four populations plus two anti-diagonal
     coherences rho14 = r14*exp(i*phi1) and rho23 = r23*exp(i*phi2).
 
-    Negative magnitudes are folded into the phase; phases are normalized to
-    [0, 2*pi). Physicality (trace, positivity of the two 2x2 blocks) is not
+    Negative magnitudes are folded into the phase; finite phases are
+    normalized to [0, 2*pi), and a non-finite one is kept for validate to
+    refuse. Physicality (trace, positivity of the two 2x2 blocks) is not
     enforced by the constructor; use :func:`validate` / :func:`require_valid`.
     """
 
@@ -104,18 +107,6 @@ class XState:
 
 
 @dataclass(frozen=True)
-class QubitMarginal:
-    """Reduced single-qubit state, diagonal in the (ground, excited) basis."""
-
-    p_ground: float
-    p_excited: float
-
-    @property
-    def probabilities(self) -> tuple[float, float]:
-        return (self.p_ground, self.p_excited)
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a physicality check: empty `violations` means valid."""
 
@@ -138,7 +129,7 @@ class XColumns:
     """A batch of X states as columns: each field of XState is a float array,
     all of one length. Row i is one state; magnitudes are nonnegative and
     phases lie in [0, 2*pi), as in XState. Physicality is checked by
-    :func:`validate_columns`, not by the constructor."""
+    :func:`require_valid`, not by the constructor."""
 
     p1: np.ndarray
     p2: np.ndarray
@@ -227,25 +218,23 @@ def validate(state: XState, tol: float = DEFAULT_TOL) -> ValidationReport:
     return ValidationReport(tuple(message(0) for failed, message in checks if failed[0]))
 
 
-def require_valid(state: XState, tol: float = DEFAULT_TOL) -> None:
-    report = validate(state, tol)
-    if not report.ok:
-        raise InvalidStateError("; ".join(report.violations))
-
-
-def validate_columns(states: XColumns, tol: float = DEFAULT_TOL) -> None:
-    """The checks of :func:`validate` on every row at once. Raises
-    InvalidStateError naming the first failing row and the number that fail."""
-    checks = _checks(states, tol)
-    bad = np.zeros(len(states), dtype=bool)
+def require_valid(state, tol: float = DEFAULT_TOL) -> None:
+    """Raise InvalidStateError unless every row passes the checks of
+    :func:`validate`. For an XState the message lists its violations; for an
+    XColumns batch it also names the first failing row and the number that
+    fail."""
+    batch = isinstance(state, XColumns)
+    c = state if batch else XColumns.from_states([state])
+    checks = _checks(c, tol)
+    bad = np.zeros(len(c), dtype=bool)
     for failed, _ in checks:
         bad |= failed
     if bad.any():
         i = int(np.argmax(bad))
-        raise InvalidStateError(
-            f"row {i} of {len(states)} ({int(bad.sum())} invalid): "
-            + "; ".join(message(i) for failed, message in checks if failed[i])
-        )
+        violations = "; ".join(message(i) for failed, message in checks if failed[i])
+        if batch:
+            violations = f"row {i} of {len(c)} ({int(bad.sum())} invalid): {violations}"
+        raise InvalidStateError(violations)
 
 
 def eigenvalues(state, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -256,12 +245,8 @@ def eigenvalues(state, tol: float = DEFAULT_TOL) -> np.ndarray:
     An XState gives 4 values; an XColumns batch gives shape (n, 4), one
     validated spectrum per row.
     """
-    if isinstance(state, XColumns):
-        validate_columns(state, tol)
-        c = state
-    else:
-        require_valid(state, tol)
-        c = XColumns.from_states([state])
+    require_valid(state, tol)
+    c = state if isinstance(state, XColumns) else XColumns.from_states([state])
     outer_mid = 0.5 * (c.p1 + c.p4)
     outer_rad = np.hypot(0.5 * (c.p1 - c.p4), c.r14)
     inner_mid = 0.5 * (c.p2 + c.p3)
@@ -299,15 +284,3 @@ def entropy_bits(probabilities, tol: float = DEFAULT_TOL):
         raise ValueError(f"negative probability {p.min()!r} beyond tolerance {tol}")
     h = plogp(p).sum(axis=-1)
     return float(h) if h.ndim == 0 else h
-
-
-def marginal_a(state: XState, tol: float = DEFAULT_TOL) -> QubitMarginal:
-    """Reduced state of qubit A; the X coherences never enter."""
-    require_valid(state, tol)
-    return QubitMarginal(state.p1 + state.p2, state.p3 + state.p4)
-
-
-def marginal_b(state: XState, tol: float = DEFAULT_TOL) -> QubitMarginal:
-    """Reduced state of qubit B; the X coherences never enter."""
-    require_valid(state, tol)
-    return QubitMarginal(state.p1 + state.p3, state.p2 + state.p4)

@@ -256,8 +256,8 @@ def test_criterion_08_entangled_preset_persistent_discord():
     cfg = xd.preset_config("fig3-entangled")
     traj = xd.trajectory(cfg.initial, cfg.params, 50.0, 2001, zero_threshold=None)
     min_disc = float(traj.breakdowns.discord.min())
-    c_ent = xd.concurrence(cfg.initial)
-    c_sep = xd.concurrence(xd.preset_config("fig3-separable").initial)
+    c_ent = xd.discord(cfg.initial).concurrence
+    c_sep = xd.discord(xd.preset_config("fig3-separable").initial).concurrence
     ok = min_disc > 1e-2 and abs(c_ent - 0.6) <= 1e-12 and c_sep == 0.0
     assert report(
         8,

@@ -1,10 +1,14 @@
 import json
 import math
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from xdiscord import PRESETS, discord, nullity_check, random_xstate
 from xdiscord.cli import CSV_COLUMNS, _write_json, main
+from xdiscord.presets import config_from_json, state_from_dict, state_to_dict
 
 BELL_STATE_JSON = json.dumps({"populations": [0.5, 0.0, 0.0, 0.5], "r14": 0.5})
 EQ9_STATE_JSON = json.dumps(
@@ -40,12 +44,34 @@ class TestDiscordCommand:
         assert code == 2
         assert "invalid state" in err
 
-    def test_nan_state_exit_2(self, capsys):
-        state = '{"populations": [NaN, NaN, NaN, NaN]}'
+    @pytest.mark.parametrize(
+        "state",
+        [
+            '{"populations": [NaN, NaN, NaN, NaN]}',
+            '{"populations": [0.5, 0, 0, 0.5], "phi1": Infinity}',
+        ],
+        ids=["nan-populations", "infinite-phase"],
+    )
+    def test_nan_state_exit_2(self, state, capsys):
         code, out, err = run_cli(["discord", "--state", state], capsys)
         assert code == 2
         assert out == ""
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_payload_is_breakdown_then_nullity(self, name, capsys):
+        state = PRESETS[name].initial
+        code, out, _ = run_cli(["discord", "--preset", name], capsys)
+        assert code == 0
+        expected = asdict(discord(state))
+        expected["nullity"] = asdict(nullity_check(state))
+        payload = json.loads(out)
+        assert list(payload) == [
+            "mutual_info", "c_m1", "c_m2", "upsilon", "classical_corr", "discord",
+            "concurrence", "nullity",
+        ]
+        assert list(payload["nullity"]) == ["kind", "coherence_residual", "balance_residual"]
+        assert payload == expected
 
     def test_malformed_json_exit_3(self, capsys):
         code, _, err = run_cli(["discord", "--state", "{not json"], capsys)
@@ -194,8 +220,6 @@ class TestPresetCommand:
         assert code == 3
 
     def test_nan_kappa_config_exit_3(self, capsys, tmp_path):
-        from xdiscord import PRESETS
-
         config = PRESETS["fig1"].to_dict()
         config["params"]["kappa"] = math.nan
         path = tmp_path / "config.json"
@@ -206,11 +230,12 @@ class TestPresetCommand:
         assert "finite" in err
 
     def test_config_serialization_roundtrips_bit_exact(self):
-        from xdiscord import PRESETS
-        from xdiscord.presets import config_from_json
-
         for config in PRESETS.values():
             assert config_from_json(config.to_json()) == config
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            state = random_xstate(rng)
+            assert state_from_dict(json.loads(json.dumps(state_to_dict(state)))) == state
 
 
 class TestVerifyCommand:

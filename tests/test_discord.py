@@ -13,9 +13,6 @@ from xdiscord import (
     XState,
     build_chi_m1,
     build_chi_m2,
-    c_m1,
-    c_m2,
-    concurrence,
     cond_entropy_basis,
     discord,
     discord_numeric,
@@ -23,7 +20,6 @@ from xdiscord import (
     nullity_check,
     random_degenerate_balanced,
     random_xstate,
-    upsilon,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -71,9 +67,11 @@ class TestCondEntropyBasis:
     def test_theta_zero_equals_c_m1(self):
         rng = np.random.default_rng(4)
         for s in [BELL, MIXED, FIG1] + [random_xstate(rng) for _ in range(30)]:
-            assert_allclose(cond_entropy_basis(s, MeasurementBasis(0.0)), c_m1(s), atol=1e-12)
             assert_allclose(
-                cond_entropy_basis(s, MeasurementBasis(math.pi / 2)), c_m1(s), atol=1e-12
+                cond_entropy_basis(s, MeasurementBasis(0.0)), discord(s).c_m1, atol=1e-12
+            )
+            assert_allclose(
+                cond_entropy_basis(s, MeasurementBasis(math.pi / 2)), discord(s).c_m1, atol=1e-12
             )
 
     def test_bell_any_basis_is_zero(self):
@@ -99,46 +97,46 @@ class TestCondEntropyBasis:
 
 class TestClosedForms:
     def test_c_m1_bell(self):
-        assert_allclose(c_m1(BELL), 0.0, atol=1e-15)
+        assert_allclose(discord(BELL).c_m1, 0.0, atol=1e-15)
 
     def test_c_m1_maximally_mixed(self):
-        assert_allclose(c_m1(MIXED), 1.0, atol=1e-15)
+        assert_allclose(discord(MIXED).c_m1, 1.0, atol=1e-15)
 
     def test_c_m1_empty_branch(self):
         # p2 = p4 = 0 leaves only the (p1, p3) branch
         s = XState(0.6, 0.0, 0.4, 0.0)
-        assert_allclose(c_m1(s), (0.6 + 0.4) * entropy([0.6, 0.4]), atol=1e-12)
+        assert_allclose(discord(s).c_m1, (0.6 + 0.4) * entropy([0.6, 0.4]), atol=1e-12)
 
     def test_upsilon_bell(self):
-        assert_allclose(upsilon(BELL), 1.0, atol=1e-15)
+        assert_allclose(discord(BELL).upsilon, 1.0, atol=1e-15)
 
     def test_upsilon_maximally_mixed(self):
-        assert_allclose(upsilon(MIXED), 0.0, atol=1e-15)
+        assert_allclose(discord(MIXED).upsilon, 0.0, atol=1e-15)
 
     def test_upsilon_fig3_separable(self):
-        assert_allclose(upsilon(FIG3_SEP), 0.5472, atol=1e-15)
+        assert_allclose(discord(FIG3_SEP).upsilon, 0.5472, atol=1e-15)
 
     def test_upsilon_in_unit_interval(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
-            u = upsilon(random_xstate(rng))
+            u = discord(random_xstate(rng)).upsilon
             assert -1e-12 <= u <= 1.0 + 1e-12
 
     def test_c_m2_bell(self):
-        assert_allclose(c_m2(BELL), 0.0, atol=1e-15)
+        assert_allclose(discord(BELL).c_m2, 0.0, atol=1e-15)
 
     def test_c_m2_maximally_mixed(self):
-        assert_allclose(c_m2(MIXED), 1.0, atol=1e-15)
+        assert_allclose(discord(MIXED).c_m2, 1.0, atol=1e-15)
 
     def test_c_m2_fig3_separable_frozen(self):
         # binary entropy of (1 + 0.5472)/2, evaluated independently
-        assert_allclose(c_m2(FIG3_SEP), 0.7716827126890268, atol=1e-14)
+        assert_allclose(discord(FIG3_SEP).c_m2, 0.7716827126890268, atol=1e-14)
 
     def test_c_m2_equals_basis_evaluation(self):
         rng = np.random.default_rng(12)
         for s in [FIG1, FIG3_SEP, EQ9] + [random_xstate(rng) for _ in range(30)]:
             basis = MeasurementBasis(math.pi / 4, (0.5 * (s.phi1 - s.phi2)) % TWO_PI)
-            assert_allclose(c_m2(s), cond_entropy_basis(s, basis), atol=1e-10)
+            assert_allclose(discord(s).c_m2, cond_entropy_basis(s, basis), atol=1e-10)
 
 
 def entropy(p):
@@ -172,13 +170,13 @@ class TestDiscord:
             assert br.discord >= -1e-9
 
     def test_classical_corr_identity(self):
-        from xdiscord import entropy_bits, marginal_a
+        from xdiscord import entropy_bits
 
         rng = np.random.default_rng(17)
         for _ in range(50):
             s = random_xstate(rng)
             br = discord(s)
-            s_a = entropy_bits(marginal_a(s).probabilities)
+            s_a = entropy_bits([s.p1 + s.p2, s.p3 + s.p4])
             assert_allclose(br.classical_corr, s_a - min(br.c_m1, br.c_m2), atol=1e-12)
 
     def test_phase_invariance(self):
@@ -284,16 +282,16 @@ class TestChiBuilders:
 
 class TestConcurrence:
     def test_bell(self):
-        assert_allclose(concurrence(BELL), 1.0, atol=1e-15)
+        assert_allclose(discord(BELL).concurrence, 1.0, atol=1e-15)
 
     def test_fig3_separable_unentangled(self):
-        assert concurrence(FIG3_SEP) == 0.0
+        assert discord(FIG3_SEP).concurrence == 0.0
 
     def test_fig3_entangled(self):
-        assert_allclose(concurrence(FIG3_ENT), 0.6, atol=1e-15)
+        assert_allclose(discord(FIG3_ENT).concurrence, 0.6, atol=1e-15)
 
     def test_within_unit_interval(self):
         rng = np.random.default_rng(28)
         for _ in range(100):
-            c = concurrence(random_xstate(rng))
+            c = discord(random_xstate(rng)).concurrence
             assert 0.0 <= c <= 1.0 + 1e-12

@@ -7,11 +7,9 @@ from numpy.testing import assert_allclose
 from xdiscord import (
     InvalidStateError,
     XState,
+    discord,
     eigenvalues,
     entropy_bits,
-    marginal_a,
-    marginal_b,
-    mutual_information,
     random_xstate,
     validate,
 )
@@ -119,47 +117,59 @@ class TestEntropyBits:
         assert_allclose(entropy_bits([0.25] * 4), 2.0, atol=1e-15)
 
 
+def marginal_entropies(state):
+    """S(A) and S(B) as the discord kernel uses them, read back from its
+    breakdown: S(A) = classical_corr + min(C_m1, C_m2) and
+    S(B) = mutual_info - S(A) + S(AB)."""
+    br = discord(state)
+    s_a = br.classical_corr + min(br.c_m1, br.c_m2)
+    return s_a, br.mutual_info - s_a + entropy_bits(eigenvalues(state))
+
+
 class TestMarginals:
     def test_maximally_mixed(self):
-        assert_allclose(marginal_a(MIXED).probabilities, (0.5, 0.5))
-        assert_allclose(marginal_b(MIXED).probabilities, (0.5, 0.5))
+        assert_allclose(marginal_entropies(MIXED), (1.0, 1.0), atol=1e-12)
 
     def test_fig1_values(self):
-        assert_allclose(marginal_a(FIG1).probabilities, (7 / 16, 9 / 16))
-        assert_allclose(marginal_b(FIG1).probabilities, (9 / 16, 7 / 16))
+        # marginals (7/16, 9/16) for A and (9/16, 7/16) for B
+        h = entropy_bits([7 / 16, 9 / 16])
+        assert_allclose(marginal_entropies(FIG1), (h, h), atol=1e-12)
 
     def test_bell(self):
-        assert_allclose(marginal_a(BELL).probabilities, (0.5, 0.5))
-        assert_allclose(marginal_b(BELL).probabilities, (0.5, 0.5))
+        assert_allclose(marginal_entropies(BELL), (1.0, 1.0), atol=1e-12)
 
     def test_coherences_never_enter(self):
         base = XState(0.3, 0.25, 0.25, 0.2)
         bumped = XState(0.3, 0.25, 0.25, 0.2, r14=0.2, phi1=1.0, r23=0.1, phi2=2.0)
-        assert marginal_a(base) == marginal_a(bumped)
-        assert marginal_b(base) == marginal_b(bumped)
+        assert_allclose(marginal_entropies(bumped), marginal_entropies(base), atol=1e-12)
+        assert_allclose(
+            marginal_entropies(base),
+            (entropy_bits([0.55, 0.45]), entropy_bits([0.55, 0.45])),
+            atol=1e-12,
+        )
 
 
 class TestMutualInformation:
     def test_product_diagonal_state(self):
         pa, pb = 0.3, 0.65
         s = XState(pa * pb, pa * (1 - pb), (1 - pa) * pb, (1 - pa) * (1 - pb))
-        assert_allclose(mutual_information(s), 0.0, atol=1e-12)
+        assert_allclose(discord(s).mutual_info, 0.0, atol=1e-12)
 
     def test_bell(self):
-        assert_allclose(mutual_information(BELL), 2.0, atol=1e-12)
+        assert_allclose(discord(BELL).mutual_info, 2.0, atol=1e-12)
 
     def test_against_dense_oracle(self):
         # oracle: dense eigendecomposition plus marginal entropies
         s = XState(0.25, 0.25, 0.25, 0.25, r14=0.2, r23=0.0736)
         ev = np.clip(np.linalg.eigvalsh(s.to_matrix()), 0.0, None)
         expected = 2.0 - entropy_bits(ev)
-        assert_allclose(mutual_information(s), expected, atol=1e-12)
+        assert_allclose(discord(s).mutual_info, expected, atol=1e-12)
         assert_allclose(expected, 0.297230270977322, atol=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
-            assert mutual_information(random_xstate(rng)) >= -1e-12
+            assert discord(random_xstate(rng)).mutual_info >= -1e-12
 
     def test_phase_invariance(self):
         rng = np.random.default_rng(13)
@@ -169,4 +179,4 @@ class TestMutualInformation:
                 s.p1, s.p2, s.p3, s.p4,
                 r14=s.r14, phi1=s.phi1 + 0.7, r23=s.r23, phi2=s.phi2 + 2.3,
             )
-            assert_allclose(mutual_information(shifted), mutual_information(s), atol=1e-12)
+            assert_allclose(discord(shifted).mutual_info, discord(s).mutual_info, atol=1e-12)
