@@ -12,7 +12,6 @@ from .discord import (
     NullityVerdict,
     build_chi_m1,
     build_chi_m2,
-    cond_entropy_basis,
     discord,
     discord_numeric,
     minimize_numeric,
@@ -38,13 +37,9 @@ from .oracle import (
     CompareReport,
     FockTruncation,
     IntegrationResult,
-    build_hamiltonian,
     coherent_vector,
     compare,
     integrate,
-    joint_initial,
-    poisson_tail,
-    trace_out_field,
 )
 from .presets import PRESETS, ConfigError, RunConfig, config_from_json, preset_config
 from .sampling import random_coherence_free, random_degenerate_balanced, random_xstate

@@ -1,20 +1,23 @@
-"""Independent verification path: full atom-field master equation.
+"""Independent verification path: the atom-field master equation.
 
-The two-atom + cavity density matrix is propagated exactly in a truncated
-Fock basis, the field is traced out, and the reduced atomic state is compared
-element-wise against the analytic propagator. The dissipator is the standard
-cavity-decay form kappa*(a rho a+ - {a+a, rho}/2), under which the field
-amplitude decays at kappa/2 and the photon number at kappa; this is the
-convention the analytic solution and the steady coherence value correspond to.
+The two-atom + cavity density matrix starts as rho_atoms (x) |alpha><alpha|
+in a truncated Fock basis and is propagated exactly; the field is traced out
+and the reduced atomic state is compared element-wise against the analytic
+propagator. The dissipator is the standard cavity-decay form
+kappa*(a rho a+ - {a+a, rho}/2), under which the field amplitude decays at
+kappa/2 and the photon number at kappa; this is the convention the analytic
+solution and the steady coherence value correspond to.
 
 The Liouvillian -i[H, .] + kappa*D[a] is built from H and D alone, never from
 the analytic solution. It splits an X state into independent sectors, one per
-atomic group ({|gg>,|ee>} or {|ge>,|eg>}) and Fock offset n - m; each sector
-is exponentiated by scaling and squaring (Moler & Van Loan, SIAM Rev. 45,
-2003; Higham, SIMAX 26, 2005).
+atomic group ({|gg>,|ee>} or {|ge>,|eg>}) and Fock offset n - m. The reduced
+state Tr_F(rho) reads only offset 0, so that sector alone is propagated,
+exponentiated by scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 2003;
+Higham, SIMAX 26, 2005). Its elements are the Fock-conditioned atomic blocks
+<n|rho|n>, whose smallest eigenvalue is the run's positivity diagnostic.
 
-Joint-space ordering is atomic-major: index = atomic*(n_max+1) + fock, i.e.
-kron(atomic operator, field operator).
+Joint elements are indexed (j, n, k, m): atomic row, Fock row, atomic
+column, Fock column.
 """
 
 from __future__ import annotations
@@ -111,14 +114,6 @@ def _exchange(params: TCParams) -> np.ndarray:
     return e
 
 
-def build_hamiltonian(params: TCParams, trunc: FockTruncation) -> np.ndarray:
-    """Dense effective Hamiltonian on the joint space:
-    (lam/2) * [ sum_j (|e_j><e_j| a a+ - |g_j><g_j| a+ a) + exchange ].
-    """
-    diagonal = np.diag(_stark(params, trunc.dim).ravel())
-    return (diagonal + np.kron(_exchange(params), np.eye(trunc.dim))).astype(complex)
-
-
 def coherent_vector(alpha: complex, trunc: FockTruncation) -> np.ndarray:
     """Normalized truncated coherent-state amplitudes alpha^n/sqrt(n!)."""
     alpha = complex(alpha)
@@ -139,18 +134,13 @@ def coherent_vector(alpha: complex, trunc: FockTruncation) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def joint_initial(atoms: XState, field_vector: np.ndarray) -> np.ndarray:
-    """Product joint state rho_atoms (x) |v><v|."""
-    field = np.outer(field_vector, field_vector.conj())
-    return np.kron(atoms.to_matrix(), field)
-
-
 @dataclass(frozen=True)
 class IntegrationResult:
-    """Sampled joint states plus the run's conservation diagnostics."""
+    """Reduced atomic states at the sample times plus the run's conservation
+    and positivity diagnostics."""
 
     times: np.ndarray
-    states: tuple[np.ndarray, ...]
+    states: XColumns
     max_trace_drift: float
     min_eigenvalue: float
 
@@ -231,12 +221,17 @@ def integrate(
     times,
     tol: float = DEFAULT_TOL,
 ) -> IntegrationResult:
-    """Exact propagation of the joint master equation to each sample time.
+    """Exact propagation of the joint master equation to each sample time,
+    reduced to the atoms.
 
-    The joint state starts as rho_atoms (x) |alpha><alpha|. Each X sector
-    (see _make_sector) is exponentiated once per distinct gap between sorted
-    sample times and stepped from sample to sample; the sampled joint states
-    are assembled from the sectors. `times` is any nonnegative time or list of
+    The joint state starts as rho_atoms (x) |alpha><alpha|. Tr_F(rho) sums
+    the elements (j, n, k, n), so only the offset-0 sector (see _make_sector)
+    is propagated: its generator is exponentiated once per distinct gap
+    between sorted sample times and stepped from sample to sample. At each
+    sample the elements are summed over n into the reduced X state.
+    `min_eigenvalue` is the smallest eigenvalue of the Fock-conditioned
+    atomic blocks <n|rho|n> over all samples; their positivity is necessary
+    for that of the joint state. `times` is any nonnegative time or list of
     times; the result is sorted by time.
     """
     require_valid(initial, tol)
@@ -248,56 +243,28 @@ def integrate(
         np.diff(times, prepend=0.0), 64 * np.finfo(float).eps * times[-1]
     )
 
-    fdim = trunc.dim
-    alpha = math.sqrt(params.alpha_sq)
-    rho0 = joint_initial(initial, coherent_vector(alpha, trunc)).reshape(4, fdim, 4, fdim)
-    states = np.zeros((times.size, 4, fdim, 4, fdim), dtype=complex)
-    sector = _make_sector(params, trunc)
-    for d in range(-trunc.n_max, fdim):
-        index, gen = sector(d)
-        props = [_expm(gen * gap) if gap > 0.0 else None for gap in gaps]
-        vec = rho0[index].reshape(2, -1, 1)
-        for s, u in enumerate(which):
-            if props[u] is not None:
-                vec = props[u] @ vec
-            states[(s,) + index] = vec.reshape(2, 4, -1)
+    (pair_j, _, pair_k, _), gen = _make_sector(params, trunc)(0)
+    photons = np.abs(coherent_vector(math.sqrt(params.alpha_sq), trunc)) ** 2
+    vec = (initial.to_matrix()[pair_j, pair_k] * photons).reshape(2, -1, 1)
+    props = [_expm(gen * gap) if gap > 0.0 else None for gap in gaps]
+    # blocks[s, group, pair, n]: element (j, n, k, n) at sample s.
+    blocks = np.empty((times.size, 2, 4, trunc.dim), dtype=complex)
+    for s, u in enumerate(which):
+        if props[u] is not None:
+            vec = props[u] @ vec
+        blocks[s] = vec.reshape(2, 4, -1)
 
-    drift = np.abs(np.einsum("sjnjn->s", states) - 1.0)
-    joint = states.reshape(times.size, 4 * fdim, 4 * fdim)
+    # Pairs per group: outer (0,0),(0,3),(3,0),(3,3); inner (1,1),(1,2),(2,1),(2,2).
+    reduced = blocks.sum(axis=-1)
+    (p1, rho14, _, p4), (p2, rho23, _, p3) = reduced.transpose(1, 2, 0)
+    top, bottom = blocks[:, :, 0].real, blocks[:, :, 3].real
+    block_min = 0.5 * (top + bottom) - np.hypot(0.5 * (top - bottom), np.abs(blocks[:, :, 1]))
     return IntegrationResult(
         times=times,
-        states=tuple(joint),
-        max_trace_drift=float(drift.max()),
-        min_eigenvalue=min(float(np.linalg.eigvalsh(x)[0]) for x in joint),
+        states=XColumns.from_coherences(p1.real, p2.real, p3.real, p4.real, rho14, rho23),
+        max_trace_drift=float(np.abs(p1 + p2 + p3 + p4 - 1.0).max()),
+        min_eigenvalue=float(block_min.min()),
     )
-
-
-def trace_out_field(joint: np.ndarray) -> tuple[XState, float]:
-    """Partial trace over the Fock index.
-
-    Returns the X components of the reduced atomic state together with the
-    largest |element| outside the X pattern. The returned XState is built from
-    the raw components and is not re-validated here: oracle output carries the
-    integration's own trace-level residue.
-    """
-    dim = joint.shape[0]
-    if joint.shape != (dim, dim) or dim % 4 != 0:
-        raise ValueError(f"joint state has shape {joint.shape}, expected (4*F, 4*F)")
-    fdim = dim // 4
-    reduced = np.einsum("ambm->ab", joint.reshape(4, fdim, 4, fdim))
-    x_mask = np.zeros((4, 4), dtype=bool)
-    x_mask[np.arange(4), np.arange(4)] = True
-    x_mask[0, 3] = x_mask[3, 0] = x_mask[1, 2] = x_mask[2, 1] = True
-    off_x = float(np.max(np.abs(reduced[~x_mask]))) if (~x_mask).any() else 0.0
-    state = XState.from_coherences(
-        reduced[0, 0].real,
-        reduced[1, 1].real,
-        reduced[2, 2].real,
-        reduced[3, 3].real,
-        rho14=reduced[0, 3],
-        rho23=reduced[1, 2],
-    )
-    return state, off_x
 
 
 @dataclass(frozen=True)
@@ -309,7 +276,6 @@ class CompareReport:
     max_deviation: float
     t_at_max: float
     max_trace_drift: float
-    max_off_x_residual: float
     p1_drift: float
     p4_drift: float
     min_eigenvalue: float
@@ -319,7 +285,6 @@ class CompareReport:
             "max_deviation": self.max_deviation,
             "t_at_max": self.t_at_max,
             "max_trace_drift": self.max_trace_drift,
-            "max_off_x_residual": self.max_off_x_residual,
             "p1_drift": self.p1_drift,
             "p4_drift": self.p4_drift,
             "min_eigenvalue": self.min_eigenvalue,
@@ -353,12 +318,10 @@ def compare(
 ) -> CompareReport:
     """Propagate the master equation once and compare the reduced atomic state
     against evolve() at every grid time."""
-    result = integrate(initial, params, trunc, list(t_grid), tol)
-    reduced = [trace_out_field(joint) for joint in result.states]
-    oracle = _components(XColumns.from_states([state for state, _ in reduced]))
+    result = integrate(initial, params, trunc, t_grid, tol)
+    oracle = _components(result.states)
     analytic = _components(evolve(initial, params, result.times, tol))
     deviations = np.max(np.abs(analytic - oracle), axis=1)
-    off_x_max = max(off_x for _, off_x in reduced)
     p1_drift = float(np.max(np.abs(oracle[:, 0] - initial.p1)))
     p4_drift = float(np.max(np.abs(oracle[:, 3] - initial.p4)))
     k_max = int(np.argmax(deviations))
@@ -368,7 +331,6 @@ def compare(
         max_deviation=float(deviations[k_max]),
         t_at_max=float(result.times[k_max]),
         max_trace_drift=result.max_trace_drift,
-        max_off_x_residual=off_x_max,
         p1_drift=p1_drift,
         p4_drift=p4_drift,
         min_eigenvalue=result.min_eigenvalue,

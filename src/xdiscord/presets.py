@@ -15,6 +15,11 @@ from .dynamics import DEFAULT_ZERO_THRESHOLD, TCParams
 from .xstate import XState
 
 
+#: Largest time grid a run may ask for, from --samples, a config's n_samples
+#: or verify's oracle grid; a larger one is refused before it is allocated.
+MAX_SAMPLES = 10**6
+
+
 class ConfigError(ValueError):
     """Malformed or unparseable configuration input."""
 
@@ -32,6 +37,8 @@ class RunConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"{name} = {value!r} must be finite")
+        if self.n_samples > MAX_SAMPLES:
+            raise ConfigError(f"n_samples = {self.n_samples!r} exceeds {MAX_SAMPLES}")
 
     def to_dict(self) -> dict:
         return {

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from xdiscord import PRESETS, discord, nullity_check, random_xstate
 from xdiscord.cli import CSV_COLUMNS, _write_json, main
-from xdiscord.presets import config_from_json, state_from_dict, state_to_dict
+from xdiscord.presets import MAX_SAMPLES, config_from_json, state_from_dict, state_to_dict
 
 BELL_STATE_JSON = json.dumps({"populations": [0.5, 0.0, 0.0, 0.5], "r14": 0.5})
 EQ9_STATE_JSON = json.dumps(
@@ -132,6 +132,21 @@ class TestEvolveCommand:
         code, out, err = run_cli(["evolve", "--config", str(config)], capsys)
         assert (code, out) == (3, "")
         assert "t_max = inf must be finite" in err
+
+    def test_oversized_grid_exit_3(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            ["evolve", "--preset", "fig1", "--samples", str(10**9)], capsys
+        )
+        assert (code, out) == (3, "")
+        assert f"n_samples = {10**9} exceeds {MAX_SAMPLES}" in err
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"initial": {"populations": [0.25, 0.25, 0.25, 0.25]}, '
+            '"grid": {"n_samples": 1000000000}}'
+        )
+        code, out, err = run_cli(["zeros", "--config", str(config)], capsys)
+        assert (code, out) == (3, "")
+        assert "exceeds" in err
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "series.csv"
@@ -269,6 +284,13 @@ class TestVerifyCommand:
         )
         assert (code, out) == (3, "")
         assert "t_max = inf must be finite" in err
+
+    def test_oversized_oracle_grid_exit_3(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--preset", "fig1", "--t-max", "1e12", "--sweep-states", "1"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert f"more than {MAX_SAMPLES} oracle samples" in err
 
     def test_fig3_separable_steady_report(self, capsys):
         code, out, _ = run_cli(

@@ -13,7 +13,6 @@ from xdiscord import (
     XState,
     build_chi_m1,
     build_chi_m2,
-    cond_entropy_basis,
     discord,
     discord_numeric,
     minimize_numeric,
@@ -21,6 +20,7 @@ from xdiscord import (
     random_degenerate_balanced,
     random_xstate,
 )
+from xdiscord.discord import cond_entropy_basis
 
 TWO_PI = 2.0 * math.pi
 

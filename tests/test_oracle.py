@@ -2,24 +2,45 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xdiscord import (
     FockTruncation,
     TCParams,
     XState,
-    build_hamiltonian,
     coherent_vector,
     compare,
     integrate,
-    joint_initial,
-    poisson_tail,
     preset_config,
     random_xstate,
     steady_coherence,
-    trace_out_field,
 )
-from xdiscord.oracle import EXCITED_COUNT, _make_sector
+from xdiscord.oracle import EXCITED_COUNT, _exchange, _expm, _make_sector, _stark, poisson_tail
+
+
+def hamiltonian(params, trunc):
+    """Dense effective Hamiltonian on the joint space, index (j, n):
+    (lam/2) * [ sum_j (|e_j><e_j| a a+ - |g_j><g_j| a+ a) + exchange ]."""
+    diagonal = np.diag(_stark(params, trunc.dim).ravel())
+    return (diagonal + np.kron(_exchange(params), np.eye(trunc.dim))).astype(complex)
+
+
+def joint_states(initial, params, trunc, times):
+    """Every sector of _make_sector propagated to each time, assembled into
+    dense joint states, shape (len(times), 4, F, 4, F)."""
+    fdim = trunc.dim
+    v = coherent_vector(math.sqrt(params.alpha_sq), trunc)
+    rho0 = np.kron(initial.to_matrix(), np.outer(v, v.conj())).reshape(4, fdim, 4, fdim)
+    states = np.zeros((len(times), 4, fdim, 4, fdim), dtype=complex)
+    sector = _make_sector(params, trunc)
+    for d in range(-trunc.n_max, fdim):
+        index, gen = sector(d)
+        vec = rho0[index].reshape(2, -1, 1)
+        for s, t in enumerate(times):
+            states[(s,) + index] = (_expm(gen * t) @ vec).reshape(2, 4, -1)
+    return states
 
 
 class TestFockTruncation:
@@ -80,7 +101,7 @@ class TestHamiltonian:
     def test_hermitian(self):
         params = TCParams(lam=0.7, kappa=0.1, alpha_sq=1.0)
         trunc = FockTruncation.for_alpha_sq(1.0, n_max=16)
-        h = build_hamiltonian(params, trunc)
+        h = hamiltonian(params, trunc)
         assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_elementwise_rule(self):
@@ -89,7 +110,7 @@ class TestHamiltonian:
         n_max = 7
         params = TCParams(lam=lam, kappa=0.0, alpha_sq=0.0)
         trunc = FockTruncation(n_max=n_max, tail_mass=0.0)
-        h = build_hamiltonian(params, trunc)
+        h = hamiltonian(params, trunc)
         fdim = n_max + 1
         for j in range(4):
             for n in range(fdim):
@@ -114,19 +135,19 @@ class TestHamiltonian:
         # excited projectors and 0 for the ground ones
         params = TCParams(lam=2.0, kappa=0.0, alpha_sq=0.0)
         trunc = FockTruncation(n_max=0, tail_mass=0.0)
-        h = build_hamiltonian(params, trunc)
+        h = hamiltonian(params, trunc)
         assert_allclose(np.diag(h).real, [0.0, 1.0, 1.0, 2.0])
 
 
 class TestSectorGenerator:
     def test_sectors_match_dense_superoperator(self):
         # oracle: the dense superoperator -i[H, .] + kappa*D[a] on row-major
-        # vec(rho), from build_hamiltonian and an inline truncated a
+        # vec(rho), from the dense H and an inline truncated a
         params = TCParams(lam=0.9, kappa=0.23, alpha_sq=0.6)
         trunc = FockTruncation(n_max=6, tail_mass=0.0)
         fdim = trunc.dim
         dim = 4 * fdim
-        h = build_hamiltonian(params, trunc)
+        h = hamiltonian(params, trunc)
         a = np.kron(np.eye(4), np.diag(np.sqrt(np.arange(1.0, fdim)), k=1))
         n_op = a.T @ a
         eye = np.eye(dim)
@@ -161,10 +182,7 @@ class TestIntegrate:
         initial = XState(0.0, 1.0, 0.0, 0.0)
         sample_times = [0.5, 1.0, 2.0, 3.0]
         result = integrate(initial, params, trunc, sample_times)
-        for t, joint in zip(result.times, result.states):
-            reduced, off_x = trace_out_field(joint)
-            assert_allclose(reduced.p2, 0.5 * (1.0 + math.cos(t)), atol=1e-12)
-            assert off_x <= 1e-10
+        assert_allclose(result.states.p2, 0.5 * (1.0 + np.cos(result.times)), atol=1e-12)
 
     def test_trace_preserved(self):
         params = TCParams(lam=1.0, kappa=0.2, alpha_sq=0.8)
@@ -173,6 +191,26 @@ class TestIntegrate:
         result = integrate(initial, params, trunc, 2.0)
         assert result.max_trace_drift <= 1e-8
         assert result.min_eigenvalue >= -1e-8
+
+    def test_joint_state_positive_and_reduces_to_result(self):
+        # oracle: all 2*n_max+1 sectors propagated and assembled into the
+        # joint state, which integrate never forms
+        params = TCParams(lam=1.0, kappa=0.2, alpha_sq=0.8)
+        trunc = FockTruncation.for_alpha_sq(0.8, n_max=6, tail_bound=1e-4)
+        initial = random_xstate(np.random.default_rng(46))
+        times = [0.0, 0.7, 2.0]
+        joint = joint_states(initial, params, trunc, times)
+        dim = 4 * trunc.dim
+        joint_min = np.linalg.eigvalsh(joint.reshape(len(times), dim, dim)).min()
+        assert joint_min >= -1e-8
+        result = integrate(initial, params, trunc, times)
+        # each block <n|rho|n> is a compression of the joint state (Cauchy interlacing)
+        assert result.min_eigenvalue >= joint_min - 1e-12
+        conditioned = np.moveaxis(np.diagonal(joint, axis1=2, axis2=4), -1, 1)
+        assert_allclose(result.min_eigenvalue, np.linalg.eigvalsh(conditioned).min(), atol=1e-12)
+        traced = np.einsum("sanbn->sab", joint)
+        reduced = [result.states.row(i).to_matrix() for i in range(len(times))]
+        assert np.abs(traced - reduced).max() <= 1e-12
 
     def test_arbitrary_unsorted_times(self):
         # non-uniform, unsorted, with a repeat: the result is sorted by time and
@@ -183,9 +221,9 @@ class TestIntegrate:
         times = [2.5, 0.0, 0.31, 1.7, 0.31, 4.0]
         result = integrate(initial, params, trunc, times)
         assert np.array_equal(result.times, np.sort(times))
-        for t, joint in zip(result.times, result.states):
-            alone = integrate(initial, params, trunc, t).states[0]
-            assert np.abs(joint - alone).max() <= 1e-12
+        for i, t in enumerate(result.times):
+            alone = integrate(initial, params, trunc, t).states.row(0)
+            assert np.abs(result.states.row(i).to_matrix() - alone.to_matrix()).max() <= 1e-12
         report = compare(initial, params, times, trunc)
         assert np.array_equal(report.times, np.sort(times))
         assert report.max_deviation <= 1e-12
@@ -196,28 +234,6 @@ class TestIntegrate:
         for times in ([], [1.0, -0.5], [math.nan], [math.inf]):
             with pytest.raises(ValueError, match="times"):
                 integrate(XState(1, 0, 0, 0), params, trunc, times)
-
-
-class TestTraceOutField:
-    def test_product_state_recovers_atoms(self):
-        rng = np.random.default_rng(42)
-        atoms = random_xstate(rng)
-        trunc = FockTruncation.for_alpha_sq(0.9)
-        joint = joint_initial(atoms, coherent_vector(0.9, trunc))
-        reduced, off_x = trace_out_field(joint)
-        assert_allclose(reduced.to_matrix(), atoms.to_matrix(), atol=1e-14)
-        assert off_x <= 1e-14
-
-    def test_maximally_mixed_joint(self):
-        dim = 4 * 5
-        joint = np.eye(dim, dtype=complex) / dim
-        reduced, off_x = trace_out_field(joint)
-        assert_allclose(reduced.populations, (0.25, 0.25, 0.25, 0.25))
-        assert off_x == 0.0
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            trace_out_field(np.eye(6, dtype=complex) / 6.0)
 
 
 class TestCompare:
@@ -243,9 +259,25 @@ class TestCompare:
         trunc = FockTruncation.for_alpha_sq(0.8)
         report = compare(initial, params, np.linspace(0.0, 2.0, 5), trunc)
         assert report.max_deviation <= 1e-9
-        assert report.max_off_x_residual <= 1e-10
         assert report.p1_drift <= 1e-9
         assert report.p4_drift <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        params=st.builds(
+            TCParams,
+            lam=st.floats(0.1, 3.0),
+            kappa=st.floats(0.0, 2.0),
+            alpha_sq=st.floats(0.0, 1.5),
+        ),
+        times=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4),
+    )
+    def test_oracle_matches_evolve(self, seed, params, times):
+        initial = random_xstate(np.random.default_rng(seed))
+        trunc = FockTruncation.for_alpha_sq(params.alpha_sq)
+        report = compare(initial, params, times, trunc)
+        assert report.max_deviation <= 1e-9
 
     def test_truncation_convergence(self):
         # doubling the cutoff must not move the reduced state
@@ -255,8 +287,7 @@ class TestCompare:
         for n_max in (14, 28):
             trunc = FockTruncation.for_alpha_sq(1.0, n_max=n_max)
             result = integrate(initial, params, trunc, 2.0)
-            reduced, _ = trace_out_field(result.states[-1])
-            finals.append(reduced.to_matrix())
+            finals.append(result.states.row(0).to_matrix())
         assert np.abs(finals[0] - finals[1]).max() <= 1e-9
 
     def test_fig3_separable_long_time_steady_coherence(self):
@@ -269,6 +300,5 @@ class TestCompare:
         report = compare(cfg.initial, cfg.params, times, trunc)
         assert report.max_deviation <= 1e-12
         result = integrate(cfg.initial, cfg.params, trunc, times)
-        reduced, _ = trace_out_field(result.states[-1])
         steady = steady_coherence(cfg.initial.r14, cfg.params)
-        assert abs(reduced.r14 - steady) <= 1e-6
+        assert abs(result.states.r14[-1] - steady) <= 1e-6
