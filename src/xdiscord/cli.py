@@ -10,6 +10,7 @@ error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -181,6 +182,8 @@ def cmd_zeros(args) -> int:
 
 
 def _verify_propagator(config: RunConfig, t_max: float, n_max: int) -> dict:
+    if t_max < 0.0:
+        raise ConfigError(f"t_max = {t_max!r} must be nonnegative")
     if t_max / VERIFY_SPACING > MAX_SAMPLES - 1:
         raise ConfigError(
             f"t_max = {t_max!r} needs more than {MAX_SAMPLES} oracle samples "
@@ -219,9 +222,10 @@ def _verify_sweep(n_states: int, seed: int) -> dict:
     states = [random_xstate(rng) for _ in range(n_states)]
     gaps = np.zeros(0)
     if states:
-        br = discord(XColumns.from_states(states))
-        numeric = np.array([minimize_numeric(state)[1] for state in states])
-        gaps = np.minimum(br.c_m1, br.c_m2) - numeric
+        batch = XColumns.from_states(states)
+        br = discord(batch)
+        _, _, exact = minimize_numeric(batch)
+        gaps = np.minimum(br.c_m1, br.c_m2) - exact
     discrepancies = [
         {"state": state_to_dict(state), "gap": float(gap)}
         for state, gap in zip(states, gaps)
@@ -344,6 +348,7 @@ def _add_common(sub, with_state=False):
     sub.add_argument("--out", help="write the main output to this path instead of stdout")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="xdiscord", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

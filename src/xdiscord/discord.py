@@ -2,8 +2,9 @@
 
 The conditional entropy after a projective measurement on qubit B is computed
 in closed form for the two special bases (theta = 0 and theta = pi/4 with the
-phase-matched azimuth), combined as min{C_m1, C_m2}, and cross-checked by a
-deterministic grid + shrink search over all projective bases.
+phase-matched azimuth), combined as min{C_m1, C_m2}, and cross-checked by the
+exact minimum over all projective bases, a batched search over theta at the
+phase-matched azimuth.
 """
 
 from __future__ import annotations
@@ -115,49 +116,39 @@ def _binary_entropy(x) -> np.ndarray:
     return np.where((x > 0.0) & (x < 1.0), plogp(x) + plogp(1.0 - x), 0.0)
 
 
-def _cond_entropy_grid(state: XState, thetas, phis) -> np.ndarray:
-    """Measured conditional entropy on a (theta, phi) grid, vectorized.
+def _cond_entropy_grid(states: XColumns, thetas, coh: np.ndarray) -> np.ndarray:
+    """Measured conditional entropy sum_k p_k S(rho_k) of each state row at the
+    polar angles `thetas` (broadcast against shape (rows, 1)), shape (rows, k).
 
-    For each basis the two post-measurement A states are 2x2 Hermitian blocks
-    whose entries follow directly from the X structure; their eigenvalues give
-    the outcome-averaged entropy sum_k p_k S(rho_k).
+    The azimuth phi enters only through the per-row coherence magnitude
+    coh = |r14*exp(i(phi1 - phi)) + r23*exp(i(phi2 + phi))|. Each outcome
+    leaves A in a 2x2 Hermitian block with off-diagonal magnitude
+    sin*cos*coh, the same for both outcomes, and half-trace `mid`; its
+    eigenvalues mid +- rad give the outcome's weighted entropy
+    -sum_e e*log2(e/(2*mid)).
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))[:, None]
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))[None, :]
-    p1, p2, p3, p4 = state.populations
     s2 = np.sin(thetas) ** 2
     c2 = 1.0 - s2
-    # |offdiag|^2 is the same for both outcomes.
-    q = (
-        state.r14**2
-        + state.r23**2
-        + 2.0 * state.r14 * state.r23 * np.cos(state.phi1 - state.phi2 - 2.0 * phis)
-    )
-    off2 = s2 * c2 * q
-    shape = off2.shape
-
-    total = np.zeros(shape)
-    for m11, m22 in (
-        (s2 * p1 + c2 * p2, s2 * p3 + c2 * p4),  # outcome along |+>
-        (c2 * p1 + s2 * p2, c2 * p3 + s2 * p4),  # outcome along |->
-    ):
-        tr = np.broadcast_to(m11 + m22, shape)
-        mid = np.broadcast_to(0.5 * (m11 + m22), shape)
-        rad = np.sqrt(np.clip((0.5 * (m11 - m22)) ** 2 + off2, 0.0, None))
-        hi = mid + rad
-        lo = np.clip(mid - rad, 0.0, None)
-        for e in (hi, lo):
-            mask = (e > 0.0) & (tr > 0.0)
-            term = np.zeros(shape)
-            term[mask] = -e[mask] * np.log2(e[mask] / tr[mask])
-            total += term
+    off = np.sqrt(s2 * c2) * coh[:, None]
+    p1, p2, p3, p4 = (p[:, None] for p in (states.p1, states.p2, states.p3, states.p4))
+    total = 0.0
+    for a, b in ((s2, c2), (c2, s2)):  # outcome along |+>, then along |->
+        # the block is [[a*p1 + b*p2, .], [., a*p3 + b*p4]]
+        mid = 0.5 * (a * (p1 + p3) + b * (p2 + p4))
+        rad = np.hypot(0.5 * (a * (p1 - p3) + b * (p2 - p4)), off)
+        total += plogp(mid + rad)
+        total += plogp(np.maximum(mid - rad, 0.0))
+        total -= plogp(2.0 * mid)
     return total
 
 
 def cond_entropy_basis(state: XState, basis: MeasurementBasis, tol: float = DEFAULT_TOL) -> float:
     """Conditional entropy sum_k p_k S(rho_k) for one measurement basis on B."""
     require_valid(state, tol)
-    return float(_cond_entropy_grid(state, [basis.theta], [basis.phi])[0, 0])
+    c = XColumns.from_states([state])
+    phi = basis.phi
+    coh = np.abs(c.r14 * np.exp(1j * (c.phi1 - phi)) + c.r23 * np.exp(1j * (c.phi2 + phi)))
+    return float(_cond_entropy_grid(c, basis.theta, coh)[0, 0])
 
 
 def _breakdown(state, tol: float) -> BreakdownColumns:
@@ -204,63 +195,58 @@ def discord(state, tol: float = DEFAULT_TOL):
     return columns if isinstance(state, XColumns) else columns.row(0)
 
 
-def _candidate_phis(state: XState, n_phi: int) -> np.ndarray:
-    phis = np.linspace(0.0, TWO_PI, n_phi, endpoint=False)
-    # Guarantee the phase-matched azimuth of the closed form is in the grid.
-    phi_star = (0.5 * (state.phi1 - state.phi2)) % TWO_PI
-    return np.unique(np.append(phis, phi_star))
+#: The theta search: a grid over [0, pi/2] holding 0, pi/4 and pi/2 exactly,
+#: then rounds of a 9-point local grid, each 4x narrower than the last.
+THETA_GRID = 129
+SHRINK_ROUNDS = 12
 
 
-def minimize_numeric(
-    state: XState,
-    grid: tuple[int, int] = (64, 64),
-    refine_iters: int = 6,
-    tol: float = DEFAULT_TOL,
-) -> tuple[MeasurementBasis, float]:
-    """Direct search for the minimal measured conditional entropy.
+def minimize_numeric(state, tol: float = DEFAULT_TOL):
+    """Exact minimum of the measured conditional entropy over all projective
+    bases on B, by direct search.
 
-    Deterministic: a coarse grid over [0, pi/2] x [0, 2*pi) that always
-    contains theta in {0, pi/4} and the phase-matched azimuth, followed by
-    `refine_iters` rounds of 4x shrinking local grids around the incumbent.
-    Returns the best basis and its conditional entropy.
+    At fixed theta a larger `coh` (see _cond_entropy_grid) widens both
+    outcome blocks' eigenvalue split at fixed trace and so lowers both
+    entropies; coh peaks at r14 + r23 at the phase-matched azimuth
+    phi* = (phi1 - phi2)/2, which is therefore optimal, and the search is over
+    theta alone: a THETA_GRID-point grid, then SHRINK_ROUNDS rounds of a
+    9-point grid around each row's incumbent, whose best point replaces the
+    incumbent only if lower. One array call per round for the whole batch.
+
+    An XColumns batch gives arrays (theta, phi, value), one entry per row; an
+    XState gives (MeasurementBasis, value).
     """
     require_valid(state, tol)
-    n_theta, n_phi = grid
-    if n_theta < 8 or n_phi < 8:
-        raise ValueError("grid must be at least 8x8")
+    batch = isinstance(state, XColumns)
+    c = state if batch else XColumns.from_states([state])
+    coh = c.r14 + c.r23
+    rows = np.arange(len(c))
 
-    thetas = np.unique(np.append(np.linspace(0.0, math.pi / 2, n_theta), math.pi / 4))
-    phis = _candidate_phis(state, n_phi)
-    values = _cond_entropy_grid(state, thetas, phis)
-    i, j = np.unravel_index(np.argmin(values), values.shape)
-    best_theta, best_phi, best = thetas[i], phis[j], values[i, j]
+    thetas = np.linspace(0.0, math.pi / 2, THETA_GRID)
+    values = _cond_entropy_grid(c, thetas, coh)
+    k = np.argmin(values, axis=1)
+    theta, value = thetas[k], values[rows, k]
+    span = thetas[1]
+    offsets = np.linspace(-1.0, 1.0, 9)
+    for _ in range(SHRINK_ROUNDS):
+        local = np.clip(theta[:, None] + span * offsets, 0.0, math.pi / 2)
+        values = _cond_entropy_grid(c, local, coh)
+        k = np.argmin(values, axis=1)
+        lower = values[rows, k] < value
+        theta = np.where(lower, local[rows, k], theta)
+        value = np.where(lower, values[rows, k], value)
+        span /= 4.0
 
-    span_theta = math.pi / 2 / (n_theta - 1)
-    span_phi = TWO_PI / n_phi
-    for _ in range(refine_iters):
-        lo = max(0.0, best_theta - span_theta)
-        hi = min(math.pi / 2, best_theta + span_theta)
-        t_local = np.linspace(lo, hi, 9)
-        p_local = np.linspace(best_phi - span_phi, best_phi + span_phi, 9)
-        local = _cond_entropy_grid(state, t_local, p_local)
-        i, j = np.unravel_index(np.argmin(local), local.shape)
-        if local[i, j] < best:
-            best_theta, best_phi, best = t_local[i], p_local[j], local[i, j]
-        span_theta /= 4.0
-        span_phi /= 4.0
-
-    return MeasurementBasis(min(best_theta, math.pi / 2), best_phi % TWO_PI), float(best)
+    phi = np.mod(0.5 * (c.phi1 - c.phi2), TWO_PI)
+    if batch:
+        return theta, phi, value
+    return MeasurementBasis(theta.item(0), phi.item(0)), value.item(0)
 
 
-def discord_numeric(
-    state: XState,
-    grid: tuple[int, int] = (64, 64),
-    refine_iters: int = 6,
-    tol: float = DEFAULT_TOL,
-) -> tuple[float, MeasurementBasis]:
+def discord_numeric(state: XState, tol: float = DEFAULT_TOL) -> tuple[float, MeasurementBasis]:
     """Discord with the measurement optimization done by direct search instead
     of the closed form: mutual_info - S(A) + (numeric minimum)."""
-    basis, value = minimize_numeric(state, grid, refine_iters, tol)
+    basis, value = minimize_numeric(state, tol)
     s_a = entropy_bits([state.p1 + state.p2, state.p3 + state.p4])
     return discord(state, tol).mutual_info - s_a + value, basis
 

@@ -269,7 +269,8 @@ def plogp(p) -> np.ndarray:
     """Elementwise entropy terms -p*log2(p), with 0 where p <= 0."""
     p = np.asarray(p, dtype=float)
     logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
-    return -p * logs
+    logs *= p
+    return np.negative(logs, out=logs)
 
 
 def entropy_bits(probabilities, tol: float = DEFAULT_TOL):

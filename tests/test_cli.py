@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from xdiscord import PRESETS, discord, nullity_check, random_xstate
+from xdiscord import PRESETS, XColumns, discord, minimize_numeric, nullity_check, random_xstate
 from xdiscord.cli import CSV_COLUMNS, _write_json, main
 from xdiscord.presets import MAX_SAMPLES, config_from_json, state_from_dict, state_to_dict
 
@@ -285,6 +285,13 @@ class TestVerifyCommand:
         assert (code, out) == (3, "")
         assert "t_max = inf must be finite" in err
 
+    def test_negative_t_max_exit_3(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--preset", "fig1", "--sweep-states", "1", "--t-max", "-5"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "t_max = -5.0 must be nonnegative" in err
+
     def test_oversized_oracle_grid_exit_3(self, capsys):
         code, out, err = run_cli(
             ["verify", "--preset", "fig1", "--t-max", "1e12", "--sweep-states", "1"], capsys
@@ -311,6 +318,20 @@ class TestVerifyCommand:
         code2, out2, _ = run_cli(args, capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_sweep_gap_is_closed_form_minus_exact_minimum(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--preset", "fig1", "--t-max", "0.5", "--n-max", "15",
+             "--sweep-states", "30", "--seed", "7"], capsys
+        )
+        assert code == 0
+        sweep = json.loads(out)["measurement_sweep"]
+        rng = np.random.default_rng(7)
+        batch = XColumns.from_states([random_xstate(rng) for _ in range(30)])
+        br = discord(batch)
+        gaps = np.minimum(br.c_m1, br.c_m2) - minimize_numeric(batch)[2]
+        assert sweep["max_gap"] == max(float(gaps.max()), 0.0)
+        assert sweep["numeric_above_closed_by"] <= 1e-12
 
 
 class TestJsonOutput:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xdiscord import (
@@ -10,6 +12,7 @@ from xdiscord import (
     NOT_NULL,
     InvalidStateError,
     MeasurementBasis,
+    XColumns,
     XState,
     build_chi_m1,
     build_chi_m2,
@@ -33,24 +36,65 @@ EQ9 = XState(0.3, 0.3, 0.2, 0.2, r14=0.1, r23=0.1)
 
 
 def dense_cond_entropy(state, theta, phi):
-    """Independent route: explicit projectors, matrix products, partial trace."""
-    rho = state.to_matrix()
-    g = np.array([1.0, 0.0], complex)
-    e = np.array([0.0, 1.0], complex)
-    plus = math.cos(theta) * e + math.sin(theta) * np.exp(1j * phi) * g
-    minus = math.sin(theta) * e - math.cos(theta) * np.exp(1j * phi) * g
-    total = 0.0
+    """Independent route: explicit projectors, matrix products, partial trace.
+    Elementwise over theta and phi broadcast together."""
+    theta, phi = np.broadcast_arrays(np.asarray(theta, float), np.asarray(phi, float))
+    rho = state.to_matrix().reshape(2, 2, 2, 2)  # [A, B, A', B'], index 0 = ground
+    # components (g, e) of |+> = cos(theta)|e> + sin(theta)e^{i phi}|g> and of
+    # its complement |-> = sin(theta)|e> - cos(theta)e^{i phi}|g>
+    phase = np.exp(1j * phi)
+    plus = np.stack([np.sin(theta) * phase, np.cos(theta) + 0j], axis=-1)
+    minus = np.stack([-np.cos(theta) * phase, np.sin(theta) + 0j], axis=-1)
+    total = np.zeros(theta.shape)
     for k in (plus, minus):
-        proj = np.kron(np.eye(2), np.outer(k, k.conj()))
-        post = proj @ rho @ proj
-        pk = np.trace(post).real
-        if pk <= 1e-15:
-            continue
-        rho_k = np.einsum("abcb->ac", post.reshape(2, 2, 2, 2)) / pk
-        ev = np.linalg.eigvalsh(rho_k)
-        ev = ev[ev > 1e-16]
-        total += pk * float(-(ev * np.log2(ev)).sum())
+        # A state left by outcome k, unnormalized: <k|_B rho |k>_B
+        post = np.einsum("...b,abcd,...d->...ac", k.conj(), rho, k)
+        pk = np.trace(post, axis1=-2, axis2=-1).real[..., None]
+        ev = np.linalg.eigvalsh(post)
+        keep = (pk > 1e-15) & (ev > 1e-16 * pk)
+        ratio = np.divide(ev, pk, out=np.ones_like(ev), where=keep)
+        total -= (ev * np.log2(ratio)).sum(axis=-1)
     return total
+
+
+def search_2d(state):
+    """Direct search for the measured-entropy minimum over both angles: a 65x65
+    (theta, phi) grid holding theta = pi/4 and the phase-matched azimuth, then
+    six rounds of 9x9 local grids, each 4x narrower, evaluated by
+    dense_cond_entropy. Returns the lowest value found."""
+    thetas = np.unique(np.append(np.linspace(0.0, math.pi / 2, 64), math.pi / 4))
+    phi_star = (0.5 * (state.phi1 - state.phi2)) % TWO_PI
+    phis = np.unique(np.append(np.linspace(0.0, TWO_PI, 64, endpoint=False), phi_star))
+    values = dense_cond_entropy(state, thetas[:, None], phis)
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    theta, phi, best = thetas[i], phis[j], values[i, j]
+    span_theta, span_phi = math.pi / 2 / 63, TWO_PI / 64
+    for _ in range(6):
+        t_local = np.linspace(
+            max(0.0, theta - span_theta), min(math.pi / 2, theta + span_theta), 9
+        )
+        p_local = np.linspace(phi - span_phi, phi + span_phi, 9)
+        local = dense_cond_entropy(state, t_local[:, None], p_local)
+        i, j = np.unravel_index(np.argmin(local), local.shape)
+        if local[i, j] < best:
+            theta, phi, best = t_local[i], p_local[j], local[i, j]
+        span_theta /= 4.0
+        span_phi /= 4.0
+    return float(best)
+
+
+#: Generators of the property tests' states: random, on a positivity boundary,
+#: and on the degenerate-balanced zero-discord family.
+STATE_KINDS = {
+    "random": random_xstate,
+    "boundary": lambda rng: random_xstate(rng, boundary_fraction=1.0),
+    "degenerate-balanced": random_degenerate_balanced,
+}
+x_states = st.builds(
+    lambda kind, seed: STATE_KINDS[kind](np.random.default_rng(seed)),
+    st.sampled_from(sorted(STATE_KINDS)),
+    st.integers(0, 2**32 - 1),
+)
 
 
 class TestCondEntropyBasis:
@@ -209,9 +253,49 @@ class TestMinimizeNumeric:
             assert value <= closed + 1e-6
             assert value >= closed - 5e-3
 
-    def test_grid_too_coarse_rejected(self):
-        with pytest.raises(ValueError):
-            minimize_numeric(BELL, grid=(4, 4))
+    @given(state=x_states)
+    def test_2d_search_never_beats_exact(self, state):
+        basis, value = minimize_numeric(state)
+        assert search_2d(state) >= value - 1e-12
+        assert_allclose(cond_entropy_basis(state, basis), value, rtol=0, atol=1e-15)
+
+    @given(state=x_states)
+    def test_closed_form_never_below_exact(self, state):
+        br = discord(state)
+        _, value = minimize_numeric(state)
+        assert min(br.c_m1, br.c_m2) >= value - 1e-12
+
+    @given(states=st.lists(x_states, min_size=1, max_size=8))
+    def test_batch_equals_rows_one_at_a_time(self, states):
+        thetas, phis, values = minimize_numeric(XColumns.from_states(states))
+        for state, theta, phi, value in zip(states, thetas, phis, values):
+            basis, want = minimize_numeric(state)
+            assert_allclose(
+                [theta, phi, value], [basis.theta, basis.phi, want], rtol=0, atol=1e-15
+            )
+
+    @given(state=x_states, shift=st.floats(-10.0, 10.0))
+    def test_common_phase_shift_leaves_minimum(self, state, shift):
+        shifted = XState(
+            state.p1, state.p2, state.p3, state.p4,
+            r14=state.r14, phi1=state.phi1 + shift, r23=state.r23, phi2=state.phi2 + shift,
+        )
+        want = minimize_numeric(state)[1]
+        assert_allclose(minimize_numeric(shifted)[1], want, rtol=0, atol=1e-15)
+
+    def test_interior_optimum_beyond_closed_form(self):
+        # Draw 16691 of default_rng(7): both closed-form candidates miss the
+        # optimum, which sits at an interior theta.
+        rng = np.random.default_rng(7)
+        for _ in range(16691):
+            random_xstate(rng)
+        state = random_xstate(rng)
+        br = discord(state)
+        basis, value = minimize_numeric(state)
+        assert_allclose(min(br.c_m1, br.c_m2) - value, 1.81e-3, atol=5e-6)
+        # theta and pi/2 - theta give the same two outcomes, swapped
+        assert_allclose(max(basis.theta, math.pi / 2 - basis.theta), 1.203, atol=1e-3)
+        assert abs(search_2d(state) - value) <= 1e-9
 
     def test_numeric_discord_nonnegative_for_null_states(self):
         rng = np.random.default_rng(22)
