@@ -271,6 +271,8 @@ def _verify_steady(config: RunConfig, preset_name) -> dict:
 def cmd_verify(args) -> int:
     config, preset_name = _resolve_config(args)
     t_max = args.t_max if args.t_max is not None else 20.0
+    if args.sweep_states < 0:
+        raise ConfigError(f"sweep_states = {args.sweep_states} must be nonnegative")
     propagator = _verify_propagator(config, t_max, args.n_max)
     sweep = _verify_sweep(args.sweep_states, args.seed)
     steady = _verify_steady(config, preset_name)

@@ -243,12 +243,21 @@ def minimize_numeric(state, tol: float = DEFAULT_TOL):
     return MeasurementBasis(theta.item(0), phi.item(0)), value.item(0)
 
 
-def discord_numeric(state: XState, tol: float = DEFAULT_TOL) -> tuple[float, MeasurementBasis]:
+def discord_numeric(state, tol: float = DEFAULT_TOL):
     """Discord with the measurement optimization done by direct search instead
-    of the closed form: mutual_info - S(A) + (numeric minimum)."""
-    basis, value = minimize_numeric(state, tol)
-    s_a = entropy_bits([state.p1 + state.p2, state.p3 + state.p4])
-    return discord(state, tol).mutual_info - s_a + value, basis
+    of the closed form: mutual_info - S(A) + (numeric minimum).
+
+    An XColumns batch gives arrays (value, theta, phi), one entry per row; an
+    XState gives (value, MeasurementBasis).
+    """
+    batch = isinstance(state, XColumns)
+    c = state if batch else XColumns.from_states([state])
+    theta, phi, value = minimize_numeric(c, tol)
+    s_a = entropy_bits(np.stack([c.p1 + c.p2, c.p3 + c.p4], axis=-1), tol)
+    value += _breakdown(c, tol).mutual_info - s_a
+    if batch:
+        return value, theta, phi
+    return value.item(0), MeasurementBasis(theta.item(0), phi.item(0))
 
 
 def nullity_check(state: XState, tol: float = 1e-8) -> NullityVerdict:

@@ -292,6 +292,14 @@ class TestVerifyCommand:
         assert (code, out) == (3, "")
         assert "t_max = -5.0 must be nonnegative" in err
 
+    def test_negative_sweep_states_exit_3(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--preset", "fig1", "--sweep-states", "-3", "--t-max", "0.1"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "sweep_states = -3 must be nonnegative" in err
+        assert "propagator" not in err and "measurement sweep" not in err
+
     def test_oversized_oracle_grid_exit_3(self, capsys):
         code, out, err = run_cli(
             ["verify", "--preset", "fig1", "--t-max", "1e12", "--sweep-states", "1"], capsys

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -273,6 +273,18 @@ class TestMinimizeNumeric:
             assert_allclose(
                 [theta, phi, value], [basis.theta, basis.phi, want], rtol=0, atol=1e-15
             )
+
+    @settings(max_examples=30)
+    @given(states=st.lists(x_states, min_size=1, max_size=8))
+    def test_numeric_discord_batch_equals_rows(self, states):
+        values, thetas, phis = discord_numeric(XColumns.from_states(states))
+        for state, value, theta, phi in zip(states, values, thetas, phis):
+            want, basis = discord_numeric(state)
+            assert_allclose(
+                [value, theta, phi], [want, basis.theta, basis.phi], rtol=0, atol=1e-15
+            )
+            # the exact minimum is never above the closed form's
+            assert value <= discord(state).discord + 1e-12
 
     @given(state=x_states, shift=st.floats(-10.0, 10.0))
     def test_common_phase_shift_leaves_minimum(self, state, shift):

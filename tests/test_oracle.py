@@ -17,7 +17,15 @@ from xdiscord import (
     random_xstate,
     steady_coherence,
 )
-from xdiscord.oracle import EXCITED_COUNT, _exchange, _expm, _make_sector, _stark, poisson_tail
+from xdiscord.oracle import (
+    EXCITED_COUNT,
+    THETA_13,
+    _exchange,
+    _expm,
+    _make_sector,
+    _stark,
+    poisson_tail,
+)
 
 
 def hamiltonian(params, trunc):
@@ -171,6 +179,62 @@ class TestSectorGenerator:
         assert np.array_equal(label.flat[rows], label.flat[cols])
         for flat, gen in generators:
             assert np.abs(dense[np.ix_(flat, flat)] - gen).max() <= 1e-12
+
+
+def scaled(rng, n, norm, hermitian=False):
+    """A random complex n x n matrix with the given 1-norm, Hermitian if asked."""
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if hermitian:
+        x += x.conj().T
+    return x * (norm / np.abs(x).sum(axis=0).max())
+
+
+class TestExpm:
+    """_expm against references that share no code with it."""
+
+    @pytest.mark.parametrize("norm", [0.5, 5.0, 50.0, 200.0])
+    def test_unitary_matches_eigendecomposition(self, norm):
+        # 50 and 200 lie well above THETA_13, so those run the squarings
+        h = scaled(np.random.default_rng(81), 16, norm, hermitian=True)
+        w, v = np.linalg.eigh(h)
+        want = (v * np.exp(-1j * w)) @ v.conj().T
+        assert np.abs(_expm(-1j * h) - want).max() <= 1e-13
+
+    def test_diagonal_is_elementwise_exp(self):
+        # a normal matrix whose 1-norm, its spectral radius, is 1.9 * THETA_13:
+        # the approximant alone would be off by ~1e-8 there
+        w = np.linspace(-1.9, 1.9, 8) * THETA_13
+        d = -0.1 * np.abs(w) + 1j * w * np.sqrt(0.99)
+        assert np.abs(_expm(np.diag(d)) - np.diag(np.exp(d))).max() <= 1e-13
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_nilpotent_series_is_finite(self, scale):
+        n = np.triu(np.random.default_rng(82).normal(size=(6, 6)), 1) * scale
+        want, term = np.eye(6), np.eye(6)
+        for k in range(1, 6):  # n^6 = 0
+            term = term @ n / k
+            want = want + term
+        assert np.abs(_expm(n) - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("norm", [0.3, 2.5])
+    def test_double_argument_is_square(self, norm):
+        # both a and 2a lie below THETA_13, so neither side is a squaring of the other
+        a = scaled(np.random.default_rng(83), 12, norm)
+        assert 2.0 * norm <= THETA_13
+        e = _expm(a)
+        assert np.abs(_expm(2.0 * a) - e @ e).max() <= 1e-13
+
+    def test_zero_gives_identity(self):
+        assert np.abs(_expm(np.zeros((3, 3), dtype=complex)) - np.eye(3)).max() <= 1e-15
+
+    def test_stack_equals_slices(self):
+        # the stack shares the scaling of its larger slice, a unitary generator
+        rng = np.random.default_rng(84)
+        stack = np.stack([scaled(rng, 10, 1.0), -1j * scaled(rng, 10, 30.0, hermitian=True)])
+        out = _expm(stack)
+        assert out.shape == stack.shape
+        for got, slice_ in zip(out, stack):
+            assert np.abs(got - _expm(slice_)).max() <= 1e-13
 
 
 class TestIntegrate:
