@@ -70,8 +70,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_out(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -184,6 +187,8 @@ def cmd_zeros(args) -> int:
 def _verify_propagator(config: RunConfig, t_max: float, n_max: int) -> dict:
     if t_max < 0.0:
         raise ConfigError(f"t_max = {t_max!r} must be nonnegative")
+    if n_max < 0:
+        raise ConfigError(f"n_max = {n_max} must be nonnegative")
     if t_max / VERIFY_SPACING > MAX_SAMPLES - 1:
         raise ConfigError(
             f"t_max = {t_max!r} needs more than {MAX_SAMPLES} oracle samples "
@@ -327,63 +332,50 @@ def cmd_preset(args) -> int:
     return 0
 
 
-def _add_common(sub, with_state=False):
-    sub.add_argument("--preset", choices=sorted(PRESETS), help="bundled scenario name")
-    sub.add_argument("--config", help="path to a RunConfig JSON file")
-    if with_state:
-        sub.add_argument("--state", help="inline initial-state JSON object")
-    sub.add_argument("--t-max", dest="t_max", type=float, help="grid end time (lambda*t)")
-    sub.add_argument("--samples", type=int, help="number of grid samples")
-    sub.add_argument(
-        "--zero-threshold",
-        dest="zero_threshold",
-        type=float,
-        help="discord level below which a sample counts as zero (bits)",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="seed for random-state sweeps")
-    sub.add_argument(
-        "--show-eq13-as-printed",
-        dest="show_eq13_as_printed",
-        action="store_true",
-        help="also print the alternative steady-coherence value",
-    )
-    sub.add_argument("--out", help="write the main output to this path instead of stdout")
+#: argparse keywords of every argument; each subcommand declares the ones it reads.
+FLAGS = {
+    "--preset": dict(choices=sorted(PRESETS), help="bundled scenario name"),
+    "--config": dict(help="path to a RunConfig JSON file"),
+    "--state": dict(help="inline initial-state JSON object"),
+    "--t-max": dict(type=float, help="grid end time (lambda*t)"),
+    "--samples": dict(type=int, help="number of grid samples"),
+    "--zero-threshold": dict(
+        type=float, help="discord level below which a sample counts as zero (bits)"
+    ),
+    "--show-eq13-as-printed": dict(
+        action="store_true", help="also print the alternative steady-coherence value"
+    ),
+    "--n-max": dict(type=int, default=25, help="Fock cutoff"),
+    "--sweep-states": dict(
+        type=int, default=200, help="number of random states in the measurement sweep"
+    ),
+    "--seed": dict(type=int, default=0, help="seed for random-state sweeps"),
+    "--out": dict(help="write the main output to this path instead of stdout"),
+    "action": dict(help="only: list"),
+}
+#: Each subcommand: name, command function, help, and the flags it reads.
+SUBCOMMANDS = (
+    ("discord", cmd_discord, "correlation breakdown of one state",
+     "--preset --config --state --out"),
+    ("evolve", cmd_evolve, "CSV time series for a scenario",
+     "--preset --config --t-max --samples --show-eq13-as-printed --out"),
+    ("zeros", cmd_zeros, "zero-discord events of a scenario",
+     "--preset --config --t-max --samples --show-eq13-as-printed --zero-threshold --out"),
+    ("verify", cmd_verify, "cross-check analytic results",
+     "--preset --config --t-max --n-max --sweep-states --seed --out"),
+    ("preset", cmd_preset, "preset utilities", "action --out"),
+)
 
 
 @functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="xdiscord", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_disc = subs.add_parser("discord", help="correlation breakdown of one state")
-    _add_common(p_disc, with_state=True)
-    p_disc.set_defaults(func=cmd_discord)
-
-    p_evo = subs.add_parser("evolve", help="CSV time series for a scenario")
-    _add_common(p_evo)
-    p_evo.set_defaults(func=cmd_evolve)
-
-    p_zero = subs.add_parser("zeros", help="zero-discord events of a scenario")
-    _add_common(p_zero)
-    p_zero.set_defaults(func=cmd_zeros)
-
-    p_ver = subs.add_parser("verify", help="cross-check analytic results")
-    _add_common(p_ver)
-    p_ver.add_argument("--n-max", dest="n_max", type=int, default=25, help="Fock cutoff")
-    p_ver.add_argument(
-        "--sweep-states",
-        dest="sweep_states",
-        type=int,
-        default=200,
-        help="number of random states in the measurement sweep",
-    )
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_pre = subs.add_parser("preset", help="preset utilities")
-    p_pre.add_argument("action", help="only: list")
-    p_pre.add_argument("--out", help="write output to this path")
-    p_pre.set_defaults(func=cmd_preset)
-
+    for name, func, help_text, flags in SUBCOMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for flag in flags.split():
+            sub.add_argument(flag, **FLAGS[flag])
+        sub.set_defaults(func=func)
     return parser
 
 

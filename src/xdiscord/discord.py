@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .xstate import (
-    DEFAULT_TOL,
     InvalidStateError,
     TWO_PI,
     XColumns,
@@ -142,16 +141,16 @@ def _cond_entropy_grid(states: XColumns, thetas, coh: np.ndarray) -> np.ndarray:
     return total
 
 
-def cond_entropy_basis(state: XState, basis: MeasurementBasis, tol: float = DEFAULT_TOL) -> float:
+def cond_entropy_basis(state: XState, basis: MeasurementBasis) -> float:
     """Conditional entropy sum_k p_k S(rho_k) for one measurement basis on B."""
-    require_valid(state, tol)
+    require_valid(state)
     c = XColumns.from_states([state])
     phi = basis.phi
     coh = np.abs(c.r14 * np.exp(1j * (c.phi1 - phi)) + c.r23 * np.exp(1j * (c.phi2 + phi)))
     return float(_cond_entropy_grid(c, basis.theta, coh)[0, 0])
 
 
-def _breakdown(state, tol: float) -> BreakdownColumns:
+def _breakdown(state) -> BreakdownColumns:
     """The closed-form kernel: every correlation quantity of a validated
     state or batch, elementwise, as columns (one row for an XState).
 
@@ -160,11 +159,11 @@ def _breakdown(state, tol: float) -> BreakdownColumns:
     (p1+p3)*h(p1/(p1+p3)), an empty branch giving 0; the other fields as in
     DiscordBreakdown.
     """
-    s_ab = entropy_bits(eigenvalues(state, tol), tol)  # validates the input
+    s_ab = entropy_bits(eigenvalues(state))  # validates the input
     states = state if isinstance(state, XColumns) else XColumns.from_states([state])
     p1, p2, p3, p4 = states.p1, states.p2, states.p3, states.p4
-    s_a = entropy_bits(np.stack([p1 + p2, p3 + p4], axis=-1), tol)
-    s_b = entropy_bits(np.stack([p1 + p3, p2 + p4], axis=-1), tol)
+    s_a = entropy_bits(np.stack([p1 + p2, p3 + p4], axis=-1))
+    s_b = entropy_bits(np.stack([p1 + p3, p2 + p4], axis=-1))
 
     def branch(a, b):
         s = a + b
@@ -185,13 +184,13 @@ def _breakdown(state, tol: float) -> BreakdownColumns:
     return BreakdownColumns(mutual, cm1, cm2, ups, classical, mutual - classical, conc)
 
 
-def discord(state, tol: float = DEFAULT_TOL):
+def discord(state):
     """Closed-form correlation breakdown.
 
     An XState gives a DiscordBreakdown; an XColumns batch gives
     BreakdownColumns, one entry per row. Either way it is one kernel call.
     """
-    columns = _breakdown(state, tol)
+    columns = _breakdown(state)
     return columns if isinstance(state, XColumns) else columns.row(0)
 
 
@@ -201,7 +200,7 @@ THETA_GRID = 129
 SHRINK_ROUNDS = 12
 
 
-def minimize_numeric(state, tol: float = DEFAULT_TOL):
+def minimize_numeric(state):
     """Exact minimum of the measured conditional entropy over all projective
     bases on B, by direct search.
 
@@ -216,7 +215,7 @@ def minimize_numeric(state, tol: float = DEFAULT_TOL):
     An XColumns batch gives arrays (theta, phi, value), one entry per row; an
     XState gives (MeasurementBasis, value).
     """
-    require_valid(state, tol)
+    require_valid(state)
     batch = isinstance(state, XColumns)
     c = state if batch else XColumns.from_states([state])
     coh = c.r14 + c.r23
@@ -243,7 +242,7 @@ def minimize_numeric(state, tol: float = DEFAULT_TOL):
     return MeasurementBasis(theta.item(0), phi.item(0)), value.item(0)
 
 
-def discord_numeric(state, tol: float = DEFAULT_TOL):
+def discord_numeric(state):
     """Discord with the measurement optimization done by direct search instead
     of the closed form: mutual_info - S(A) + (numeric minimum).
 
@@ -252,9 +251,9 @@ def discord_numeric(state, tol: float = DEFAULT_TOL):
     """
     batch = isinstance(state, XColumns)
     c = state if batch else XColumns.from_states([state])
-    theta, phi, value = minimize_numeric(c, tol)
-    s_a = entropy_bits(np.stack([c.p1 + c.p2, c.p3 + c.p4], axis=-1), tol)
-    value += _breakdown(c, tol).mutual_info - s_a
+    theta, phi, value = minimize_numeric(c)
+    s_a = entropy_bits(np.stack([c.p1 + c.p2, c.p3 + c.p4], axis=-1))
+    value += _breakdown(c).mutual_info - s_a
     if batch:
         return value, theta, phi
     return value.item(0), MeasurementBasis(theta.item(0), phi.item(0))
@@ -282,25 +281,25 @@ def nullity_check(state: XState, tol: float = 1e-8) -> NullityVerdict:
     return NullityVerdict(kind=kind, coherence_residual=coh, balance_residual=bal)
 
 
-def build_chi_m1(state: XState, tol: float = DEFAULT_TOL) -> XState:
+def build_chi_m1(state: XState) -> XState:
     """Closest coherence-free state: the diagonal part. Idempotent."""
-    require_valid(state, tol)
+    require_valid(state)
     return XState(state.p1, state.p2, state.p3, state.p4)
 
 
-def build_chi_m2(state: XState, tol: float = DEFAULT_TOL) -> XState:
+def build_chi_m2(state: XState) -> XState:
     """Degenerate-balanced companion state: populations pairwise averaged,
     both coherence magnitudes set to (r14+r23)/2 with the phases preserved.
 
     The construction is positive for every valid input; the output is
     validated anyway and a violation raises with the full report.
     """
-    require_valid(state, tol)
+    require_valid(state)
     top = 0.5 * (state.p1 + state.p2)
     bottom = 0.5 * (state.p3 + state.p4)
     r = 0.5 * (state.r14 + state.r23)
     chi = XState(top, top, bottom, bottom, r14=r, phi1=state.phi1, r23=r, phi2=state.phi2)
-    report = validate(chi, tol)
+    report = validate(chi)
     if not report.ok:
         raise InvalidStateError(
             "constructed degenerate-balanced state is unphysical: "

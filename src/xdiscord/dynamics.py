@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discord import BreakdownColumns, discord
-from .xstate import DEFAULT_TOL, XColumns, XState, require_valid
+from .xstate import XColumns, XState, require_valid
 
 # Zero-event kinds.
 DISCRETE = "discrete"
@@ -116,7 +116,7 @@ def _cmul(a, b):
     return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
-def evolve(initial: XState, params: TCParams, t, tol: float = DEFAULT_TOL):
+def evolve(initial: XState, params: TCParams, t):
     """Propagate the X state to time t >= 0 (in units of 1/lam when lam=1).
 
     A scalar t gives an XState; an array of times gives XColumns, one row per
@@ -129,7 +129,7 @@ def evolve(initial: XState, params: TCParams, t, tol: float = DEFAULT_TOL):
     is multiplied by exp(-i*lam*t - (2i*lam*|alpha|^2/z)*(1 - exp(-z*t)))
     with z = kappa + 2i*lam, so its magnitude only shrinks.
     """
-    require_valid(initial, tol)
+    require_valid(initial)
     times = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(times) & (times >= 0.0)):
         raise ValueError(f"t = {t!r} must be finite and nonnegative")
@@ -178,21 +178,20 @@ def trajectory(
     t_max: float,
     n_samples: int,
     zero_threshold: float | None = DEFAULT_ZERO_THRESHOLD,
-    tol: float = DEFAULT_TOL,
 ) -> Trajectory:
     """Sample the evolution on a uniform grid over [0, t_max] and attach the
     detected zero-discord events (skipped when zero_threshold is None)."""
-    require_valid(initial, tol)
+    require_valid(initial)
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples!r} must be at least 2")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max = {t_max!r} must be finite and positive")
     times = np.linspace(0.0, t_max, n_samples)
-    states = evolve(initial, params, times, tol)
+    states = evolve(initial, params, times)
     traj = Trajectory(
         times=times,
         states=states,
-        breakdowns=discord(states, tol),
+        breakdowns=discord(states),
         zero_events=(),
         initial=initial,
         params=params,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TCParams, evolve
-from .xstate import DEFAULT_TOL, XColumns, XState, require_valid
+from .xstate import XColumns, XState, require_valid
 
 #: Number of excited atoms in each atomic basis state |gg>,|ge>,|eg>,|ee>.
 EXCITED_COUNT = np.array([0.0, 1.0, 1.0, 2.0])
@@ -43,6 +43,10 @@ class FockTruncation:
     n_max: int
     tail_mass: float
     tail_bound: float = 1e-12
+
+    def __post_init__(self):
+        if self.n_max < 0:
+            raise ValueError(f"n_max = {self.n_max} must be nonnegative")
 
     @property
     def dim(self) -> int:
@@ -245,13 +249,7 @@ def _distinct_gaps(gaps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     return np.bincount(which, gaps) / np.bincount(which), which
 
 
-def integrate(
-    initial: XState,
-    params: TCParams,
-    trunc: FockTruncation,
-    times,
-    tol: float = DEFAULT_TOL,
-) -> IntegrationResult:
+def integrate(initial: XState, params: TCParams, trunc: FockTruncation, times) -> IntegrationResult:
     """Exact propagation of the joint master equation to each sample time,
     reduced to the atoms.
 
@@ -265,7 +263,7 @@ def integrate(
     for that of the joint state. `times` is any nonnegative time or list of
     times; the result is sorted by time.
     """
-    require_valid(initial, tol)
+    require_valid(initial)
     times = np.sort(np.atleast_1d(np.asarray(times, dtype=float)))
     if times.size == 0 or not (times[0] >= 0.0 and math.isfinite(times[-1])):
         raise ValueError("times must be a nonempty list of finite nonnegative values")
@@ -340,18 +338,12 @@ def _components(c: XColumns) -> np.ndarray:
     )
 
 
-def compare(
-    initial: XState,
-    params: TCParams,
-    t_grid,
-    trunc: FockTruncation,
-    tol: float = DEFAULT_TOL,
-) -> CompareReport:
+def compare(initial: XState, params: TCParams, t_grid, trunc: FockTruncation) -> CompareReport:
     """Propagate the master equation once and compare the reduced atomic state
     against evolve() at every grid time."""
-    result = integrate(initial, params, trunc, t_grid, tol)
+    result = integrate(initial, params, trunc, t_grid)
     oracle = _components(result.states)
-    analytic = _components(evolve(initial, params, result.times, tol))
+    analytic = _components(evolve(initial, params, result.times))
     deviations = np.max(np.abs(analytic - oracle), axis=1)
     p1_drift = float(np.max(np.abs(oracle[:, 0] - initial.p1)))
     p4_drift = float(np.max(np.abs(oracle[:, 3] - initial.p4)))

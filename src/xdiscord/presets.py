@@ -112,7 +112,7 @@ def config_from_dict(d) -> RunConfig:
         t_max = float(gd.get("t_max", 30.0))
         n_samples = int(gd.get("n_samples", 3001))
         threshold = float(d.get("zero_threshold", DEFAULT_ZERO_THRESHOLD))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid value: {exc}") from exc
     return RunConfig(
         initial=initial,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default numerical tolerance for physicality checks. States produced by the
+#: Numerical tolerance of every physicality check. States produced by the
 #: analytic propagator sit exactly on the positivity boundary for several
 #: benchmark inputs, so equality must pass.
 DEFAULT_TOL = 1e-12
@@ -168,7 +168,7 @@ def _angle(z: np.ndarray) -> np.ndarray:
     return np.where(phi < 0.0, phi + TWO_PI, phi)
 
 
-def _checks(c: XColumns, tol: float):
+def _checks(c: XColumns):
     """The physicality predicates, elementwise over a batch: pairs of
     (rows that fail, message for row i). Finiteness comes first; a row with a
     non-finite field fails that check alone."""
@@ -181,28 +181,28 @@ def _checks(c: XColumns, tol: float):
     checks = [
         (~finite, lambda i: f"non-finite field in {c.row(i)!r}"),
         (
-            finite & (np.abs(trace - 1.0) > tol),
-            lambda i: f"trace {trace.item(i)!r} differs from 1 by more than {tol}",
+            finite & (np.abs(trace - 1.0) > DEFAULT_TOL),
+            lambda i: f"trace {trace.item(i)!r} differs from 1 by more than {DEFAULT_TOL}",
         ),
     ]
     for name in ("p1", "p2", "p3", "p4"):
         p = getattr(c, name)
         checks.append(
             (
-                finite & (p < -tol),
+                finite & (p < -DEFAULT_TOL),
                 lambda i, name=name, p=p: f"population {name} = {p.item(i)!r} is negative",
             )
         )
     checks.append(
         (
-            finite & (outer < r14_sq - tol),
+            finite & (outer < r14_sq - DEFAULT_TOL),
             lambda i: f"outer block not positive: p1*p4 = {outer.item(i)!r} "
             f"< r14^2 = {r14_sq.item(i)!r}",
         )
     )
     checks.append(
         (
-            finite & (inner < r23_sq - tol),
+            finite & (inner < r23_sq - DEFAULT_TOL),
             lambda i: f"inner block not positive: p2*p3 = {inner.item(i)!r} "
             f"< r23^2 = {r23_sq.item(i)!r}",
         )
@@ -210,22 +210,22 @@ def _checks(c: XColumns, tol: float):
     return checks
 
 
-def validate(state: XState, tol: float = DEFAULT_TOL) -> ValidationReport:
+def validate(state: XState) -> ValidationReport:
     """Check that every field is finite, then trace normalization, population
     positivity and positivity of the outer (1,4) and inner (2,3) coherence
-    blocks, each within `tol`."""
-    checks = _checks(XColumns.from_states([state]), tol)
+    blocks, each within DEFAULT_TOL."""
+    checks = _checks(XColumns.from_states([state]))
     return ValidationReport(tuple(message(0) for failed, message in checks if failed[0]))
 
 
-def require_valid(state, tol: float = DEFAULT_TOL) -> None:
+def require_valid(state) -> None:
     """Raise InvalidStateError unless every row passes the checks of
     :func:`validate`. For an XState the message lists its violations; for an
     XColumns batch it also names the first failing row and the number that
     fail."""
     batch = isinstance(state, XColumns)
     c = state if batch else XColumns.from_states([state])
-    checks = _checks(c, tol)
+    checks = _checks(c)
     bad = np.zeros(len(c), dtype=bool)
     for failed, _ in checks:
         bad |= failed
@@ -237,15 +237,15 @@ def require_valid(state, tol: float = DEFAULT_TOL) -> None:
         raise InvalidStateError(violations)
 
 
-def eigenvalues(state, tol: float = DEFAULT_TOL) -> np.ndarray:
+def eigenvalues(state) -> np.ndarray:
     """Spectrum of the X matrix from its two 2x2 blocks, sorted descending.
 
     Each block contributes (mean of its populations) +- the block radius.
-    Tiny negative values (boundary states under roundoff) are clamped to 0.
+    Negatives within DEFAULT_TOL (boundary states, roundoff) are clamped to 0.
     An XState gives 4 values; an XColumns batch gives shape (n, 4), one
     validated spectrum per row.
     """
-    require_valid(state, tol)
+    require_valid(state)
     c = state if isinstance(state, XColumns) else XColumns.from_states([state])
     outer_mid = 0.5 * (c.p1 + c.p4)
     outer_rad = np.hypot(0.5 * (c.p1 - c.p4), c.r14)
@@ -260,7 +260,7 @@ def eigenvalues(state, tol: float = DEFAULT_TOL) -> np.ndarray:
         ],
         axis=-1,
     )
-    vals[(vals < 0.0) & (vals > -tol)] = 0.0
+    vals[(vals < 0.0) & (vals > -DEFAULT_TOL)] = 0.0
     vals = np.sort(vals, axis=-1)[..., ::-1]
     return vals if isinstance(state, XColumns) else vals[0]
 
@@ -273,15 +273,15 @@ def plogp(p) -> np.ndarray:
     return np.negative(logs, out=logs)
 
 
-def entropy_bits(probabilities, tol: float = DEFAULT_TOL):
+def entropy_bits(probabilities):
     """Shannon entropy -sum p*log2(p) with 0*log(0) = 0, over the last axis:
     a float for one distribution, an array for a stack of them.
 
     Entries may be any probability-like list (state spectra, marginals).
-    Negative entries beyond `tol` are rejected; tiny negatives are clamped.
+    Negative entries beyond DEFAULT_TOL are rejected; smaller ones count as 0.
     """
     p = np.asarray(probabilities, dtype=float)
-    if p.size and p.min() < -tol:
-        raise ValueError(f"negative probability {p.min()!r} beyond tolerance {tol}")
+    if p.size and p.min() < -DEFAULT_TOL:
+        raise ValueError(f"negative probability {p.min()!r} beyond tolerance {DEFAULT_TOL}")
     h = plogp(p).sum(axis=-1)
     return float(h) if h.ndim == 0 else h

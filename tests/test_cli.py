@@ -16,6 +16,21 @@ EQ9_STATE_JSON = json.dumps(
 )
 INVALID_STATE_JSON = json.dumps({"populations": [0.25, 0.25, 0.25, 0.25], "r14": 0.3})
 
+#: The flags that a subcommand does not read, with a value for each.
+UNREAD_FLAGS = [
+    ("discord", ["--t-max", "1.0"]),
+    ("discord", ["--samples", "7"]),
+    ("discord", ["--zero-threshold", "1e-4"]),
+    ("discord", ["--seed", "5"]),
+    ("discord", ["--show-eq13-as-printed"]),
+    ("evolve", ["--zero-threshold", "1e-4"]),
+    ("evolve", ["--seed", "5"]),
+    ("zeros", ["--seed", "5"]),
+    ("verify", ["--samples", "7"]),
+    ("verify", ["--zero-threshold", "1e-4"]),
+    ("verify", ["--show-eq13-as-printed"]),
+]
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -132,6 +147,17 @@ class TestEvolveCommand:
         code, out, err = run_cli(["evolve", "--config", str(config)], capsys)
         assert (code, out) == (3, "")
         assert "t_max = inf must be finite" in err
+
+    @pytest.mark.parametrize("n_samples", ["Infinity", "1e400"])
+    def test_infinite_n_samples_exit_3(self, n_samples, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"initial": {"populations": [0.25, 0.25, 0.25, 0.25]}, '
+            f'"grid": {{"n_samples": {n_samples}}}}}'
+        )
+        code, out, err = run_cli(["evolve", "--config", str(config)], capsys)
+        assert (code, out) == (3, "")
+        assert "bad grid value" in err
 
     def test_oversized_grid_exit_3(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -269,14 +295,15 @@ class TestVerifyCommand:
         assert "overall: PASS" in err
 
     def test_undersized_truncation_exit_4(self, capsys):
-        code, out, _ = run_cli(
-            ["verify", "--preset", "fig1", "--t-max", "1.0", "--n-max", "3",
-             "--sweep-states", "5"], capsys
-        )
-        assert code == 4
-        report = json.loads(out)
-        assert report["propagator"]["pass"] is False
-        assert "need n_max" in report["propagator"]["error"]
+        for n_max in ("3", "0"):
+            code, out, _ = run_cli(
+                ["verify", "--preset", "fig1", "--t-max", "1.0", "--n-max", n_max,
+                 "--sweep-states", "5"], capsys
+            )
+            assert code == 4
+            report = json.loads(out)
+            assert report["propagator"]["pass"] is False
+            assert "need n_max" in report["propagator"]["error"]
 
     def test_infinite_t_max_exit_3(self, capsys):
         code, out, err = run_cli(
@@ -291,6 +318,19 @@ class TestVerifyCommand:
         )
         assert (code, out) == (3, "")
         assert "t_max = -5.0 must be nonnegative" in err
+
+    @pytest.mark.parametrize("n_max", ["-1", "-5"])
+    @pytest.mark.parametrize("alpha_sq", [0.5922, 0.0])
+    def test_negative_n_max_exit_3(self, n_max, alpha_sq, capsys, tmp_path):
+        config = PRESETS["fig1"].to_dict()
+        config["params"]["alpha_sq"] = alpha_sq
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            ["verify", "--config", str(path), "--n-max", n_max, "--sweep-states", "0"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert f"n_max = {n_max} must be nonnegative" in err
 
     def test_negative_sweep_states_exit_3(self, capsys):
         code, out, err = run_cli(
@@ -346,6 +386,25 @@ class TestJsonOutput:
     def test_non_finite_value_refused(self, tmp_path):
         with pytest.raises(ValueError):
             _write_json({"discord": math.nan}, tmp_path / "out.json")
+
+    @pytest.mark.parametrize(
+        "args", [["preset", "list"], ["evolve", "--preset", "fig1", "--samples", "3"]]
+    )
+    def test_unwritable_out_exit_3(self, args, capsys, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(args + ["--out", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert "cannot write output file" in err
+        assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag", UNREAD_FLAGS, ids=[c + f[0] for c, f in UNREAD_FLAGS]
+)
+def test_unread_flag_exit_3(command, flag, capsys):
+    code, out, err = run_cli([command, "--preset", "fig1"] + flag, capsys)
+    assert (code, out) == (3, "")
+    assert "unrecognized arguments" in err
 
 
 class TestCsvFormatting:

@@ -81,6 +81,13 @@ class TestFockTruncation:
         with pytest.raises(ValueError, match="need n_max"):
             FockTruncation.for_alpha_sq(1.0, n_max=3)
 
+    def test_negative_cutoff_rejected(self):
+        # A zero field leaves no tail at any cutoff, so only the sign check refuses it.
+        with pytest.raises(ValueError, match="n_max = -1 must be nonnegative"):
+            FockTruncation.for_alpha_sq(0.0, n_max=-1)
+        with pytest.raises(ValueError, match="n_max = -5 must be nonnegative"):
+            FockTruncation(n_max=-5, tail_mass=0.0)
+
 
 class TestCoherentVector:
     def test_vacuum(self):

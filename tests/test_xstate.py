@@ -1,9 +1,13 @@
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import xdiscord
 from xdiscord import (
     InvalidStateError,
     XState,
@@ -180,3 +184,19 @@ class TestMutualInformation:
                 r14=s.r14, phi1=s.phi1 + 0.7, r23=s.r23, phi2=s.phi2 + 2.3,
             )
             assert_allclose(discord(shifted).mutual_info, discord(s).mutual_info, atol=1e-12)
+
+
+def test_only_nullity_check_takes_a_tolerance():
+    """Physicality checks all use DEFAULT_TOL; nullity_check alone takes `tol`,
+    since its callers need different values."""
+    names = [f"xdiscord.{m.name}" for m in pkgutil.iter_modules(xdiscord.__path__)]
+    with_tol = set()
+    for module in [xdiscord] + [importlib.import_module(name) for name in names]:
+        for name, obj in vars(module).items():
+            if name.startswith("_"):
+                continue
+            members = [obj] + (list(vars(obj).values()) if inspect.isclass(obj) else [])
+            for fn in (getattr(m, "__func__", m) for m in members):
+                if inspect.isfunction(fn) and "tol" in inspect.signature(fn).parameters:
+                    with_tol.add(f"{fn.__module__}.{fn.__qualname__}")
+    assert with_tol == {"xdiscord.discord.nullity_check"}
