@@ -8,7 +8,6 @@ from .discord import (
     NOT_NULL,
     BreakdownColumns,
     DiscordBreakdown,
-    MeasurementBasis,
     NullityVerdict,
     build_chi_m1,
     build_chi_m2,
@@ -46,13 +45,11 @@ from .sampling import random_coherence_free, random_degenerate_balanced, random_
 from .xstate import (
     DEFAULT_TOL,
     InvalidStateError,
-    ValidationReport,
     XColumns,
     XState,
     entropy_bits,
     eigenvalues,
     require_valid,
-    validate,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .discord import discord, minimize_numeric, nullity_check
-from .dynamics import TCParams, steady_coherence, steady_coherence_as_printed, trajectory
+from .dynamics import TCParams, find_zeros, steady_coherence, steady_coherence_as_printed, trajectory
 from .oracle import FockTruncation, compare
 from .presets import (
     MAX_SAMPLES,
@@ -59,6 +59,8 @@ NUMERIC_EXCESS_TOL = 1e-6
 STEADY_TOL = 5e-4
 #: Sample spacing of the master-equation check, about 0.1 up to --t-max.
 VERIFY_SPACING = 0.1
+#: Largest measurement sweep; peak memory grows ~7 MB per 1,000 states.
+MAX_SWEEP_STATES = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,9 +141,7 @@ def cmd_discord(args) -> int:
 
 def cmd_evolve(args) -> int:
     config, _ = _resolve_config(args)
-    traj = trajectory(
-        config.initial, config.params, config.t_max, config.n_samples, zero_threshold=None
-    )
+    traj = trajectory(config.initial, config.params, config.t_max, config.n_samples)
     s, br = traj.states, traj.breakdowns
     table = np.column_stack(
         [
@@ -170,14 +170,8 @@ def cmd_evolve(args) -> int:
 
 def cmd_zeros(args) -> int:
     config, _ = _resolve_config(args)
-    traj = trajectory(
-        config.initial,
-        config.params,
-        config.t_max,
-        config.n_samples,
-        zero_threshold=config.zero_threshold,
-    )
-    payload = [asdict(event) for event in traj.zero_events]
+    traj = trajectory(config.initial, config.params, config.t_max, config.n_samples)
+    payload = [asdict(event) for event in find_zeros(traj, config.zero_threshold)]
     _write_json(payload, args.out)
     if args.show_eq13_as_printed:
         _eq13_note(config)
@@ -278,6 +272,10 @@ def cmd_verify(args) -> int:
     t_max = args.t_max if args.t_max is not None else 20.0
     if args.sweep_states < 0:
         raise ConfigError(f"sweep_states = {args.sweep_states} must be nonnegative")
+    if args.sweep_states > MAX_SWEEP_STATES:
+        raise ConfigError(f"sweep_states = {args.sweep_states} exceeds {MAX_SWEEP_STATES}")
+    if args.seed < 0:
+        raise ConfigError(f"seed = {args.seed} must be nonnegative")
     propagator = _verify_propagator(config, t_max, args.n_max)
     sweep = _verify_sweep(args.sweep_states, args.seed)
     steady = _verify_steady(config, preset_name)

@@ -14,40 +14,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .xstate import (
-    InvalidStateError,
-    TWO_PI,
-    XColumns,
-    XState,
-    eigenvalues,
-    entropy_bits,
-    plogp,
-    require_valid,
-    validate,
-)
+from .xstate import TWO_PI, XColumns, XState, eigenvalues, entropy_bits, plogp, require_valid
 
 # Nullity verdict kinds.
 COHERENCE_FREE = "coherence-free"
 DEGENERATE_BALANCED = "degenerate-balanced"
 NOT_NULL = "not-null"
-
-
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Projective measurement direction on qubit B.
-
-    The measured basis is |+> = cos(theta)|e> + sin(theta)e^{i phi}|g> and its
-    orthogonal complement; theta in [0, pi/2], phi in [0, 2*pi).
-    """
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi / 2 + 1e-12:
-            raise ValueError(f"theta = {self.theta!r} outside [0, pi/2]")
-        if not 0.0 <= self.phi < TWO_PI + 1e-12:
-            raise ValueError(f"phi = {self.phi!r} outside [0, 2*pi)")
 
 
 @dataclass(frozen=True)
@@ -141,13 +113,14 @@ def _cond_entropy_grid(states: XColumns, thetas, coh: np.ndarray) -> np.ndarray:
     return total
 
 
-def cond_entropy_basis(state: XState, basis: MeasurementBasis) -> float:
-    """Conditional entropy sum_k p_k S(rho_k) for one measurement basis on B."""
+def cond_entropy_basis(state: XState, theta: float, phi: float = 0.0) -> float:
+    """Conditional entropy sum_k p_k S(rho_k) after measuring B in the basis
+    |+> = cos(theta)|e> + sin(theta)e^{i phi}|g> and its orthogonal
+    complement."""
     require_valid(state)
     c = XColumns.from_states([state])
-    phi = basis.phi
     coh = np.abs(c.r14 * np.exp(1j * (c.phi1 - phi)) + c.r23 * np.exp(1j * (c.phi2 + phi)))
-    return float(_cond_entropy_grid(c, basis.theta, coh)[0, 0])
+    return float(_cond_entropy_grid(c, theta, coh)[0, 0])
 
 
 def _breakdown(state) -> BreakdownColumns:
@@ -212,12 +185,11 @@ def minimize_numeric(state):
     9-point grid around each row's incumbent, whose best point replaces the
     incumbent only if lower. One array call per round for the whole batch.
 
-    An XColumns batch gives arrays (theta, phi, value), one entry per row; an
-    XState gives (MeasurementBasis, value).
+    Returns arrays (theta, phi, value), one entry per row of an XColumns
+    batch; an XState is a batch of one.
     """
     require_valid(state)
-    batch = isinstance(state, XColumns)
-    c = state if batch else XColumns.from_states([state])
+    c = state if isinstance(state, XColumns) else XColumns.from_states([state])
     coh = c.r14 + c.r23
     rows = np.arange(len(c))
 
@@ -236,27 +208,21 @@ def minimize_numeric(state):
         value = np.where(lower, values[rows, k], value)
         span /= 4.0
 
-    phi = np.mod(0.5 * (c.phi1 - c.phi2), TWO_PI)
-    if batch:
-        return theta, phi, value
-    return MeasurementBasis(theta.item(0), phi.item(0)), value.item(0)
+    return theta, np.mod(0.5 * (c.phi1 - c.phi2), TWO_PI), value
 
 
 def discord_numeric(state):
     """Discord with the measurement optimization done by direct search instead
     of the closed form: mutual_info - S(A) + (numeric minimum).
 
-    An XColumns batch gives arrays (value, theta, phi), one entry per row; an
-    XState gives (value, MeasurementBasis).
+    Returns arrays (theta, phi, value) as minimize_numeric does, with value
+    the discord.
     """
-    batch = isinstance(state, XColumns)
-    c = state if batch else XColumns.from_states([state])
+    c = state if isinstance(state, XColumns) else XColumns.from_states([state])
     theta, phi, value = minimize_numeric(c)
     s_a = entropy_bits(np.stack([c.p1 + c.p2, c.p3 + c.p4], axis=-1))
     value += _breakdown(c).mutual_info - s_a
-    if batch:
-        return value, theta, phi
-    return value.item(0), MeasurementBasis(theta.item(0), phi.item(0))
+    return theta, phi, value
 
 
 def nullity_check(state: XState, tol: float = 1e-8) -> NullityVerdict:
@@ -292,17 +258,12 @@ def build_chi_m2(state: XState) -> XState:
     both coherence magnitudes set to (r14+r23)/2 with the phases preserved.
 
     The construction is positive for every valid input; the output is
-    validated anyway and a violation raises with the full report.
+    validated anyway.
     """
     require_valid(state)
     top = 0.5 * (state.p1 + state.p2)
     bottom = 0.5 * (state.p3 + state.p4)
     r = 0.5 * (state.r14 + state.r23)
     chi = XState(top, top, bottom, bottom, r14=r, phi1=state.phi1, r23=r, phi2=state.phi2)
-    report = validate(chi)
-    if not report.ok:
-        raise InvalidStateError(
-            "constructed degenerate-balanced state is unphysical: "
-            + "; ".join(report.violations)
-        )
+    require_valid(chi)
     return chi

@@ -87,7 +87,6 @@ class Trajectory:
     times: np.ndarray
     states: XColumns
     breakdowns: BreakdownColumns
-    zero_events: tuple[ZeroEvent, ...]
     initial: XState
     params: TCParams
 
@@ -172,15 +171,10 @@ def steady_coherence_as_printed(initial_r14: float, params: TCParams) -> float:
     return initial_r14 * math.exp(-4.0 * lam**2 * params.alpha_sq / (kap**2 + 16.0 * lam**2))
 
 
-def trajectory(
-    initial: XState,
-    params: TCParams,
-    t_max: float,
-    n_samples: int,
-    zero_threshold: float | None = DEFAULT_ZERO_THRESHOLD,
-) -> Trajectory:
-    """Sample the evolution on a uniform grid over [0, t_max] and attach the
-    detected zero-discord events (skipped when zero_threshold is None)."""
+def trajectory(initial: XState, params: TCParams, t_max: float, n_samples: int) -> Trajectory:
+    """Sample the evolution and its correlation breakdown on a uniform grid of
+    n_samples times over [0, t_max]. Zero events are found from the samples
+    by find_zeros."""
     require_valid(initial)
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples!r} must be at least 2")
@@ -188,17 +182,9 @@ def trajectory(
         raise ValueError(f"t_max = {t_max!r} must be finite and positive")
     times = np.linspace(0.0, t_max, n_samples)
     states = evolve(initial, params, times)
-    traj = Trajectory(
-        times=times,
-        states=states,
-        breakdowns=discord(states),
-        zero_events=(),
-        initial=initial,
-        params=params,
+    return Trajectory(
+        times=times, states=states, breakdowns=discord(states), initial=initial, params=params
     )
-    if zero_threshold is None:
-        return traj
-    return replace(traj, zero_events=tuple(find_zeros(traj, zero_threshold)))
 
 
 def _golden_min(fn, a: np.ndarray, b: np.ndarray, tol: float):
@@ -251,8 +237,8 @@ def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> l
     below the threshold, so at the default 5e-3 shallow dips of depth ~1e-4
     are reported alongside exact zeros (see ZeroEvent).
     """
-    if not math.isfinite(threshold):
-        raise ValueError(f"zero threshold {threshold!r} must be finite")
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"zero threshold {threshold!r} must be finite and positive")
     if len(traj.times) == 0:
         raise ValueError("trajectory is empty")
     times = np.asarray(traj.times, dtype=float)

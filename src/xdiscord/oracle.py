@@ -35,6 +35,9 @@ from .xstate import XColumns, XState, require_valid
 #: Number of excited atoms in each atomic basis state |gg>,|ge>,|eg>,|ee>.
 EXCITED_COUNT = np.array([0.0, 1.0, 1.0, 2.0])
 
+#: Largest coherent-state weight a Fock truncation may leave beyond n_max.
+TAIL_BOUND = 1e-12
+
 
 @dataclass(frozen=True)
 class FockTruncation:
@@ -42,7 +45,6 @@ class FockTruncation:
 
     n_max: int
     tail_mass: float
-    tail_bound: float = 1e-12
 
     def __post_init__(self):
         if self.n_max < 0:
@@ -53,33 +55,31 @@ class FockTruncation:
         return self.n_max + 1
 
     @classmethod
-    def for_alpha_sq(
-        cls, alpha_sq: float, n_max: int | None = None, tail_bound: float = 1e-12
-    ) -> "FockTruncation":
+    def for_alpha_sq(cls, alpha_sq: float, n_max: int | None = None) -> "FockTruncation":
         """Truncation for a coherent field of mean photon number alpha_sq.
 
-        With n_max omitted, the smallest cutoff whose Poisson tail is below
-        tail_bound is chosen. An explicit n_max that leaves too much tail is
+        With n_max omitted, the smallest cutoff whose Poisson tail is at most
+        TAIL_BOUND is chosen. An explicit n_max that leaves more tail is
         rejected with the required cutoff in the message.
         """
         if alpha_sq < 0.0:
             raise ValueError("alpha_sq must be nonnegative")
         if n_max is None:
-            n = _min_cutoff(alpha_sq, tail_bound)
-            return cls(n_max=n, tail_mass=poisson_tail(alpha_sq, n), tail_bound=tail_bound)
+            n = _min_cutoff(alpha_sq)
+            return cls(n_max=n, tail_mass=poisson_tail(alpha_sq, n))
         tail = poisson_tail(alpha_sq, n_max)
-        if tail > tail_bound:
+        if tail > TAIL_BOUND:
             raise ValueError(
-                f"n_max = {n_max} leaves a coherent tail of {tail:.3e} > {tail_bound:.3e}; "
-                f"need n_max >= {_min_cutoff(alpha_sq, tail_bound)}"
+                f"n_max = {n_max} leaves a coherent tail of {tail:.3e} > {TAIL_BOUND:.3e}; "
+                f"need n_max >= {_min_cutoff(alpha_sq)}"
             )
-        return cls(n_max=n_max, tail_mass=tail, tail_bound=tail_bound)
+        return cls(n_max=n_max, tail_mass=tail)
 
 
-def _min_cutoff(alpha_sq: float, tail_bound: float) -> int:
-    """Smallest n_max whose Poisson tail is at most tail_bound."""
+def _min_cutoff(alpha_sq: float) -> int:
+    """Smallest n_max whose Poisson tail is at most TAIL_BOUND."""
     n = 0
-    while poisson_tail(alpha_sq, n) > tail_bound:
+    while poisson_tail(alpha_sq, n) > TAIL_BOUND:
         n += 1
     return n
 
@@ -124,10 +124,10 @@ def coherent_vector(alpha: complex, trunc: FockTruncation) -> np.ndarray:
     """Normalized truncated coherent-state amplitudes alpha^n/sqrt(n!)."""
     alpha = complex(alpha)
     tail = poisson_tail(abs(alpha) ** 2, trunc.n_max)
-    if tail > trunc.tail_bound:
+    if tail > TAIL_BOUND:
         raise ValueError(
             f"truncation n_max = {trunc.n_max} too small for |alpha|^2 = {abs(alpha)**2:.4g} "
-            f"(tail {tail:.3e}); need n_max >= {_min_cutoff(abs(alpha) ** 2, trunc.tail_bound)}"
+            f"(tail {tail:.3e}); need n_max >= {_min_cutoff(abs(alpha) ** 2)}"
         )
     n = np.arange(trunc.dim)
     log_fact = np.array([math.lgamma(k + 1) for k in n])

@@ -33,10 +33,11 @@ class RunConfig:
     zero_threshold: float = DEFAULT_ZERO_THRESHOLD
 
     def __post_init__(self):
-        for name in ("t_max", "zero_threshold"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} = {value!r} must be finite")
+        if not math.isfinite(self.t_max):
+            raise ConfigError(f"t_max = {self.t_max!r} must be finite")
+        threshold = self.zero_threshold
+        if not (math.isfinite(threshold) and threshold > 0.0):
+            raise ConfigError(f"zero_threshold = {threshold!r} must be finite and positive")
         if self.n_samples > MAX_SAMPLES:
             raise ConfigError(f"n_samples = {self.n_samples!r} exceeds {MAX_SAMPLES}")
 
@@ -110,7 +111,10 @@ def config_from_dict(d) -> RunConfig:
         raise ConfigError("grid must be a JSON object")
     try:
         t_max = float(gd.get("t_max", 30.0))
-        n_samples = int(gd.get("n_samples", 3001))
+        raw = gd.get("n_samples", 3001)
+        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+            raise ValueError(f"n_samples = {raw!r} is not an integer")
+        n_samples = int(raw)
         threshold = float(d.get("zero_threshold", DEFAULT_ZERO_THRESHOLD))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid value: {exc}") from exc

@@ -39,9 +39,9 @@ class XState:
     coherences rho14 = r14*exp(i*phi1) and rho23 = r23*exp(i*phi2).
 
     Negative magnitudes are folded into the phase; finite phases are
-    normalized to [0, 2*pi), and a non-finite one is kept for validate to
-    refuse. Physicality (trace, positivity of the two 2x2 blocks) is not
-    enforced by the constructor; use :func:`validate` / :func:`require_valid`.
+    normalized to [0, 2*pi), and a non-finite one is kept for require_valid
+    to refuse. Physicality (trace, positivity of the two 2x2 blocks) is not
+    enforced by the constructor; use :func:`require_valid`.
     """
 
     p1: float
@@ -67,22 +67,6 @@ class XState:
         object.__setattr__(self, "phi1", _wrap_phase(float(phi1)))
         object.__setattr__(self, "phi2", _wrap_phase(float(phi2)))
 
-    @classmethod
-    def from_coherences(cls, p1, p2, p3, p4, rho14=0j, rho23=0j) -> "XState":
-        """Build from complex coherence values instead of (magnitude, phase)."""
-        rho14 = complex(rho14)
-        rho23 = complex(rho23)
-        return cls(
-            p1=float(p1),
-            p2=float(p2),
-            p3=float(p3),
-            p4=float(p4),
-            r14=abs(rho14),
-            phi1=math.atan2(rho14.imag, rho14.real) if rho14 != 0 else 0.0,
-            r23=abs(rho23),
-            phi2=math.atan2(rho23.imag, rho23.real) if rho23 != 0 else 0.0,
-        )
-
     @property
     def populations(self) -> tuple[float, float, float, float]:
         return (self.p1, self.p2, self.p3, self.p4)
@@ -104,20 +88,6 @@ class XState:
         m[1, 2] = self.rho23
         m[2, 1] = np.conj(m[1, 2])
         return m
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a physicality check: empty `violations` means valid."""
-
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 #: The eight fields of an X state, in XState order.
@@ -210,19 +180,12 @@ def _checks(c: XColumns):
     return checks
 
 
-def validate(state: XState) -> ValidationReport:
-    """Check that every field is finite, then trace normalization, population
-    positivity and positivity of the outer (1,4) and inner (2,3) coherence
-    blocks, each within DEFAULT_TOL."""
-    checks = _checks(XColumns.from_states([state]))
-    return ValidationReport(tuple(message(0) for failed, message in checks if failed[0]))
-
-
 def require_valid(state) -> None:
-    """Raise InvalidStateError unless every row passes the checks of
-    :func:`validate`. For an XState the message lists its violations; for an
-    XColumns batch it also names the first failing row and the number that
-    fail."""
+    """Raise InvalidStateError unless every field is finite and the trace,
+    the populations and the outer (1,4) and inner (2,3) coherence blocks are
+    physical, each within DEFAULT_TOL. For an XState the message lists its
+    violations; for an XColumns batch it also names the first failing row and
+    the number that fail."""
     batch = isinstance(state, XColumns)
     c = state if batch else XColumns.from_states([state])
     checks = _checks(c)

@@ -65,7 +65,7 @@ def test_criterion_02_nullity_families_have_zero_discord():
     states += [xd.random_degenerate_balanced(rng) for _ in range(500)]
     batch = xd.XColumns.from_states(states)
     worst_closed = float(np.abs(xd.discord(batch).discord).max())
-    numeric, _, _ = xd.discord_numeric(batch)
+    _, _, numeric = xd.discord_numeric(batch)
     worst_numeric = float(np.abs(numeric).max())
     elapsed = time.perf_counter() - start
     ok = worst_closed <= 1e-9 and worst_numeric <= 1e-6 and elapsed < 60.0
@@ -119,7 +119,7 @@ def test_criterion_04_propagator_vs_master_equation():
 
 def test_criterion_05_separable_preset_steady_state():
     cfg = xd.preset_config("fig3-separable")
-    traj = xd.trajectory(cfg.initial, cfg.params, 300.0, 3001, zero_threshold=None)
+    traj = xd.trajectory(cfg.initial, cfg.params, 300.0, 3001)
     late = traj.times >= 200.0
     r14 = traj.states.r14
     r23 = traj.states.r23
@@ -149,7 +149,7 @@ def _inspect(cfg, t):
     verdict uses tol=1e-5 because alpha_sq is given to four digits, which
     leaves a balance residual of ~8e-7 at fig1's exact zero."""
     state = xd.evolve(cfg.initial, cfg.params, t)
-    numeric, _ = xd.discord_numeric(state)
+    (numeric,) = xd.discord_numeric(state)[2]
     return state, numeric, xd.nullity_check(state, tol=1e-5)
 
 
@@ -176,7 +176,7 @@ def _inside(t, events):
 
 def test_criterion_06_fig1_zero_structure():
     cfg = xd.preset_config("fig1")
-    traj = xd.trajectory(cfg.initial, cfg.params, 30.0, 3001, zero_threshold=None)
+    traj = xd.trajectory(cfg.initial, cfg.params, 30.0, 3001)
     events = xd.find_zeros(traj, 5e-3)
     inspected = [_inspect(cfg, e.t_center) for e in events]
 
@@ -211,7 +211,7 @@ def test_criterion_06_fig1_zero_structure():
 
 def test_criterion_07_fig2_zero_structure():
     cfg = xd.preset_config("fig2")
-    traj = xd.trajectory(cfg.initial, cfg.params, 30.0, 3001, zero_threshold=None)
+    traj = xd.trajectory(cfg.initial, cfg.params, 30.0, 3001)
     events = xd.find_zeros(traj, 5e-3)
     inspected = [_inspect(cfg, e.t_center) for e in events]
 
@@ -247,7 +247,7 @@ def test_criterion_07_fig2_zero_structure():
 
 def test_criterion_08_entangled_preset_persistent_discord():
     cfg = xd.preset_config("fig3-entangled")
-    traj = xd.trajectory(cfg.initial, cfg.params, 50.0, 2001, zero_threshold=None)
+    traj = xd.trajectory(cfg.initial, cfg.params, 50.0, 2001)
     min_disc = float(traj.breakdowns.discord.min())
     c_ent = xd.discord(cfg.initial).concurrence
     c_sep = xd.discord(xd.preset_config("fig3-separable").initial).concurrence
@@ -308,7 +308,9 @@ def test_criterion_10_invariant_suites():
     for _ in range(15):
         state = xd.random_xstate(rng)
         for t in rng.uniform(0.0, 40.0, 8):
-            if not xd.validate(xd.evolve(state, params, float(t))).ok:
+            try:
+                xd.require_valid(xd.evolve(state, params, float(t)))
+            except xd.InvalidStateError:
                 positivity = False
 
     phase_invariant = True

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from xdiscord import PRESETS, XColumns, discord, minimize_numeric, nullity_check, random_xstate
-from xdiscord.cli import CSV_COLUMNS, _write_json, main
+from xdiscord.cli import CSV_COLUMNS, MAX_SWEEP_STATES, _write_json, main
 from xdiscord.presets import MAX_SAMPLES, config_from_json, state_from_dict, state_to_dict
 
 BELL_STATE_JSON = json.dumps({"populations": [0.5, 0.0, 0.0, 0.5], "r14": 0.5})
@@ -148,7 +148,8 @@ class TestEvolveCommand:
         assert (code, out) == (3, "")
         assert "t_max = inf must be finite" in err
 
-    @pytest.mark.parametrize("n_samples", ["Infinity", "1e400"])
+    # int() would truncate 2.7 to 2 and read true as 1
+    @pytest.mark.parametrize("n_samples", ["Infinity", "1e400", "2.7", "true"])
     def test_infinite_n_samples_exit_3(self, n_samples, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(
@@ -210,6 +211,13 @@ class TestZerosCommand:
         )
         assert (code, out) == (3, "")
         assert "zero_threshold = nan must be finite" in err
+        # no discord falls below a level <= 0, so such a threshold is refused too
+        for threshold in ("0", "-1"):
+            code, out, err = run_cli(
+                ["zeros", "--preset", "fig1", "--zero-threshold", threshold], capsys
+            )
+            assert (code, out) == (3, "")
+            assert f"zero_threshold = {float(threshold)!r} must be finite and positive" in err
 
     def test_fig3_entangled_no_events(self, capsys):
         code, out, _ = run_cli(
@@ -338,6 +346,23 @@ class TestVerifyCommand:
         )
         assert (code, out) == (3, "")
         assert "sweep_states = -3 must be nonnegative" in err
+        assert "propagator" not in err and "measurement sweep" not in err
+
+    def test_oversized_sweep_exit_3(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--preset", "fig1", "--sweep-states", "100001", "--t-max", "0.1"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert f"sweep_states = 100001 exceeds {MAX_SWEEP_STATES}" in err
+        assert "propagator" not in err and "measurement sweep" not in err
+
+    def test_negative_seed_exit_3(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--preset", "fig1", "--t-max", "0.1", "--sweep-states", "1",
+             "--seed", "-1"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert "seed = -1 must be nonnegative" in err
         assert "propagator" not in err and "measurement sweep" not in err
 
     def test_oversized_oracle_grid_exit_3(self, capsys):

@@ -11,7 +11,6 @@ from xdiscord import (
     DEGENERATE_BALANCED,
     NOT_NULL,
     InvalidStateError,
-    MeasurementBasis,
     XColumns,
     XState,
     build_chi_m1,
@@ -104,7 +103,7 @@ class TestCondEntropyBasis:
             s = random_xstate(rng)
             theta = rng.uniform(0.0, math.pi / 2)
             phi = rng.uniform(0.0, TWO_PI)
-            got = cond_entropy_basis(s, MeasurementBasis(theta, phi))
+            got = cond_entropy_basis(s, theta, phi)
             want = dense_cond_entropy(s, theta, phi)
             assert_allclose(got, want, atol=1e-12)
 
@@ -112,10 +111,10 @@ class TestCondEntropyBasis:
         rng = np.random.default_rng(4)
         for s in [BELL, MIXED, FIG1] + [random_xstate(rng) for _ in range(30)]:
             assert_allclose(
-                cond_entropy_basis(s, MeasurementBasis(0.0)), discord(s).c_m1, atol=1e-12
+                cond_entropy_basis(s, 0.0), discord(s).c_m1, atol=1e-12
             )
             assert_allclose(
-                cond_entropy_basis(s, MeasurementBasis(math.pi / 2)), discord(s).c_m1, atol=1e-12
+                cond_entropy_basis(s, math.pi / 2), discord(s).c_m1, atol=1e-12
             )
 
     def test_bell_any_basis_is_zero(self):
@@ -125,18 +124,18 @@ class TestCondEntropyBasis:
         for _ in range(20):
             theta = rng.uniform(0.0, math.pi / 2)
             phi = rng.uniform(0.0, TWO_PI)
-            assert_allclose(cond_entropy_basis(BELL, MeasurementBasis(theta, phi)), 0.0, atol=1e-12)
+            assert_allclose(cond_entropy_basis(BELL, theta, phi), 0.0, atol=1e-12)
             assert_allclose(dense_cond_entropy(BELL, theta, phi), 0.0, atol=1e-12)
 
     def test_maximally_mixed_any_basis_is_one(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            basis = MeasurementBasis(rng.uniform(0, math.pi / 2), rng.uniform(0, TWO_PI))
-            assert_allclose(cond_entropy_basis(MIXED, basis), 1.0, atol=1e-12)
+            theta, phi = rng.uniform(0, math.pi / 2), rng.uniform(0, TWO_PI)
+            assert_allclose(cond_entropy_basis(MIXED, theta, phi), 1.0, atol=1e-12)
 
     def test_invalid_state_rejected(self):
         with pytest.raises(InvalidStateError):
-            cond_entropy_basis(XState(0.25, 0.25, 0.25, 0.25, r23=0.5), MeasurementBasis(0.3))
+            cond_entropy_basis(XState(0.25, 0.25, 0.25, 0.25, r23=0.5), 0.3)
 
 
 class TestClosedForms:
@@ -179,8 +178,8 @@ class TestClosedForms:
     def test_c_m2_equals_basis_evaluation(self):
         rng = np.random.default_rng(12)
         for s in [FIG1, FIG3_SEP, EQ9] + [random_xstate(rng) for _ in range(30)]:
-            basis = MeasurementBasis(math.pi / 4, (0.5 * (s.phi1 - s.phi2)) % TWO_PI)
-            assert_allclose(discord(s).c_m2, cond_entropy_basis(s, basis), atol=1e-10)
+            phi = (0.5 * (s.phi1 - s.phi2)) % TWO_PI
+            assert_allclose(discord(s).c_m2, cond_entropy_basis(s, math.pi / 4, phi), atol=1e-10)
 
 
 def entropy(p):
@@ -236,11 +235,11 @@ class TestDiscord:
 
 class TestMinimizeNumeric:
     def test_bell(self):
-        _, value = minimize_numeric(BELL)
+        _, _, value = minimize_numeric(BELL)
         assert_allclose(value, 0.0, atol=1e-9)
 
     def test_maximally_mixed(self):
-        _, value = minimize_numeric(MIXED)
+        _, _, value = minimize_numeric(MIXED)
         assert_allclose(value, 1.0, atol=1e-9)
 
     def test_never_above_closed_form(self):
@@ -248,43 +247,39 @@ class TestMinimizeNumeric:
         for _ in range(60):
             s = random_xstate(rng)
             br = discord(s)
-            _, value = minimize_numeric(s)
+            (value,) = minimize_numeric(s)[2]
             closed = min(br.c_m1, br.c_m2)
             assert value <= closed + 1e-6
             assert value >= closed - 5e-3
 
     @given(state=x_states)
     def test_2d_search_never_beats_exact(self, state):
-        basis, value = minimize_numeric(state)
+        (theta,), (phi,), (value,) = minimize_numeric(state)
         assert search_2d(state) >= value - 1e-12
-        assert_allclose(cond_entropy_basis(state, basis), value, rtol=0, atol=1e-15)
+        assert_allclose(cond_entropy_basis(state, theta, phi), value, rtol=0, atol=1e-15)
 
     @given(state=x_states)
     def test_closed_form_never_below_exact(self, state):
         br = discord(state)
-        _, value = minimize_numeric(state)
+        (value,) = minimize_numeric(state)[2]
         assert min(br.c_m1, br.c_m2) >= value - 1e-12
 
     @given(states=st.lists(x_states, min_size=1, max_size=8))
     def test_batch_equals_rows_one_at_a_time(self, states):
         thetas, phis, values = minimize_numeric(XColumns.from_states(states))
-        for state, theta, phi, value in zip(states, thetas, phis, values):
-            basis, want = minimize_numeric(state)
-            assert_allclose(
-                [theta, phi, value], [basis.theta, basis.phi, want], rtol=0, atol=1e-15
-            )
+        for i, state in enumerate(states):
+            want = np.concatenate(minimize_numeric(state))
+            assert_allclose([thetas[i], phis[i], values[i]], want, rtol=0, atol=1e-15)
 
     @settings(max_examples=30)
     @given(states=st.lists(x_states, min_size=1, max_size=8))
     def test_numeric_discord_batch_equals_rows(self, states):
-        values, thetas, phis = discord_numeric(XColumns.from_states(states))
-        for state, value, theta, phi in zip(states, values, thetas, phis):
-            want, basis = discord_numeric(state)
-            assert_allclose(
-                [value, theta, phi], [want, basis.theta, basis.phi], rtol=0, atol=1e-15
-            )
+        thetas, phis, values = discord_numeric(XColumns.from_states(states))
+        for i, state in enumerate(states):
+            want = np.concatenate(discord_numeric(state))
+            assert_allclose([thetas[i], phis[i], values[i]], want, rtol=0, atol=1e-15)
             # the exact minimum is never above the closed form's
-            assert value <= discord(state).discord + 1e-12
+            assert values[i] <= discord(state).discord + 1e-12
 
     @given(state=x_states, shift=st.floats(-10.0, 10.0))
     def test_common_phase_shift_leaves_minimum(self, state, shift):
@@ -292,8 +287,8 @@ class TestMinimizeNumeric:
             state.p1, state.p2, state.p3, state.p4,
             r14=state.r14, phi1=state.phi1 + shift, r23=state.r23, phi2=state.phi2 + shift,
         )
-        want = minimize_numeric(state)[1]
-        assert_allclose(minimize_numeric(shifted)[1], want, rtol=0, atol=1e-15)
+        want = minimize_numeric(state)[2]
+        assert_allclose(minimize_numeric(shifted)[2], want, rtol=0, atol=1e-15)
 
     def test_interior_optimum_beyond_closed_form(self):
         # Draw 16691 of default_rng(7): both closed-form candidates miss the
@@ -303,17 +298,17 @@ class TestMinimizeNumeric:
             random_xstate(rng)
         state = random_xstate(rng)
         br = discord(state)
-        basis, value = minimize_numeric(state)
+        (theta,), _, (value,) = minimize_numeric(state)
         assert_allclose(min(br.c_m1, br.c_m2) - value, 1.81e-3, atol=5e-6)
         # theta and pi/2 - theta give the same two outcomes, swapped
-        assert_allclose(max(basis.theta, math.pi / 2 - basis.theta), 1.203, atol=1e-3)
+        assert_allclose(max(theta, math.pi / 2 - theta), 1.203, atol=1e-3)
         assert abs(search_2d(state) - value) <= 1e-9
 
     def test_numeric_discord_nonnegative_for_null_states(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             s = random_degenerate_balanced(rng)
-            value, _ = discord_numeric(s)
+            (value,) = discord_numeric(s)[2]
             assert -1e-9 <= value <= 1e-6
 
 

@@ -18,8 +18,8 @@ from xdiscord import (
     random_xstate,
     steady_coherence,
     steady_coherence_as_printed,
+    require_valid,
     trajectory,
-    validate,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -126,7 +126,7 @@ class TestEvolve:
         for _ in range(30):
             s = random_xstate(rng)
             for t in rng.uniform(0.0, 40.0, 6):
-                assert validate(evolve(s, params, float(t))).ok
+                require_valid(evolve(s, params, float(t)))
 
 
 class TestSteadyCoherence:
@@ -164,21 +164,20 @@ class TestTrajectory:
 
     def test_grid_and_payload(self):
         cfg = preset_config("fig1")
-        traj = trajectory(cfg.initial, cfg.params, 5.0, 51, zero_threshold=None)
+        traj = trajectory(cfg.initial, cfg.params, 5.0, 51)
         assert_allclose(traj.times, np.linspace(0.0, 5.0, 51))
         assert len(traj.states) == 51
         assert len(traj.breakdowns) == 51
         assert traj.states.r14.shape == traj.breakdowns.discord.shape == (51,)
-        assert traj.zero_events == ()
 
     def test_fig3_separable_reaches_zero_discord(self):
         cfg = preset_config("fig3-separable")
-        traj = trajectory(cfg.initial, cfg.params, 300.0, 1501, zero_threshold=None)
+        traj = trajectory(cfg.initial, cfg.params, 300.0, 1501)
         assert traj.breakdowns.discord[-1] <= 1e-3
 
     def test_fig3_entangled_discord_never_small(self):
         cfg = preset_config("fig3-entangled")
-        traj = trajectory(cfg.initial, cfg.params, 50.0, 1001, zero_threshold=None)
+        traj = trajectory(cfg.initial, cfg.params, 50.0, 1001)
         assert traj.breakdowns.discord.min() > 1e-2
 
 
@@ -188,8 +187,7 @@ class TestFindZeros:
         # state stays coherence-free and the discord is zero for all times
         s = XState(0.4, 0.25, 0.25, 0.1)
         traj = trajectory(s, TCParams(lam=1.0, kappa=0.1, alpha_sq=0.5), 20.0, 401)
-        assert len(traj.zero_events) == 1
-        event = traj.zero_events[0]
+        (event,) = find_zeros(traj)
         assert event.kind == ASYMPTOTIC
         assert event.t_enter == 0.0
         assert event.t_exit == 20.0
@@ -203,13 +201,14 @@ class TestFindZeros:
         traj = trajectory(s, TCParams(lam=1.0, kappa=0.1, alpha_sq=0.5), 20.0, 401)
         mid = evolve(s, TCParams(lam=1.0, kappa=0.1, alpha_sq=0.5), math.pi / 2)
         assert mid.r23 > 0.04
-        assert len(traj.zero_events) > 1
-        assert all(e.min_discord <= 1e-10 for e in traj.zero_events)
+        events = find_zeros(traj)
+        assert len(events) > 1
+        assert all(e.min_discord <= 1e-10 for e in events)
 
     def test_events_sorted_and_disjoint(self):
         cfg = preset_config("fig1")
         traj = trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples)
-        events = traj.zero_events
+        events = find_zeros(traj)
         for a, b in zip(events, events[1:]):
             assert a.t_exit <= b.t_enter
         for e in events:
@@ -218,10 +217,8 @@ class TestFindZeros:
 
     def test_refinement_locates_fig1_exact_zero(self):
         cfg = preset_config("fig1")
-        traj = trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples,
-                          zero_threshold=1e-4)
-        assert len(traj.zero_events) == 1
-        event = traj.zero_events[0]
+        traj = trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples)
+        (event,) = find_zeros(traj, 1e-4)
         assert event.kind == DISCRETE
         assert abs(event.t_center - math.pi / 2) < 1e-4
         assert event.min_discord < 1e-8
@@ -233,32 +230,30 @@ class TestFindZeros:
 
     def test_fig1_single_exact_zero_in_first_cycle(self):
         cfg = preset_config("fig1")
-        traj = trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples,
-                          zero_threshold=1e-4)
-        assert len(traj.zero_events) == 1
-        assert 0.0 < traj.zero_events[0].t_center <= TWO_PI
+        traj = trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples)
+        (event,) = find_zeros(traj, 1e-4)
+        assert 0.0 < event.t_center <= TWO_PI
 
     def test_fig2_no_early_zero_then_periodic(self):
         cfg = preset_config("fig2")
-        traj = trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples,
-                          zero_threshold=1e-4)
-        events = traj.zero_events
+        traj = trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples)
+        events = find_zeros(traj, 1e-4)
         assert events, "expected zero events at later times"
         assert all(e.t_center >= TWO_PI for e in events)
         assert sum(1 for e in events if e.kind == PERIODIC_MEMBER) >= 2
 
     def test_non_finite_threshold_rejected(self):
         cfg = preset_config("fig1")
-        traj = trajectory(cfg.initial, cfg.params, 5.0, 11, zero_threshold=None)
-        for threshold in (math.nan, math.inf):
-            with pytest.raises(ValueError):
+        traj = trajectory(cfg.initial, cfg.params, 5.0, 11)
+        for threshold in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="finite and positive"):
                 find_zeros(traj, threshold)
 
     def test_find_zeros_empty_trajectory_rejected(self):
         cfg = preset_config("fig1")
-        traj = trajectory(cfg.initial, cfg.params, 5.0, 11, zero_threshold=None)
+        traj = trajectory(cfg.initial, cfg.params, 5.0, 11)
         pruned = traj.__class__(
-            times=np.array([]), states=(), breakdowns=(), zero_events=(),
+            times=np.array([]), states=(), breakdowns=(),
             initial=traj.initial, params=traj.params,
         )
         with pytest.raises(ValueError):

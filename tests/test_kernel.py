@@ -16,10 +16,10 @@ from xdiscord import (
     XState,
     discord,
     evolve,
+    find_zeros,
     preset_config,
     require_valid,
     trajectory,
-    validate,
 )
 from xdiscord.xstate import FIELDS
 
@@ -99,24 +99,31 @@ shifts = st.one_of(st.just(0.0), st.floats(-0.2, 0.2), st.sampled_from([math.nan
 perturbed = st.tuples(xstates(), st.sampled_from(FIELDS), shifts)
 
 
+def scalar_message(state):
+    """require_valid's message for one XState, or None when it is valid."""
+    try:
+        require_valid(state)
+    except InvalidStateError as exc:
+        return str(exc)
+    return None
+
+
 @given(st.lists(perturbed, min_size=1, max_size=8))
-def test_require_valid_batch_agrees_with_validate(rows):
+def test_require_valid_batch_agrees_with_rows(rows):
     states = []
     for state, field, shift in rows:
         values = {f: getattr(state, f) for f in FIELDS}
         values[field] += shift
         states.append(XState(**values))
-    bad = [i for i, s in enumerate(states) if not validate(s).ok]
+    messages = [scalar_message(s) for s in states]
+    bad = [i for i, m in enumerate(messages) if m is not None]
     if not bad:
         require_valid(XColumns.from_states(states))
         return
     with pytest.raises(InvalidStateError) as info:
         require_valid(XColumns.from_states(states))
     i = bad[0]
-    assert str(info.value) == (
-        f"row {i} of {len(states)} ({len(bad)} invalid): "
-        + "; ".join(validate(states[i]).violations)
-    )
+    assert str(info.value) == f"row {i} of {len(states)} ({len(bad)} invalid): {messages[i]}"
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig3-separable"])
@@ -129,10 +136,11 @@ def test_refined_minima_match_dense_scan(name):
     # of t_center. A t_center on the event interval's edge was clamped there:
     # the bracket's minimum then lies outside the interval.
     cfg = preset_config(name)
-    traj = trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples, zero_threshold=1e-4)
+    traj = trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples)
     times, disc = traj.times, traj.breakdowns.discord
-    assert traj.zero_events
-    for e in traj.zero_events:
+    events = find_zeros(traj, 1e-4)
+    assert events
+    for e in events:
         run = np.flatnonzero((times >= e.t_enter) & (times <= e.t_exit))
         k = run[np.argmin(disc[run])]
         scan = np.linspace(times[max(k - 1, 0)], times[min(k + 1, len(times) - 1)], 20001)

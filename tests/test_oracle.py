@@ -267,7 +267,7 @@ class TestIntegrate:
         # oracle: all 2*n_max+1 sectors propagated and assembled into the
         # joint state, which integrate never forms
         params = TCParams(lam=1.0, kappa=0.2, alpha_sq=0.8)
-        trunc = FockTruncation.for_alpha_sq(0.8, n_max=6, tail_bound=1e-4)
+        trunc = FockTruncation.for_alpha_sq(0.8)  # n_max = 13
         initial = random_xstate(np.random.default_rng(46))
         times = [0.0, 0.7, 2.0]
         joint = joint_states(initial, params, trunc, times)

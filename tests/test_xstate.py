@@ -10,12 +10,13 @@ from numpy.testing import assert_allclose
 import xdiscord
 from xdiscord import (
     InvalidStateError,
+    XColumns,
     XState,
     discord,
     eigenvalues,
     entropy_bits,
     random_xstate,
-    validate,
+    require_valid,
 )
 
 BELL = XState(0.5, 0.0, 0.0, 0.5, r14=0.5)
@@ -24,27 +25,28 @@ MIXED = XState(0.25, 0.25, 0.25, 0.25)
 
 
 class TestValidate:
+    """require_valid, the one validity check."""
+
     def test_bell_boundary_is_valid(self):
         # pure-state boundary: p1*p4 = r14^2 exactly
-        assert validate(BELL).ok
+        require_valid(BELL)
 
     def test_fig1_initial_is_valid(self):
         # outer block exactly on the boundary: 1/16 = 0.25^2
-        assert validate(FIG1).ok
+        require_valid(FIG1)
 
     def test_outer_block_violation(self):
         bad = XState(0.25, 0.25, 0.25, 0.25, r14=0.3)
-        report = validate(bad)
-        assert not report.ok
-        assert any("outer block" in v for v in report.violations)
+        with pytest.raises(InvalidStateError, match="outer block"):
+            require_valid(bad)
 
     def test_trace_violation(self):
-        report = validate(XState(0.5, 0.5, 0.5, 0.5))
-        assert any("trace" in v for v in report.violations)
+        with pytest.raises(InvalidStateError, match="trace"):
+            require_valid(XState(0.5, 0.5, 0.5, 0.5))
 
     def test_negative_population(self):
-        report = validate(XState(-0.1, 0.5, 0.3, 0.3))
-        assert any("negative" in v for v in report.violations)
+        with pytest.raises(InvalidStateError, match="negative"):
+            require_valid(XState(-0.1, 0.5, 0.3, 0.3))
 
 
 class TestXStateModel:
@@ -65,10 +67,10 @@ class TestXStateModel:
             m = s.to_matrix()
             assert_allclose(m, m.conj().T)
             assert_allclose(np.trace(m).real, 1.0, atol=1e-12)
-            back = XState.from_coherences(
-                m[0, 0].real, m[1, 1].real, m[2, 2].real, m[3, 3].real,
-                rho14=m[0, 3], rho23=m[1, 2],
-            )
+            back = XColumns.from_coherences(
+                *(np.array([m[i, i].real]) for i in range(4)),
+                np.array([m[0, 3]]), np.array([m[1, 2]]),
+            ).row(0)
             assert_allclose(back.to_matrix(), m, atol=1e-15)
 
 
