@@ -41,7 +41,7 @@ from .oracle import (
     integrate,
 )
 from .presets import PRESETS, ConfigError, RunConfig, config_from_json, preset_config
-from .sampling import random_coherence_free, random_degenerate_balanced, random_xstate
+from .sampling import random_xstate
 from .xstate import (
     DEFAULT_TOL,
     InvalidStateError,

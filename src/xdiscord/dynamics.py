@@ -92,7 +92,11 @@ class Trajectory:
 
 
 def lambda_from_g_delta(g: float, delta: float) -> float:
-    """Effective rate g^2/(2*delta); the sign follows the detuning.
+    """Effective rate |g^2/(2*delta)|, the positive lam that TCParams takes.
+
+    A negative detuning flips the sign of the effective Hamiltonian, which
+    only reverses the rotation: the state under -lam is the complex conjugate
+    of the state under lam from the conjugated initial state.
 
     Warns (DispersiveRegimeWarning) when |delta| < 10*g, where the
     second-order elimination of the cavity is no longer trustworthy.
@@ -106,7 +110,7 @@ def lambda_from_g_delta(g: float, delta: float) -> float:
             DispersiveRegimeWarning,
             stacklevel=2,
         )
-    return g * g / (2.0 * delta)
+    return g * g / (2.0 * abs(delta))
 
 
 def _cmul(a, b):

@@ -11,12 +11,15 @@ solution and the steady coherence value correspond to.
 The Liouvillian -i[H, .] + kappa*D[a] is built from H and D alone, never from
 the analytic solution. It splits an X state into independent sectors, one per
 atomic group ({|gg>,|ee>} or {|ge>,|eg>}) and Fock offset n - m. The reduced
-state Tr_F(rho) reads only offset 0, so that sector alone is propagated,
-exponentiated by scaling and squaring of the [13/13] Padé approximant, which
-needs no scaling up to the 1-norm theta_13 = 5.37 (Higham, SIMAX 26, 2005;
-Moler & Van Loan, SIAM Rev. 45, 2003). Its elements are the Fock-conditioned
-atomic blocks <n|rho|n>, whose smallest eigenvalue is the run's positivity
-diagnostic.
+state Tr_F(rho) reads only offset 0, so that sector alone is propagated. Its
+generator is split further into the independent blocks that its own nonzero
+pattern shows: with no outer exchange term, the inner group is one 4L x 4L
+block (L = n_max + 1) and the outer group four L x L chains, one per atomic
+pair. Each block is exponentiated by scaling and squaring of the [13/13] Padé
+approximant, which needs no scaling up to the 1-norm theta_13 = 5.37 (Higham,
+SIMAX 26, 2005; Moler & Van Loan, SIAM Rev. 45, 2003). The sector's elements
+are the Fock-conditioned atomic blocks <n|rho|n>, whose smallest eigenvalue
+is the run's positivity diagnostic.
 
 Joint elements are indexed (j, n, k, m): atomic row, Fock row, atomic
 column, Fock column.
@@ -249,15 +252,42 @@ def _distinct_gaps(gaps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     return np.bincount(which, gaps) / np.bincount(which), which
 
 
+def _independent_blocks(gen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split the offset-0 generators, indexed (group, pair, n, pair, n), into
+    independent blocks.
+
+    Two atomic pairs of a group are coupled when the generator has a nonzero
+    entry between any of their Fock elements. Every pair is coupled to itself,
+    and coupling in either direction joins two pairs, so closing the coupling
+    over paths (two boolean squarings reach every path among four pairs)
+    leaves one class per block. Returns, for each distinct block size b, the
+    group and the pairs of each block of that size, shapes (k,) and (k, b).
+    """
+    coupled = (gen != 0).any(axis=(2, 4)) | np.eye(4, dtype=bool)
+    coupled |= coupled.transpose(0, 2, 1)
+    for _ in range(2):
+        coupled = coupled @ coupled
+    by_size: dict[int, list] = {}
+    for group, reach in enumerate(coupled):
+        for pairs in sorted({tuple(np.flatnonzero(row)) for row in reach}):
+            by_size.setdefault(len(pairs), []).append((group, pairs))
+    return [
+        (np.array([g for g, _ in blocks]), np.array([p for _, p in blocks]))
+        for _, blocks in sorted(by_size.items())
+    ]
+
+
 def integrate(initial: XState, params: TCParams, trunc: FockTruncation, times) -> IntegrationResult:
     """Exact propagation of the joint master equation to each sample time,
     reduced to the atoms.
 
     The joint state starts as rho_atoms (x) |alpha><alpha|. Tr_F(rho) sums
     the elements (j, n, k, n), so only the offset-0 sector (see _make_sector)
-    is propagated: its generator is exponentiated once per distinct gap
-    between sorted sample times and stepped from sample to sample. At each
-    sample the elements are summed over n into the reduced X state.
+    is propagated. Its generator is split into independent blocks (see
+    _independent_blocks); the blocks of one size are stacked, exponentiated
+    once per distinct gap between sorted sample times, and each steps its own
+    slice of the elements from sample to sample. At each sample the elements
+    are summed over n into the reduced X state.
     `min_eigenvalue` is the smallest eigenvalue of the Fock-conditioned
     atomic blocks <n|rho|n> over all samples; their positivity is necessary
     for that of the joint state. `times` is any nonnegative time or list of
@@ -272,16 +302,25 @@ def integrate(initial: XState, params: TCParams, trunc: FockTruncation, times) -
         np.diff(times, prepend=0.0), 64 * np.finfo(float).eps * times[-1]
     )
 
+    fdim = trunc.dim
     (pair_j, _, pair_k, _), gen = _make_sector(params, trunc)(0)
     photons = np.abs(coherent_vector(math.sqrt(params.alpha_sq), trunc)) ** 2
-    vec = (initial.to_matrix()[pair_j, pair_k] * photons).reshape(2, -1, 1)
-    props = [_expm(gen * gap) if gap > 0.0 else None for gap in gaps]
+    start = initial.to_matrix()[pair_j, pair_k] * photons
+    gen = gen.reshape(2, 4, fdim, 4, fdim)
     # blocks[s, group, pair, n]: element (j, n, k, n) at sample s.
-    blocks = np.empty((times.size, 2, 4, trunc.dim), dtype=complex)
-    for s, u in enumerate(which):
-        if props[u] is not None:
-            vec = props[u] @ vec
-        blocks[s] = vec.reshape(2, 4, -1)
+    blocks = np.empty((times.size, 2, 4, fdim), dtype=complex)
+    for group, pairs in _independent_blocks(gen):
+        k, size = pairs.shape[0], pairs.shape[1] * fdim
+        stack = gen[group[:, None, None], pairs[:, :, None], :, pairs[:, None, :]]
+        stack = stack.transpose(0, 1, 3, 2, 4).reshape(k, size, size)
+        props = [_expm(stack * gap) if gap > 0.0 else None for gap in gaps]
+        vec = start[group[:, None], pairs].reshape(k, size, 1)
+        steps = np.empty((times.size, k, size, 1), dtype=complex)
+        for s, u in enumerate(which):
+            if props[u] is not None:
+                vec = props[u] @ vec
+            steps[s] = vec
+        blocks[:, group[:, None], pairs] = steps.reshape(times.size, k, -1, fdim)
 
     # Pairs per group: outer (0,0),(0,3),(3,0),(3,3); inner (1,1),(1,2),(2,1),(2,2).
     reduced = blocks.sum(axis=-1)

@@ -63,6 +63,14 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+def _number(value, name: str) -> float:
+    """float(value) of a JSON number. A boolean, which float() would read as
+    0 or 1, and a numeric string are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} = {value!r} is not a number")
+    return float(value)
+
+
 def state_to_dict(state: XState) -> dict:
     return {
         "populations": list(state.populations),
@@ -81,11 +89,8 @@ def state_from_dict(d) -> XState:
         raise ConfigError("state populations must be a list of four numbers")
     try:
         return XState(
-            *(float(p) for p in pops),
-            r14=float(d.get("r14", 0.0)),
-            phi1=float(d.get("phi1", 0.0)),
-            r23=float(d.get("r23", 0.0)),
-            phi2=float(d.get("phi2", 0.0)),
+            *(_number(p, "population") for p in pops),
+            **{key: _number(d.get(key, 0.0), key) for key in ("r14", "phi1", "r23", "phi2")},
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad state value: {exc}") from exc
@@ -100,9 +105,9 @@ def config_from_dict(d) -> RunConfig:
         raise ConfigError("params must be a JSON object")
     try:
         params = TCParams(
-            lam=float(pd.get("lambda", 1.0)),
-            kappa=float(pd.get("kappa", 0.0)),
-            alpha_sq=float(pd.get("alpha_sq", 0.0)),
+            lam=_number(pd.get("lambda", 1.0), "lambda"),
+            kappa=_number(pd.get("kappa", 0.0), "kappa"),
+            alpha_sq=_number(pd.get("alpha_sq", 0.0), "alpha_sq"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params value: {exc}") from exc
@@ -110,19 +115,18 @@ def config_from_dict(d) -> RunConfig:
     if not isinstance(gd, dict):
         raise ConfigError("grid must be a JSON object")
     try:
-        t_max = float(gd.get("t_max", 30.0))
-        raw = gd.get("n_samples", 3001)
-        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-            raise ValueError(f"n_samples = {raw!r} is not an integer")
-        n_samples = int(raw)
-        threshold = float(d.get("zero_threshold", DEFAULT_ZERO_THRESHOLD))
+        t_max = _number(gd.get("t_max", 30.0), "t_max")
+        n_samples = _number(gd.get("n_samples", 3001), "n_samples")
+        if not n_samples.is_integer():
+            raise ValueError(f"n_samples = {n_samples!r} is not an integer")
+        threshold = _number(d.get("zero_threshold", DEFAULT_ZERO_THRESHOLD), "zero_threshold")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid value: {exc}") from exc
     return RunConfig(
         initial=initial,
         params=params,
         t_max=t_max,
-        n_samples=n_samples,
+        n_samples=int(n_samples),
         zero_threshold=threshold,
     )
 

@@ -17,6 +17,8 @@ import numpy as np
 import xdiscord as xd
 from xdiscord.cli import main as cli_main
 
+from samplers import random_coherence_free, random_degenerate_balanced
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -61,8 +63,8 @@ def test_criterion_01_closed_form_vs_numeric_minimum():
 def test_criterion_02_nullity_families_have_zero_discord():
     start = time.perf_counter()
     rng = np.random.default_rng(0)
-    states = [xd.random_coherence_free(rng) for _ in range(500)]
-    states += [xd.random_degenerate_balanced(rng) for _ in range(500)]
+    states = [random_coherence_free(rng) for _ in range(500)]
+    states += [random_degenerate_balanced(rng) for _ in range(500)]
     batch = xd.XColumns.from_states(states)
     worst_closed = float(np.abs(xd.discord(batch).discord).max())
     _, _, numeric = xd.discord_numeric(batch)

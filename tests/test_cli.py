@@ -8,7 +8,13 @@ from numpy.testing import assert_allclose
 
 from xdiscord import PRESETS, XColumns, discord, minimize_numeric, nullity_check, random_xstate
 from xdiscord.cli import CSV_COLUMNS, MAX_SWEEP_STATES, _write_json, main
-from xdiscord.presets import MAX_SAMPLES, config_from_json, state_from_dict, state_to_dict
+from xdiscord.presets import (
+    MAX_SAMPLES,
+    ConfigError,
+    config_from_json,
+    state_from_dict,
+    state_to_dict,
+)
 
 BELL_STATE_JSON = json.dumps({"populations": [0.5, 0.0, 0.0, 0.5], "r14": 0.5})
 EQ9_STATE_JSON = json.dumps(
@@ -72,6 +78,14 @@ class TestDiscordCommand:
         assert code == 2
         assert out == ""
         assert "non-finite" in err
+
+    # float() would read true as 1.0 and report |gg><gg|, and "1" likewise
+    @pytest.mark.parametrize("first, shown", [("true", "True"), ('"1"', "'1'")])
+    def test_non_number_population_exit_3(self, first, shown, capsys):
+        state = f'{{"populations": [{first}, 0, 0, 0]}}'
+        code, out, err = run_cli(["discord", "--state", state], capsys)
+        assert (code, out) == (3, "")
+        assert f"population = {shown} is not a number" in err
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_payload_is_breakdown_then_nullity(self, name, capsys):
@@ -149,7 +163,7 @@ class TestEvolveCommand:
         assert "t_max = inf must be finite" in err
 
     # int() would truncate 2.7 to 2 and read true as 1
-    @pytest.mark.parametrize("n_samples", ["Infinity", "1e400", "2.7", "true"])
+    @pytest.mark.parametrize("n_samples", ["Infinity", "1e400", "2.7", "true", '"7"'])
     def test_infinite_n_samples_exit_3(self, n_samples, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(
@@ -277,6 +291,29 @@ class TestPresetCommand:
         assert code == 3
         assert out == ""
         assert "finite" in err
+
+    def test_boolean_config_t_max_exit_3(self, capsys, tmp_path):
+        config = PRESETS["fig1"].to_dict()
+        config["grid"]["t_max"] = True
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(["evolve", "--config", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert "t_max = True is not a number" in err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("initial", "r14"), ("initial", "phi1"), ("initial", "r23"), ("initial", "phi2"),
+            ("params", "lambda"), ("params", "kappa"), ("params", "alpha_sq"),
+            ("grid", "t_max"), (None, "zero_threshold"),
+        ],
+    )
+    def test_boolean_number_refused(self, section, key):
+        config = PRESETS["fig1"].to_dict()
+        (config[section] if section else config)[key] = False
+        with pytest.raises(ConfigError, match=f"{key} = False is not a number"):
+            config_from_json(json.dumps(config))
 
     def test_config_serialization_roundtrips_bit_exact(self):
         for config in PRESETS.values():

@@ -19,10 +19,11 @@ from xdiscord import (
     discord_numeric,
     minimize_numeric,
     nullity_check,
-    random_degenerate_balanced,
     random_xstate,
 )
 from xdiscord.discord import cond_entropy_basis
+
+from samplers import random_degenerate_balanced
 
 TWO_PI = 2.0 * math.pi
 

@@ -29,8 +29,8 @@ class TestLambdaFromGDelta:
     def test_basic_value(self):
         assert_allclose(lambda_from_g_delta(1.0, 50.0), 0.01)
 
-    def test_sign_follows_detuning(self):
-        assert_allclose(lambda_from_g_delta(2.0, -40.0), -0.05)
+    def test_negative_detuning_gives_magnitude(self):
+        assert_allclose(lambda_from_g_delta(2.0, -40.0), 0.05)
 
     def test_dispersive_guard_warns(self):
         with pytest.warns(DispersiveRegimeWarning):

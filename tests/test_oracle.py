@@ -22,6 +22,7 @@ from xdiscord.oracle import (
     THETA_13,
     _exchange,
     _expm,
+    _independent_blocks,
     _make_sector,
     _stark,
     poisson_tail,
@@ -49,6 +50,19 @@ def joint_states(initial, params, trunc, times):
         for s, t in enumerate(times):
             states[(s,) + index] = (_expm(gen * t) @ vec).reshape(2, 4, -1)
     return states
+
+
+def unsplit_reduced(initial, params, trunc, times):
+    """Reduced states from the stacked (2, 4L, 4L) offset-0 generators,
+    exponentiated whole and straight to each time, shape (len(times), 4, 4)."""
+    (pair_j, _, pair_k, _), gen = _make_sector(params, trunc)(0)
+    photons = np.abs(coherent_vector(math.sqrt(params.alpha_sq), trunc)) ** 2
+    vec = (initial.to_matrix()[pair_j, pair_k] * photons).reshape(2, -1, 1)
+    reduced = np.zeros((len(times), 4, 4), dtype=complex)
+    for s, t in enumerate(times):
+        elements = (_expm(gen * t) @ vec).reshape(2, 4, -1).sum(axis=-1)
+        reduced[s][pair_j[..., 0], pair_k[..., 0]] = elements
+    return reduced
 
 
 class TestFockTruncation:
@@ -298,6 +312,43 @@ class TestIntegrate:
         report = compare(initial, params, times, trunc)
         assert np.array_equal(report.times, np.sort(times))
         assert report.max_deviation <= 1e-12
+
+    def test_split_matches_unsplit_exponential(self):
+        # fig1 at n_max = 25: one 104 x 104 inner block and four 26 x 26 outer
+        # chains replace the stacked (2, 104, 104) exponential
+        cfg = preset_config("fig1")
+        trunc = FockTruncation.for_alpha_sq(cfg.params.alpha_sq, n_max=25)
+        _, gen = _make_sector(cfg.params, trunc)(0)
+        blocks = _independent_blocks(gen.reshape(2, 4, trunc.dim, 4, trunc.dim))
+        assert [(g.tolist(), p.tolist()) for g, p in blocks] == [
+            ([0, 0, 0, 0], [[0], [1], [2], [3]]),
+            ([1], [[0, 1, 2, 3]]),
+        ]
+        result = integrate(cfg.initial, cfg.params, trunc, [0.1])
+        want = unsplit_reduced(cfg.initial, cfg.params, trunc, [0.1])
+        assert np.abs(result.states.row(0).to_matrix() - want[0]).max() <= 1e-15
+
+    def test_planted_outer_exchange_merges_chains(self, monkeypatch):
+        # an |gg><ee| exchange couples the outer chains; the split is read from
+        # the generator, so they merge into one block and the result still
+        # matches the unsplit exponential
+        def planted(params):
+            e = _exchange(params)
+            e[0, 3] = e[3, 0] = 0.3 * params.lam
+            return e
+
+        monkeypatch.setattr("xdiscord.oracle._exchange", planted)
+        params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
+        trunc = FockTruncation.for_alpha_sq(0.8)
+        _, gen = _make_sector(params, trunc)(0)
+        blocks = _independent_blocks(gen.reshape(2, 4, trunc.dim, 4, trunc.dim))
+        assert [pairs.shape for _, pairs in blocks] == [(2, 4)]
+        initial = random_xstate(np.random.default_rng(47))
+        times = [0.0, 0.4, 1.3, 2.0]
+        result = integrate(initial, params, trunc, times)
+        want = unsplit_reduced(initial, params, trunc, times)
+        for i in range(len(times)):
+            assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
 
     def test_rejects_negative_or_empty_times(self):
         params = TCParams(lam=1.0, kappa=0.0, alpha_sq=0.0)
