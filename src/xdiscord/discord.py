@@ -3,8 +3,9 @@
 The conditional entropy after a projective measurement on qubit B is computed
 in closed form for the two special bases (theta = 0 and theta = pi/4 with the
 phase-matched azimuth), combined as min{C_m1, C_m2}, and cross-checked by the
-exact minimum over all projective bases, a batched search over theta at the
-phase-matched azimuth.
+exact minimum over all projective bases, a batched search over theta in
+[0, pi/4] at the phase-matched azimuth (the entropy is symmetric about
+theta = pi/4).
 """
 
 from __future__ import annotations
@@ -167,9 +168,9 @@ def discord(state):
     return columns if isinstance(state, XColumns) else columns.row(0)
 
 
-#: The theta search: a grid over [0, pi/2] holding 0, pi/4 and pi/2 exactly,
-#: then rounds of a 9-point local grid, each 4x narrower than the last.
-THETA_GRID = 129
+#: The theta search: a grid over [0, pi/4] holding 0 and pi/4 exactly, then
+#: rounds of a 9-point local grid, each 4x narrower than the last.
+THETA_GRID = 65
 SHRINK_ROUNDS = 12
 
 
@@ -181,26 +182,29 @@ def minimize_numeric(state):
     outcome blocks' eigenvalue split at fixed trace and so lowers both
     entropies; coh peaks at r14 + r23 at the phase-matched azimuth
     phi* = (phi1 - phi2)/2, which is therefore optimal, and the search is over
-    theta alone: a THETA_GRID-point grid, then SHRINK_ROUNDS rounds of a
-    9-point grid around each row's incumbent, whose best point replaces the
-    incumbent only if lower. One array call per round for the whole batch.
+    theta alone. theta and pi/2 - theta give the same two outcomes in swapped
+    order, so the entropy is symmetric about pi/4 and the search covers
+    [0, pi/4]: a THETA_GRID-point grid, then SHRINK_ROUNDS rounds of a
+    9-point grid around each row's incumbent, clipped to [0, pi/4], whose best
+    point replaces the incumbent only if lower. One array call per round for
+    the whole batch.
 
     Returns arrays (theta, phi, value), one entry per row of an XColumns
-    batch; an XState is a batch of one.
+    batch, theta in [0, pi/4]; an XState is a batch of one.
     """
     require_valid(state)
     c = state if isinstance(state, XColumns) else XColumns.from_states([state])
     coh = c.r14 + c.r23
     rows = np.arange(len(c))
 
-    thetas = np.linspace(0.0, math.pi / 2, THETA_GRID)
+    thetas = np.linspace(0.0, math.pi / 4, THETA_GRID)
     values = _cond_entropy_grid(c, thetas, coh)
     k = np.argmin(values, axis=1)
     theta, value = thetas[k], values[rows, k]
     span = thetas[1]
     offsets = np.linspace(-1.0, 1.0, 9)
     for _ in range(SHRINK_ROUNDS):
-        local = np.clip(theta[:, None] + span * offsets, 0.0, math.pi / 2)
+        local = np.clip(theta[:, None] + span * offsets, 0.0, math.pi / 4)
         values = _cond_entropy_grid(c, local, coh)
         k = np.argmin(values, axis=1)
         lower = values[rows, k] < value

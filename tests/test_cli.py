@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from xdiscord import PRESETS, XColumns, discord, minimize_numeric, nullity_check, random_xstate
+from xdiscord import PRESETS, discord, minimize_numeric, nullity_check, random_xstate
 from xdiscord.cli import CSV_COLUMNS, MAX_SWEEP_STATES, _write_json, main
 from xdiscord.presets import (
     MAX_SAMPLES,
@@ -377,6 +377,27 @@ class TestVerifyCommand:
         assert (code, out) == (3, "")
         assert f"n_max = {n_max} must be nonnegative" in err
 
+    def test_empty_sweep_draws_nothing(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty sweep must not draw or search")
+
+        monkeypatch.setattr("xdiscord.cli.random_xstate", refuse)
+        monkeypatch.setattr("xdiscord.cli.minimize_numeric", refuse)
+        code, out, _ = run_cli(
+            ["verify", "--preset", "fig1", "--sweep-states", "0", "--t-max", "0.3"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["measurement_sweep"] == {
+            "n_states": 0,
+            "seed": 0,
+            "max_gap": 0.0,
+            "gap_tolerance": 0.01,
+            "numeric_above_closed_by": 0.0,
+            "fraction_within_1e-4": 1.0,
+            "discrepancies": [],
+            "pass": True,
+        }
+
     def test_negative_sweep_states_exit_3(self, capsys):
         code, out, err = run_cli(
             ["verify", "--preset", "fig1", "--sweep-states", "-3", "--t-max", "0.1"], capsys
@@ -437,7 +458,7 @@ class TestVerifyCommand:
         assert code == 0
         sweep = json.loads(out)["measurement_sweep"]
         rng = np.random.default_rng(7)
-        batch = XColumns.from_states([random_xstate(rng) for _ in range(30)])
+        batch = random_xstate(rng, 30)
         br = discord(batch)
         gaps = np.minimum(br.c_m1, br.c_m2) - minimize_numeric(batch)[2]
         assert sweep["max_gap"] == max(float(gaps.max()), 0.0)

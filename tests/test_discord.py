@@ -21,7 +21,7 @@ from xdiscord import (
     nullity_check,
     random_xstate,
 )
-from xdiscord.discord import cond_entropy_basis
+from xdiscord.discord import _cond_entropy_grid, cond_entropy_basis
 
 from samplers import random_degenerate_balanced
 
@@ -33,6 +33,12 @@ FIG1 = XState(0.25, 3 / 16, 5 / 16, 0.25, r14=0.25, r23=0.05)
 FIG3_SEP = XState(0.25, 0.25, 0.25, 0.25, r14=0.2, r23=0.0736)
 FIG3_ENT = XState(0.4, 0.1, 0.1, 0.4, r14=0.4, r23=0.05)
 EQ9 = XState(0.3, 0.3, 0.2, 0.2, r14=0.1, r23=0.1)
+#: A state whose measurement optimum lies strictly between theta = 0 and pi/4.
+INTERIOR = XState(
+    p1=0.028481387072403778, p2=0.9148273750929674, p3=0.056388264502691667,
+    p4=0.00030297333193714975, r14=0.0025302925359784964, phi1=2.979637906773482,
+    r23=0.20630937565720242, phi2=5.592793518703005,
+)
 
 
 def dense_cond_entropy(state, theta, phi):
@@ -292,17 +298,13 @@ class TestMinimizeNumeric:
         assert_allclose(minimize_numeric(shifted)[2], want, rtol=0, atol=1e-15)
 
     def test_interior_optimum_beyond_closed_form(self):
-        # Draw 16691 of default_rng(7): both closed-form candidates miss the
-        # optimum, which sits at an interior theta.
-        rng = np.random.default_rng(7)
-        for _ in range(16691):
-            random_xstate(rng)
-        state = random_xstate(rng)
+        # Both closed-form candidates miss the optimum of this state, which
+        # sits at an interior theta.
+        state = INTERIOR
         br = discord(state)
         (theta,), _, (value,) = minimize_numeric(state)
         assert_allclose(min(br.c_m1, br.c_m2) - value, 1.81e-3, atol=5e-6)
-        # theta and pi/2 - theta give the same two outcomes, swapped
-        assert_allclose(max(theta, math.pi / 2 - theta), 1.203, atol=1e-3)
+        assert_allclose(theta, 0.3677, atol=1e-4)
         assert abs(search_2d(state) - value) <= 1e-9
 
     def test_numeric_discord_nonnegative_for_null_states(self):
@@ -311,6 +313,59 @@ class TestMinimizeNumeric:
             s = random_degenerate_balanced(rng)
             (value,) = discord_numeric(s)[2]
             assert -1e-9 <= value <= 1e-6
+
+
+def full_interval_search(c):
+    """The search of minimize_numeric over the whole of [0, pi/2] instead of
+    [0, pi/4]: a 129-point grid, then 12 rounds of a 9-point grid around the
+    incumbent, each 4x narrower, clipped to [0, pi/2]. Returns the values."""
+    coh = c.r14 + c.r23
+    rows = np.arange(len(c))
+    thetas = np.linspace(0.0, math.pi / 2, 129)
+    values = _cond_entropy_grid(c, thetas, coh)
+    k = np.argmin(values, axis=1)
+    theta, value = thetas[k], values[rows, k]
+    span = thetas[1]
+    for _ in range(12):
+        local = np.clip(theta[:, None] + span * np.linspace(-1.0, 1.0, 9), 0.0, math.pi / 2)
+        values = _cond_entropy_grid(c, local, coh)
+        k = np.argmin(values, axis=1)
+        lower = values[rows, k] < value
+        theta = np.where(lower, local[rows, k], theta)
+        value = np.where(lower, values[rows, k], value)
+        span /= 4.0
+    return value
+
+
+class TestHalfInterval:
+    """theta and pi/2 - theta give the same two outcomes in swapped order, so
+    searching [0, pi/4] loses nothing against [0, pi/2]."""
+
+    @given(state=x_states, theta=st.floats(0.0, math.pi / 2), coh_fraction=st.floats(0.0, 1.0))
+    def test_entropy_symmetric_about_pi_over_4(self, state, theta, coh_fraction):
+        c = XColumns.from_states([state])
+        coh = coh_fraction * (c.r14 + c.r23)
+        assert_allclose(
+            _cond_entropy_grid(c, theta, coh),
+            _cond_entropy_grid(c, math.pi / 2 - theta, coh),
+            rtol=0,
+            atol=1e-15,
+        )
+
+    @pytest.mark.parametrize("boundary_fraction", [0.1, 1.0])
+    def test_half_search_matches_full_search(self, boundary_fraction):
+        rng = np.random.default_rng(31)
+        batch = random_xstate(rng, 4000, boundary_fraction=boundary_fraction)
+        half, full = minimize_numeric(batch)[2], full_interval_search(batch)
+        assert_allclose(half, full, rtol=0, atol=1e-15)
+
+    def test_half_search_matches_full_search_on_fixed_states(self):
+        rng = np.random.default_rng(32)
+        states = [BELL, MIXED, FIG1, FIG3_SEP, FIG3_ENT, EQ9, INTERIOR]
+        states += [random_degenerate_balanced(rng) for _ in range(200)]
+        batch = XColumns.from_states(states)
+        half, full = minimize_numeric(batch)[2], full_interval_search(batch)
+        assert_allclose(half, full, rtol=0, atol=1e-15)
 
 
 class TestNullity:

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from xdiscord import (
 BELL = XState(0.5, 0.0, 0.0, 0.5, r14=0.5)
 FIG1 = XState(0.25, 3 / 16, 5 / 16, 0.25, r14=0.25, r23=0.05)
 MIXED = XState(0.25, 0.25, 0.25, 0.25)
+TWO_PI = 2.0 * math.pi
 
 
 class TestValidate:
@@ -202,3 +204,49 @@ def test_only_nullity_check_takes_a_tolerance():
                 if inspect.isfunction(fn) and "tol" in inspect.signature(fn).parameters:
                     with_tol.add(f"{fn.__module__}.{fn.__qualname__}")
     assert with_tol == {"xdiscord.discord.nullity_check"}
+
+
+def on_boundary(c):
+    """Rows with a coherence magnitude exactly on its positivity bound."""
+    return (c.r14 == np.sqrt(c.p1 * c.p4)) | (c.r23 == np.sqrt(c.p2 * c.p3))
+
+
+class TestRandomXState:
+    def test_batch_rows_are_valid(self):
+        batch = random_xstate(np.random.default_rng(40), 2000)
+        assert isinstance(batch, XColumns) and len(batch) == 2000
+        require_valid(batch)
+        for phi in (batch.phi1, batch.phi2):
+            assert np.all((phi >= 0.0) & (phi < TWO_PI))
+
+    def test_boundary_fraction(self):
+        rng = np.random.default_rng(41)
+        assert abs(on_boundary(random_xstate(rng, 10_000)).mean() - 0.1) <= 0.01
+        assert on_boundary(random_xstate(rng, 1000, boundary_fraction=1.0)).all()
+        assert not on_boundary(random_xstate(rng, 1000, boundary_fraction=0.0)).any()
+
+    @pytest.mark.parametrize("boundary_fraction", [0.1, 1.0])
+    def test_one_state_is_the_row_of_a_batch_of_one(self, boundary_fraction):
+        a, b = np.random.default_rng(42), np.random.default_rng(42)
+        for _ in range(50):
+            state = random_xstate(a, boundary_fraction=boundary_fraction)
+            assert isinstance(state, XState)
+            assert state == random_xstate(b, 1, boundary_fraction=boundary_fraction).row(0)
+
+    def test_empty_batch(self):
+        batch = random_xstate(np.random.default_rng(43), 0)
+        assert isinstance(batch, XColumns) and len(batch) == 0
+
+    @pytest.mark.parametrize("n", [-1, 2.5, 0.5, 3.0, True, False])
+    def test_bad_count_refused(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n = {n!r}")):
+            random_xstate(np.random.default_rng(44), n)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan])
+    def test_bad_boundary_fraction_refused(self, fraction):
+        with pytest.raises(ValueError, match=re.escape(f"boundary_fraction = {fraction!r}")):
+            random_xstate(np.random.default_rng(45), 10, boundary_fraction=fraction)
+
+    def test_boundary_fraction_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            random_xstate(np.random.default_rng(46), 10, 0.5)
