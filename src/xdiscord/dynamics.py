@@ -191,31 +191,72 @@ def trajectory(initial: XState, params: TCParams, t_max: float, n_samples: int) 
     )
 
 
+#: The golden ratio, by which each golden-section step shrinks its bracket.
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+#: Golden-section steps taken per call of the refined function: each call
+#: evaluates every point the next LOOKAHEAD steps could visit.
+LOOKAHEAD = 4
+
+
+def _narrow(a, b, c, d, left):
+    """One golden-section step on brackets [a, b] with interior points c < d:
+    to [a, d] where `left` (the old c becomes the new d), else to [c, b] (the
+    old d becomes the new c). Returns the new a, b, c, d and the point the step
+    evaluates, the new c where `left` and the new d elsewhere."""
+    a, b = np.where(left, a, c), np.where(left, d, b)
+    c, d = np.where(left, b - (b - a) / GOLDEN, d), np.where(left, c, a + (b - a) / GOLDEN)
+    return a, b, c, d, np.where(left, c, d)
+
+
+def _lookahead(a, b, c, d):
+    """The points the next LOOKAHEAD steps could evaluate from each bracket,
+    one array per step. Step k's array has shape (brackets, 2**(k+1)): node
+    2*j holds the point of the left and node 2*j + 1 that of the right step
+    from node j of step k - 1."""
+    level = [x[:, None] for x in (a, b, c, d)]
+    points = []
+    for _ in range(LOOKAHEAD):
+        both = _narrow(*(x[:, :, None] for x in level), np.array([True, False]))
+        *level, point = (x.reshape(a.size, -1) for x in both)
+        points.append(point)
+    return points
+
+
 def _golden_min(fn, a: np.ndarray, b: np.ndarray, tol: float):
     """Golden-section minima of fn on the brackets [a_i, b_i], to within tol
     in the argument, all in lockstep: fn maps an array of arguments to an
-    array of values, and each step calls it once on the brackets still
-    narrowing. Each bracket makes the comparisons a search on it alone would.
-    Returns the bracket midpoints and fn there."""
-    gr = (1.0 + math.sqrt(5.0)) / 2.0
+    array of values. Each call evaluates, for every bracket still narrowing,
+    all 2 + 4 + 8 + 16 points its next LOOKAHEAD steps could visit (the first
+    call also the initial c and d), and the steps then read their values from
+    it. Each bracket makes the comparisons and visits the points, bit for bit,
+    that a search on it alone with one evaluation per step would. Returns the
+    bracket midpoints and fn there."""
     a, b = a.copy(), b.copy()
-    c = b - (b - a) / gr
-    d = a + (b - a) / gr
-    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
+    c = b - (b - a) / GOLDEN
+    d = a + (b - a) / GOLDEN
+    fc, fd = np.empty_like(a), np.empty_like(a)
     active = np.abs(c - d) > tol
+    first = True
     while active.any():
         i = np.flatnonzero(active)
-        left = fc[i] < fd[i]
-        lo, hi = i[left], i[~left]
-        # Minimum left of d: [a, d] is the new bracket, the old c its new d.
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - (b[lo] - a[lo]) / gr
-        # Minimum right of c: [c, b] is the new bracket, the old d its new c.
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + (b[hi] - a[hi]) / gr
-        f = fn(np.concatenate([c[lo], d[hi]]))
-        fc[lo], fd[hi] = f[: lo.size], f[lo.size :]
-        active[i] = np.abs(c[i] - d[i]) > tol
+        points = _lookahead(a[i], b[i], c[i], d[i])
+        head = [c[i], d[i]] if first else []
+        f = fn(np.concatenate(head + [p.ravel() for p in points]))
+        if first:
+            fc[i], fd[i], f = f[: i.size], f[i.size : 2 * i.size], f[2 * i.size :]
+            first = False
+        node = np.zeros(i.size, dtype=int)
+        for p in points:
+            f_step, f = f[: p.size].reshape(p.shape), f[p.size :]
+            live = np.flatnonzero(active[i])
+            j = i[live]
+            left = fc[j] < fd[j]
+            node[live] = 2 * node[live] + ~left
+            f_new = f_step[live, node[live]]
+            a[j], b[j], c[j], d[j], _ = _narrow(a[j], b[j], c[j], d[j], left)
+            fc[j], fd[j] = np.where(left, f_new, fd[j]), np.where(left, fc[j], f_new)
+            active[j] = np.abs(c[j] - d[j]) > tol
     m = 0.5 * (a + b)
     return m, fn(m)
 
@@ -232,7 +273,8 @@ def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> l
 
     Each maximal run of below-threshold samples becomes one event; its minimum
     is refined by golden-section search on discord(evolve(.)) to a time
-    resolution of 1e-6, all events together. Kinds: an event whose excursion
+    resolution of 1e-6, all events together, LOOKAHEAD steps per kernel call
+    (see _golden_min). Kinds: an event whose excursion
     reaches t_max is `asymptotic`; events recurring with near-constant spacing
     (at least three of them, spacing within 25% of their median) are
     `periodic-member`; anything else is `discrete`.

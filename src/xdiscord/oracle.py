@@ -80,23 +80,36 @@ class FockTruncation:
 
 
 def _min_cutoff(alpha_sq: float) -> int:
-    """Smallest n_max whose Poisson tail is at most TAIL_BOUND."""
-    n = 0
-    while poisson_tail(alpha_sq, n) > TAIL_BOUND:
-        n += 1
-    return n
+    """Smallest n_max whose Poisson tail is at most TAIL_BOUND. The tail falls
+    as n_max grows, so the cutoff is bracketed by doubling and then bisected:
+    a strong field costs O(log alpha_sq) tails, not one per level."""
+    lo, hi = -1, 0  # tail(lo) > TAIL_BOUND (n_max = -1 keeps no level), tail(hi) <= it
+    while poisson_tail(alpha_sq, hi) > TAIL_BOUND:
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if poisson_tail(alpha_sq, mid) > TAIL_BOUND:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def poisson_tail(alpha_sq: float, n_max: int) -> float:
-    """P(n > n_max) for Poisson(alpha_sq), summed forward to avoid cancellation."""
+    """P(n > n_max) for Poisson(alpha_sq), summed forward from n_max + 1 to
+    avoid cancellation, until the terms fall below 1e-300."""
     if alpha_sq == 0.0:
         return 0.0
     # term at n = n_max + 1
     log_term = -alpha_sq + (n_max + 1) * math.log(alpha_sq) - math.lgamma(n_max + 2)
     term = math.exp(log_term)
+    if term <= 1e-300 and n_max + 1 < alpha_sq:
+        # Below the mode the terms rise, so the head P(n <= n_max) is below
+        # (n_max + 1) * term and the tail is 1 to double precision.
+        return 1.0
     total = 0.0
     n = n_max + 1
-    while term > 1e-300 and n < n_max + 2000:
+    while term > 1e-300:
         total += term
         n += 1
         term *= alpha_sq / n

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from xdiscord import PRESETS, discord, minimize_numeric, nullity_check, random_xstate
-from xdiscord.cli import CSV_COLUMNS, MAX_SWEEP_STATES, _write_json, main
+from xdiscord.cli import CSV_COLUMNS, MAX_N_MAX, MAX_SWEEP_STATES, _csv_rows, _write_json, main
 from xdiscord.presets import (
     MAX_SAMPLES,
     ConfigError,
@@ -423,6 +423,36 @@ class TestVerifyCommand:
         assert "seed = -1 must be nonnegative" in err
         assert "propagator" not in err and "measurement sweep" not in err
 
+    def test_oversized_n_max_exit_3_before_allocating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized cutoff must be refused before any work")
+
+        monkeypatch.setattr("xdiscord.cli.FockTruncation.for_alpha_sq", refuse)
+        monkeypatch.setattr("xdiscord.cli.compare", refuse)
+        for n_max in (MAX_N_MAX + 1, 10**9):
+            code, out, err = run_cli(
+                ["verify", "--preset", "fig1", "--t-max", "0.1", "--sweep-states", "0",
+                 "--n-max", str(n_max)], capsys
+            )
+            assert (code, out) == (3, "")
+            assert f"n_max = {n_max} exceeds {MAX_N_MAX}" in err
+
+    def test_strong_field_needs_larger_cutoff_exit_4(self, capsys, tmp_path):
+        # At alpha_sq = 1000 the Poisson terms near n_max = 25 underflow; the
+        # tail is still ~1, so the cutoff is refused, not accepted.
+        config = PRESETS["fig1"].to_dict()
+        config["params"]["alpha_sq"] = 1000.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            ["verify", "--config", str(path), "--t-max", "0.3", "--n-max", "25",
+             "--sweep-states", "0"], capsys
+        )
+        assert code == 4
+        error = json.loads(out)["propagator"]["error"]
+        assert "tail of 1.000e+00" in error and "need n_max >= 1230" in error
+        assert "propagator: FAIL" in err
+
     def test_oversized_oracle_grid_exit_3(self, capsys):
         code, out, err = run_cli(
             ["verify", "--preset", "fig1", "--t-max", "1e12", "--sweep-states", "1"], capsys
@@ -503,3 +533,18 @@ class TestCsvFormatting:
         value = row[CSV_COLUMNS.index("abs_rho14")]
         assert float(value) == float(f"{float(value):.17g}")
         assert "," not in value and " " not in value
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.arange(12.0).reshape(4, 3) / 7.0,  # no constant column
+            np.column_stack(  # one constant column
+                [np.linspace(0, 1, 5), np.full(5, 1 / 3), np.geomspace(1e-300, 1e300, 5)]
+            ),
+            np.array([[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0]]),  # 0.0 and -0.0 are not merged
+            np.array([[0.1, -0.0, 5e-324], [0.1, -0.0, 5e-324]]),  # every column constant
+        ],
+    )
+    def test_rows_match_plain_formatting(self, table):
+        plain = [",".join("%.17g" % v for v in row) for row in table.tolist()]
+        assert _csv_rows(table) == plain

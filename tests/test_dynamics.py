@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xdiscord import (
@@ -21,6 +23,8 @@ from xdiscord import (
     require_valid,
     trajectory,
 )
+from xdiscord import dynamics
+from xdiscord.dynamics import LOOKAHEAD, _golden_min
 
 TWO_PI = 2.0 * math.pi
 
@@ -258,6 +262,89 @@ class TestFindZeros:
         )
         with pytest.raises(ValueError):
             find_zeros(pruned, 5e-3)
+
+
+def sequential_golden_min(fn, a, b, tol):
+    """Reference lockstep golden-section search with one fn call per step,
+    which the lookahead search must match bit for bit. Returns the midpoints,
+    fn there and the number of steps taken."""
+    gr = (1.0 + math.sqrt(5.0)) / 2.0
+    a, b = a.copy(), b.copy()
+    c = b - (b - a) / gr
+    d = a + (b - a) / gr
+    fc, fd = np.split(fn(np.concatenate([c, d])), 2)
+    active = np.abs(c - d) > tol
+    steps = 0
+    while active.any():
+        steps += 1
+        i = np.flatnonzero(active)
+        left = fc[i] < fd[i]
+        lo, hi = i[left], i[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - (b[lo] - a[lo]) / gr
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + (b[hi] - a[hi]) / gr
+        f = fn(np.concatenate([c[lo], d[hi]]))
+        fc[lo], fd[hi] = f[: lo.size], f[lo.size :]
+        active[i] = np.abs(c[i] - d[i]) > tol
+    m = 0.5 * (a + b)
+    return m, fn(m), steps
+
+
+#: Elementwise test functions of (x, x0): a smooth bowl, a staircase of
+#: plateaus, a bowl with a flat bottom, a constant (every comparison a tie)
+#: and a wiggle with many local minima.
+SHAPES = {
+    "bowl": lambda x, x0: (x - x0) ** 2,
+    "stairs": lambda x, x0: np.floor(4.0 * np.abs(x - x0)),
+    "flat-bottom": lambda x, x0: np.maximum((x - x0) ** 2, 0.5),
+    "constant": lambda x, x0: np.zeros_like(x),
+    "wiggle": lambda x, x0: np.cos(7.0 * x) + 0.1 * (x - x0),
+}
+
+#: Bracket widths: some already within tol at the start, the rest spread over
+#: decades so that brackets finish in different rounds.
+WIDTHS = st.one_of(st.sampled_from([0.0, 1e-9, 2e-6, 4.2e-6]), st.floats(1e-6, 10.0))
+
+
+class TestGoldenLookahead:
+    @given(
+        st.lists(st.tuples(st.floats(-10.0, 10.0), WIDTHS), min_size=1, max_size=8),
+        st.sampled_from(sorted(SHAPES)),
+        st.floats(-10.0, 10.0),
+        st.sampled_from([1e-6, 1e-3, 0.05]),
+    )
+    def test_matches_sequential_search_bit_for_bit(self, brackets, shape, x0, tol):
+        a = np.array([lo for lo, _ in brackets])
+        b = a + np.array([w for _, w in brackets])
+        calls = []
+
+        def fn(x):
+            calls.append(x.size)
+            return SHAPES[shape](x, x0)
+
+        m_ref, f_ref, steps = sequential_golden_min(fn, a, b, tol)
+        calls.clear()
+        m, f = _golden_min(fn, a, b, tol)
+        assert m.view(np.int64).tolist() == m_ref.view(np.int64).tolist()
+        assert f.view(np.int64).tolist() == f_ref.view(np.int64).tolist()
+        assert len(calls) <= math.ceil(steps / LOOKAHEAD) + 2
+
+    def test_fig3_separable_refines_in_seven_calls(self, monkeypatch):
+        # 33 events at 1e-4, each bracket two samples (0.2) wide, need 23
+        # steps: six lookahead rounds and the closing call, where one call
+        # per step made 25.
+        cfg = preset_config("fig3-separable")
+        traj = trajectory(cfg.initial, cfg.params, 300.0, 3001)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].size)
+            return evolve(*args)
+
+        monkeypatch.setattr(dynamics, "evolve", counted)
+        assert len(find_zeros(traj, 1e-4)) == 33
+        assert calls == [33 * 32] + [33 * 30] * 5 + [33]
 
 
 class TestParams:

@@ -83,6 +83,26 @@ class TestFockTruncation:
             ]
             assert_allclose(poisson_tail(alpha_sq, n_max), 1.0 - sum(pmf), atol=1e-13)
 
+    @given(st.floats(1e-3, 3000.0), st.integers(0, 5000))
+    def test_tail_matches_log_space_sum(self, alpha_sq, n_max):
+        # Direct sum of the tail's terms in log space, over all n where the
+        # terms are not negligible: no recurrence, no underflow.
+        top = int(max(n_max + 1, alpha_sq + 50.0 * math.sqrt(alpha_sq))) + 200
+        logs = [
+            -alpha_sq + n * math.log(alpha_sq) - math.lgamma(n + 1)
+            for n in range(n_max + 1, top)
+        ]
+        peak = max(logs)
+        expected = math.exp(peak) * math.fsum(math.exp(x - peak) for x in logs)
+        assert_allclose(poisson_tail(alpha_sq, n_max), expected, rtol=1e-9, atol=1e-290)
+
+    def test_tail_below_an_underflowing_mode_is_one(self):
+        assert poisson_tail(700.0, 0) == 1.0
+        assert poisson_tail(900.0, 25) == 1.0
+        trunc = FockTruncation.for_alpha_sq(1000.0)
+        assert trunc.n_max == 1230 and trunc.tail_mass <= 1e-12
+        assert poisson_tail(1000.0, 1229) > 1e-12
+
     def test_automatic_cutoff_respects_bound(self):
         for alpha_sq in (0.3, 0.5922, 1.0, 1.2):
             trunc = FockTruncation.for_alpha_sq(alpha_sq)
