@@ -13,13 +13,19 @@ the analytic solution. It splits an X state into independent sectors, one per
 atomic group ({|gg>,|ee>} or {|ge>,|eg>}) and Fock offset n - m. The reduced
 state Tr_F(rho) reads only offset 0, so that sector alone is propagated. Its
 generator is split further into the independent blocks that its own nonzero
-pattern shows: with no outer exchange term, the inner group is one 4L x 4L
-block (L = n_max + 1) and the outer group four L x L chains, one per atomic
-pair. Each block is exponentiated by scaling and squaring of the [13/13] Padé
-approximant, which needs no scaling up to the 1-norm theta_13 = 5.37 (Higham,
-SIMAX 26, 2005; Moler & Van Loan, SIAM Rev. 45, 2003). The sector's elements
-are the Fock-conditioned atomic blocks <n|rho|n>, whose smallest eigenvalue
-is the run's positivity diagnostic.
+pattern shows: with no outer exchange term, the inner group is one block of
+four atomic pairs by L = n_max + 1 Fock levels and the outer group four L x L
+chains, one per atomic pair. A block whose entries form a Kronecker sum
+X (x) I + I (x) D of a pair part and a Fock part is exponentiated as the two
+factors exp(X) and exp(D), which commute: the inner block, whose Stark
+differences all vanish, needs a 4 x 4 and an L x L exponential instead of a
+4L x 4L one. The test reads the entries, not the analytic solution, and a
+block that fails it is exponentiated whole. Each exponential is taken by
+scaling and squaring of the [13/13] Padé approximant, which needs no scaling
+up to the 1-norm theta_13 = 5.37 (Higham, SIMAX 26, 2005; Moler & Van Loan,
+SIAM Rev. 45, 2003). The sector's elements are the Fock-conditioned atomic
+blocks <n|rho|n>, whose smallest eigenvalue is the run's positivity
+diagnostic.
 
 Joint elements are indexed (j, n, k, m): atomic row, Fock row, atomic
 column, Fock column.
@@ -297,10 +303,14 @@ def integrate(initial: XState, params: TCParams, trunc: FockTruncation, times) -
     The joint state starts as rho_atoms (x) |alpha><alpha|. Tr_F(rho) sums
     the elements (j, n, k, n), so only the offset-0 sector (see _make_sector)
     is propagated. Its generator is split into independent blocks (see
-    _independent_blocks); the blocks of one size are stacked, exponentiated
-    once per distinct gap between sorted sample times, and each steps its own
-    slice of the elements from sample to sample. At each sample the elements
-    are summed over n into the reduced X state.
+    _independent_blocks), and the blocks of one size are stacked. When every
+    block B[p, q, n, m] (pairs p, q; Fock levels n, m) of a stack is, exactly,
+    the Kronecker sum X (x) I + I (x) D with D = B[0, 0] and
+    X = B[:, :, 0, 0] - D[0, 0] I, its elements V[p, n] step as
+    exp(hX) V exp(hD)^T; otherwise the whole block is exponentiated, with a
+    zero 1 x 1 D. Both factors are exponentiated once per distinct gap h
+    between sorted sample times. At each sample the elements are summed over
+    n into the reduced X state.
     `min_eigenvalue` is the smallest eigenvalue of the Fock-conditioned
     atomic blocks <n|rho|n> over all samples; their positivity is necessary
     for that of the joint state. `times` is any nonnegative time or list of
@@ -323,17 +333,28 @@ def integrate(initial: XState, params: TCParams, trunc: FockTruncation, times) -
     # blocks[s, group, pair, n]: element (j, n, k, n) at sample s.
     blocks = np.empty((times.size, 2, 4, fdim), dtype=complex)
     for group, pairs in _independent_blocks(gen):
-        k, size = pairs.shape[0], pairs.shape[1] * fdim
+        k, size = pairs.shape
+        # stack[b, p, q, n, m]: coefficient of pair q, Fock m in pair p, Fock n.
         stack = gen[group[:, None, None], pairs[:, :, None], :, pairs[:, None, :]]
-        stack = stack.transpose(0, 1, 3, 2, 4).reshape(k, size, size)
-        props = [_expm(stack * gap) if gap > 0.0 else None for gap in gaps]
-        vec = start[group[:, None], pairs].reshape(k, size, 1)
-        steps = np.empty((times.size, k, size, 1), dtype=complex)
+        right = stack[:, 0, 0]
+        left = stack[:, :, :, 0, 0] - right[:, :1, :1] * np.eye(size)
+        kron_sum = left[..., None, None] * np.eye(fdim)
+        kron_sum += np.eye(size)[:, :, None, None] * right[:, None, None]
+        if not np.array_equal(stack, kron_sum):
+            left = stack.transpose(0, 1, 3, 2, 4).reshape(k, size * fdim, size * fdim)
+            right = np.zeros((k, 1, 1))
+        # V <- exp(hX) V exp(hD)^T; a whole block is V[(p, n), 0] with D = 0.
+        props = [
+            (_expm(left * gap), _expm(right * gap).swapaxes(1, 2)) if gap > 0.0 else None
+            for gap in gaps
+        ]
+        vec = start[group[:, None], pairs].reshape(k, left.shape[1], -1)
+        steps = np.empty((times.size,) + vec.shape, dtype=complex)
         for s, u in enumerate(which):
             if props[u] is not None:
-                vec = props[u] @ vec
+                vec = props[u][0] @ vec @ props[u][1]
             steps[s] = vec
-        blocks[:, group[:, None], pairs] = steps.reshape(times.size, k, -1, fdim)
+        blocks[:, group[:, None], pairs] = steps.reshape(times.size, k, size, fdim)
 
     # Pairs per group: outer (0,0),(0,3),(3,0),(3,3); inner (1,1),(1,2),(2,1),(2,2).
     reduced = blocks.sum(axis=-1)

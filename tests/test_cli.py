@@ -450,8 +450,37 @@ class TestVerifyCommand:
         )
         assert code == 4
         error = json.loads(out)["propagator"]["error"]
-        assert "tail of 1.000e+00" in error and "need n_max >= 1230" in error
+        assert f"tail of 1.000e+00 > 1.000e-12 even at n_max = {MAX_N_MAX}" in error
+        assert "beyond what verify can check" in error and "1230" not in error
         assert "propagator: FAIL" in err
+
+    def test_huge_field_refused_without_searching_its_cutoff(self, capsys, tmp_path, monkeypatch):
+        # The smallest cutoff for alpha_sq = 1e12 takes minutes to find; the
+        # field is refused from the tail at MAX_N_MAX before any truncation.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a field beyond MAX_N_MAX must be refused before any work")
+
+        monkeypatch.setattr("xdiscord.cli.FockTruncation.for_alpha_sq", refuse)
+        monkeypatch.setattr("xdiscord.cli.compare", refuse)
+        config = PRESETS["fig1"].to_dict()
+        config["params"]["alpha_sq"] = 1e12
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            ["verify", "--config", str(path), "--t-max", "0.3", "--sweep-states", "0"], capsys
+        )
+        assert code == 4
+        assert "beyond what verify can check" in json.loads(out)["propagator"]["error"]
+
+    def test_largest_cutoff_passes(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--preset", "fig1", "--n-max", str(MAX_N_MAX), "--t-max", "0.3",
+             "--sweep-states", "0"], capsys
+        )
+        assert code == 0
+        propagator = json.loads(out)["propagator"]
+        assert propagator["n_max"] == MAX_N_MAX and propagator["pass"]
+        assert propagator["max_deviation"] <= 1e-12
 
     def test_oversized_oracle_grid_exit_3(self, capsys):
         code, out, err = run_cli(

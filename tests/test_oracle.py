@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,16 +8,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xdiscord import (
+    PRESETS,
     FockTruncation,
     TCParams,
     XState,
     coherent_vector,
     compare,
+    evolve,
     integrate,
     preset_config,
     random_xstate,
     steady_coherence,
 )
+from xdiscord.cli import MAX_N_MAX, PROPAGATOR_TOL, main
 from xdiscord.oracle import (
     EXCITED_COUNT,
     THETA_13,
@@ -63,6 +67,26 @@ def unsplit_reduced(initial, params, trunc, times):
         elements = (_expm(gen * t) @ vec).reshape(2, 4, -1).sum(axis=-1)
         reduced[s][pair_j[..., 0], pair_k[..., 0]] = elements
     return reduced
+
+
+@pytest.fixture
+def expm_shapes(monkeypatch):
+    """The shape of every stack that integrate exponentiates, in call order."""
+    shapes = []
+
+    def spy(m):
+        shapes.append(m.shape)
+        return _expm(m)
+
+    monkeypatch.setattr("xdiscord.oracle._expm", spy)
+    return shapes
+
+
+def planted_outer_exchange(params):
+    """_exchange plus an |gg><ee| exchange, which couples the outer chains."""
+    e = _exchange(params)
+    e[0, 3] = e[3, 0] = 0.3 * params.lam
+    return e
 
 
 class TestFockTruncation:
@@ -370,12 +394,101 @@ class TestIntegrate:
         for i in range(len(times)):
             assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
 
+    @pytest.mark.parametrize("n_max", [25, MAX_N_MAX])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_largest_exponential_is_fock_sized(self, name, n_max, expm_shapes):
+        # the inner group is exponentiated as a 4 x 4 and an L x L factor and
+        # the outer chains are L x L, so no 4L x 4L matrix is formed
+        cfg = preset_config(name)
+        trunc = FockTruncation.for_alpha_sq(cfg.params.alpha_sq, n_max=n_max)
+        integrate(cfg.initial, cfg.params, trunc, [0.1, 0.2])
+        assert max(shape[-1] for shape in expm_shapes) == trunc.dim
+
+    def test_planted_outer_exchange_is_exponentiated_whole(self, monkeypatch, expm_shapes):
+        # the planted exchange joins pairs whose Stark differences depend on n,
+        # so the merged block is no Kronecker sum and is exponentiated whole
+        monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
+        params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
+        trunc = FockTruncation.for_alpha_sq(0.8)
+        integrate(random_xstate(np.random.default_rng(48)), params, trunc, [0.4])
+        assert max(shape[-1] for shape in expm_shapes) == 4 * trunc.dim
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        params=st.builds(
+            TCParams,
+            lam=st.floats(0.1, 3.0),
+            kappa=st.just(0.0) | st.floats(0.0, 2.0),
+            alpha_sq=st.just(0.0) | st.floats(0.0, 1.5),
+        ),
+        times=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4),
+    )
+    def test_factored_matches_unsplit_exponential(self, seed, params, times):
+        # alpha_sq = 0 keeps one Fock level, so the field factor is 1 x 1
+        initial = random_xstate(np.random.default_rng(seed))
+        trunc = FockTruncation.for_alpha_sq(params.alpha_sq)
+        result = integrate(initial, params, trunc, times)
+        want = unsplit_reduced(initial, params, trunc, result.times)
+        for i in range(len(times)):
+            assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
+
     def test_rejects_negative_or_empty_times(self):
         params = TCParams(lam=1.0, kappa=0.0, alpha_sq=0.0)
         trunc = FockTruncation.for_alpha_sq(0.0)
         for times in ([], [1.0, -0.5], [math.nan], [math.inf]):
             with pytest.raises(ValueError, match="times"):
                 integrate(XState(1, 0, 0, 0), params, trunc, times)
+
+
+def inner_rate_error(initial, params, t):
+    """evolve with the inner block rotating at 1.01 * lam."""
+    base = evolve(initial, params, t)
+    fast = evolve(initial, replace(params, lam=1.01 * params.lam), t)
+    return replace(base, p2=fast.p2, p3=fast.p3, r23=fast.r23, phi2=fast.phi2)
+
+
+def inner_damped(initial, params, t):
+    """evolve with the inner coherence damped by exp(-kappa t)."""
+    base = evolve(initial, params, t)
+    return replace(base, r23=base.r23 * np.exp(-params.kappa * np.asarray(t)))
+
+
+def outer_as_printed(initial, params, t):
+    """evolve with the outer dephasing built on z = kappa + 4i lam, whose
+    |z|^2 is the as-printed denominator kappa^2 + (4 lam)^2, for kappa + 2i lam."""
+    lam, ts = params.lam, np.asarray(t)
+    z = complex(params.kappa, 4.0 * lam)
+    w = -1j * lam * ts - (2j * lam * params.alpha_sq / z) * (1.0 - np.exp(-z * ts))
+    base = evolve(initial, params, t)
+    # rho14(t) = rho14(0) * conj(exp(w))
+    return replace(base, r14=initial.r14 * np.exp(w.real), phi1=(initial.phi1 - w.imag) % (2 * np.pi))
+
+
+class TestPlantedErrors:
+    """The oracle reads nothing of the analytic solution, so an error planted
+    in evolve must fail verify. fig1 on the verify grid to t = 5 (51 samples)
+    moves both blocks; on fig3-separable and fig3-entangled the inner block
+    does not rotate, and a rate error there would not show."""
+
+    ARGV = ["verify", "--preset", "fig1", "--t-max", "5", "--sweep-states", "0"]
+
+    def deviation(self):
+        cfg = preset_config("fig1")
+        trunc = FockTruncation.for_alpha_sq(cfg.params.alpha_sq, n_max=25)
+        return compare(cfg.initial, cfg.params, np.linspace(0.0, 5.0, 51), trunc).max_deviation
+
+    def test_unperturbed_evolve_passes(self, capsys):
+        assert self.deviation() <= 1e-12
+        assert main(self.ARGV) == 0
+
+    @pytest.mark.parametrize(
+        "planted", [inner_rate_error, inner_damped, outer_as_printed], ids=lambda f: f.__name__
+    )
+    def test_planted_error_fails_verify(self, planted, monkeypatch, capsys):
+        monkeypatch.setattr("xdiscord.oracle.evolve", planted)
+        assert self.deviation() > PROPAGATOR_TOL
+        assert main(self.ARGV) == 4
 
 
 class TestCompare:
