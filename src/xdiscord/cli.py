@@ -63,10 +63,10 @@ VERIFY_SPACING = 0.1
 MAX_SWEEP_STATES = 100_000
 #: Largest Fock cutoff of the master-equation check, enough for a field of
 #: mean photon number ~115. With L = n_max + 1 levels the offset-0 generator
-#: takes 512*L^2 bytes and the inner block's Kronecker-sum test a few copies
-#: of its 256*L^2, while no exponential is larger than L x L, so peak memory
-#: grows as L^2: a `verify --t-max 0.3` process peaks at ~92 MB and takes
-#: ~0.14 s at the bound (~32 MB at n_max = 25), on a 2-CPU Xeon, one thread.
+#: takes 512*L^2 bytes and its split test one copy more, while no exponential
+#: is larger than L x L, so peak memory grows as L^2: a `verify --t-max 0.3`
+#: process peaks at ~84 MB and takes ~0.16 s at the bound (~32 MB at
+#: n_max = 25), on a 2-CPU Xeon, one thread.
 MAX_N_MAX = 200
 
 
@@ -431,3 +431,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

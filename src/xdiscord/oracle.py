@@ -11,21 +11,20 @@ solution and the steady coherence value correspond to.
 The Liouvillian -i[H, .] + kappa*D[a] is built from H and D alone, never from
 the analytic solution. It splits an X state into independent sectors, one per
 atomic group ({|gg>,|ee>} or {|ge>,|eg>}) and Fock offset n - m. The reduced
-state Tr_F(rho) reads only offset 0, so that sector alone is propagated. Its
-generator is split further into the independent blocks that its own nonzero
-pattern shows: with no outer exchange term, the inner group is one block of
-four atomic pairs by L = n_max + 1 Fock levels and the outer group four L x L
-chains, one per atomic pair. A block whose entries form a Kronecker sum
-X (x) I + I (x) D of a pair part and a Fock part is exponentiated as the two
-factors exp(X) and exp(D), which commute: the inner block, whose Stark
-differences all vanish, needs a 4 x 4 and an L x L exponential instead of a
-4L x 4L one. The test reads the entries, not the analytic solution, and a
-block that fails it is exponentiated whole. Each exponential is taken by
-scaling and squaring of the [13/13] Padé approximant, which needs no scaling
-up to the 1-norm theta_13 = 5.37 (Higham, SIMAX 26, 2005; Moler & Van Loan,
-SIAM Rev. 45, 2003). The sector's elements are the Fock-conditioned atomic
-blocks <n|rho|n>, whose smallest eigenvalue is the run's positivity
-diagnostic.
+state Tr_F(rho) reads only offset 0, so that sector alone is propagated. Each
+group's generator there, over four atomic pairs by L = n_max + 1 Fock levels,
+is tested entry by entry for the split X (x) I + blockdiag(D_p) into a
+Fock-free pair coupling X and one L x L Fock block D_p per pair. The terms
+commute when coupled pairs have equal Fock blocks, and then exp(G) =
+(exp(X) (x) I) blockdiag(exp(D_p)): with no outer exchange term a step takes
+the 4 x 4 exponentials of X and three L x L ones, the ladder shared by the
+inner pairs and outer populations and one chain per outer coherence. If
+either test fails, each group's generator is exponentiated whole, as 4L x 4L.
+Each exponential is taken by scaling and squaring of the [13/13] Padé
+approximant, which needs no scaling up to the 1-norm theta_13 = 5.37
+(Higham, SIMAX 26, 2005; Moler & Van Loan, SIAM Rev. 45, 2003). The sector's
+elements are the Fock-conditioned atomic blocks <n|rho|n>, whose smallest
+eigenvalue is the run's positivity diagnostic.
 
 Joint elements are indexed (j, n, k, m): atomic row, Fock row, atomic
 column, Fock column.
@@ -271,46 +270,20 @@ def _distinct_gaps(gaps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     return np.bincount(which, gaps) / np.bincount(which), which
 
 
-def _independent_blocks(gen: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the offset-0 generators, indexed (group, pair, n, pair, n), into
-    independent blocks.
-
-    Two atomic pairs of a group are coupled when the generator has a nonzero
-    entry between any of their Fock elements. Every pair is coupled to itself,
-    and coupling in either direction joins two pairs, so closing the coupling
-    over paths (two boolean squarings reach every path among four pairs)
-    leaves one class per block. Returns, for each distinct block size b, the
-    group and the pairs of each block of that size, shapes (k,) and (k, b).
-    """
-    coupled = (gen != 0).any(axis=(2, 4)) | np.eye(4, dtype=bool)
-    coupled |= coupled.transpose(0, 2, 1)
-    for _ in range(2):
-        coupled = coupled @ coupled
-    by_size: dict[int, list] = {}
-    for group, reach in enumerate(coupled):
-        for pairs in sorted({tuple(np.flatnonzero(row)) for row in reach}):
-            by_size.setdefault(len(pairs), []).append((group, pairs))
-    return [
-        (np.array([g for g, _ in blocks]), np.array([p for _, p in blocks]))
-        for _, blocks in sorted(by_size.items())
-    ]
-
-
 def integrate(initial: XState, params: TCParams, trunc: FockTruncation, times) -> IntegrationResult:
     """Exact propagation of the joint master equation to each sample time,
     reduced to the atoms.
 
     The joint state starts as rho_atoms (x) |alpha><alpha|. Tr_F(rho) sums
     the elements (j, n, k, n), so only the offset-0 sector (see _make_sector)
-    is propagated. Its generator is split into independent blocks (see
-    _independent_blocks), and the blocks of one size are stacked. When every
-    block B[p, q, n, m] (pairs p, q; Fock levels n, m) of a stack is, exactly,
-    the Kronecker sum X (x) I + I (x) D with D = B[0, 0] and
-    X = B[:, :, 0, 0] - D[0, 0] I, its elements V[p, n] step as
-    exp(hX) V exp(hD)^T; otherwise the whole block is exponentiated, with a
-    zero 1 x 1 D. Both factors are exponentiated once per distinct gap h
-    between sorted sample times. At each sample the elements are summed over
-    n into the reduced X state.
+    is propagated. Each group's generator G[p, q, n, m] (pairs p, q; Fock
+    levels n, m) is tested, exactly, for the split X (x) I + blockdiag(D_p)
+    with D_p = G[p, p] and X[p, q] = G[p, q, 0, 0] for p != q, and its terms
+    for commuting (X[p, q] != 0 only where D_p = D_q). If both hold, the
+    elements V[p, n] step as exp(hX) (exp(hD_p) V_p); otherwise each group's
+    whole generator is its one Fock block, with a zero 1 x 1 X. Each distinct
+    factor is exponentiated once per distinct gap h between sorted sample
+    times, and each sample sums its elements over n into the reduced X state.
     `min_eigenvalue` is the smallest eigenvalue of the Fock-conditioned
     atomic blocks <n|rho|n> over all samples; their positivity is necessary
     for that of the joint state. `times` is any nonnegative time or list of
@@ -329,32 +302,34 @@ def integrate(initial: XState, params: TCParams, trunc: FockTruncation, times) -
     (pair_j, _, pair_k, _), gen = _make_sector(params, trunc)(0)
     photons = np.abs(coherent_vector(math.sqrt(params.alpha_sq), trunc)) ** 2
     start = initial.to_matrix()[pair_j, pair_k] * photons
-    gen = gen.reshape(2, 4, fdim, 4, fdim)
+    # coeff[g, p, q, n, m]: coefficient of pair q, Fock m in pair p, Fock n.
+    coeff = gen.reshape(2, 4, fdim, 4, fdim).transpose(0, 1, 3, 2, 4)
+    diag = np.arange(4)
+    fock, pair = coeff[:, diag, diag], coeff[..., 0, 0] * (1 - np.eye(4))
+    split = pair[..., None, None] * np.eye(fdim)
+    split[:, diag, diag] = fock
+    commutes = all(np.array_equal(fock[g, p], fock[g, q]) for g, p, q in zip(*np.nonzero(pair)))
+    if not (commutes and np.array_equal(coeff, split)):
+        pair, fock = np.zeros((2, 1, 1)), gen[:, None]
+    del split
+    # Each distinct Fock block (by bit pattern) is exponentiated once.
+    flat = fock.reshape(-1, *fock.shape[-2:])
+    keys = [b.tobytes() for b in flat]
+    first, label = np.unique([keys.index(k) for k in keys], return_inverse=True)
+    props = [
+        (_expm(pair * gap), _expm(flat[first] * gap)[label].reshape(fock.shape)) if gap else None
+        for gap in gaps
+    ]
+    # V <- exp(hX) (exp(hD_p) V_p), V of shape (group, pair, Fock level) or,
+    # unsplit, (group, 1, (pair, Fock level)).
+    vec = start.reshape(fock.shape[:-1])
+    steps = np.empty((times.size,) + vec.shape, dtype=complex)
+    for s, u in enumerate(which):
+        if props[u] is not None:
+            vec = props[u][0] @ (props[u][1] @ vec[..., None])[..., 0]
+        steps[s] = vec
     # blocks[s, group, pair, n]: element (j, n, k, n) at sample s.
-    blocks = np.empty((times.size, 2, 4, fdim), dtype=complex)
-    for group, pairs in _independent_blocks(gen):
-        k, size = pairs.shape
-        # stack[b, p, q, n, m]: coefficient of pair q, Fock m in pair p, Fock n.
-        stack = gen[group[:, None, None], pairs[:, :, None], :, pairs[:, None, :]]
-        right = stack[:, 0, 0]
-        left = stack[:, :, :, 0, 0] - right[:, :1, :1] * np.eye(size)
-        kron_sum = left[..., None, None] * np.eye(fdim)
-        kron_sum += np.eye(size)[:, :, None, None] * right[:, None, None]
-        if not np.array_equal(stack, kron_sum):
-            left = stack.transpose(0, 1, 3, 2, 4).reshape(k, size * fdim, size * fdim)
-            right = np.zeros((k, 1, 1))
-        # V <- exp(hX) V exp(hD)^T; a whole block is V[(p, n), 0] with D = 0.
-        props = [
-            (_expm(left * gap), _expm(right * gap).swapaxes(1, 2)) if gap > 0.0 else None
-            for gap in gaps
-        ]
-        vec = start[group[:, None], pairs].reshape(k, left.shape[1], -1)
-        steps = np.empty((times.size,) + vec.shape, dtype=complex)
-        for s, u in enumerate(which):
-            if props[u] is not None:
-                vec = props[u][0] @ vec @ props[u][1]
-            steps[s] = vec
-        blocks[:, group[:, None], pairs] = steps.reshape(times.size, k, size, fdim)
+    blocks = steps.reshape(times.size, 2, 4, fdim)
 
     # Pairs per group: outer (0,0),(0,3),(3,0),(3,3); inner (1,1),(1,2),(2,1),(2,2).
     reduced = blocks.sum(axis=-1)

@@ -53,8 +53,14 @@ class RunConfig:
             "zero_threshold": self.zero_threshold,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+
+def _known_keys(mapping, keys, context):
+    """Refuse a key outside keys, which would otherwise be silently ignored."""
+    unknown = sorted(set(mapping) - set(keys))
+    if unknown:
+        raise ConfigError(
+            f"unknown key {', '.join(map(repr, unknown))} in {context}; known: {', '.join(keys)}"
+        )
 
 
 def _require(mapping, key, context):
@@ -84,6 +90,7 @@ def state_to_dict(state: XState) -> dict:
 def state_from_dict(d) -> XState:
     if not isinstance(d, dict):
         raise ConfigError("state must be a JSON object")
+    _known_keys(d, ("populations", "r14", "phi1", "r23", "phi2"), "state")
     pops = _require(d, "populations", "state")
     if not isinstance(pops, (list, tuple)) or len(pops) != 4:
         raise ConfigError("state populations must be a list of four numbers")
@@ -99,10 +106,12 @@ def state_from_dict(d) -> XState:
 def config_from_dict(d) -> RunConfig:
     if not isinstance(d, dict):
         raise ConfigError("config must be a JSON object")
+    _known_keys(d, ("initial", "params", "grid", "zero_threshold"), "config")
     initial = state_from_dict(_require(d, "initial", "config"))
     pd = d.get("params", {})
     if not isinstance(pd, dict):
         raise ConfigError("params must be a JSON object")
+    _known_keys(pd, ("lambda", "kappa", "alpha_sq"), "params")
     try:
         params = TCParams(
             lam=_number(pd.get("lambda", 1.0), "lambda"),
@@ -114,6 +123,7 @@ def config_from_dict(d) -> RunConfig:
     gd = d.get("grid", {})
     if not isinstance(gd, dict):
         raise ConfigError("grid must be a JSON object")
+    _known_keys(gd, ("t_max", "n_samples"), "grid")
     try:
         t_max = _number(gd.get("t_max", 30.0), "t_max")
         n_samples = _number(gd.get("n_samples", 3001), "n_samples")

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -252,6 +255,16 @@ class TestZerosCommand:
 
 
 class TestPresetCommand:
+    def test_module_entry_point(self):
+        # `python -m xdiscord.cli` runs the same front end as the script
+        proc = subprocess.run(
+            [sys.executable, "-m", "xdiscord.cli", "preset", "list"],
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0
+        assert set(json.loads(proc.stdout)) == set(PRESETS)
+
     def test_list(self, capsys):
         code, out, _ = run_cli(["preset", "list"], capsys)
         assert code == 0
@@ -315,9 +328,25 @@ class TestPresetCommand:
         with pytest.raises(ConfigError, match=f"{key} = False is not a number"):
             config_from_json(json.dumps(config))
 
+    @pytest.mark.parametrize("section", [None, "initial", "params", "grid", "state"])
+    def test_unknown_key_refused(self, section, tmp_path, capsys):
+        # a misspelt key would otherwise be ignored and its default used
+        if section == "state":
+            state = {"populations": [0.25, 0.25, 0.25, 0.25], "kapa": 0.2}
+            argv = ["discord", "--state", json.dumps(state)]
+        else:
+            config = PRESETS["fig1"].to_dict()
+            (config[section] if section else config)["kapa"] = 0.05
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = ["evolve", "--config", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (3, "")
+        assert "unknown key 'kapa'" in err
+
     def test_config_serialization_roundtrips_bit_exact(self):
         for config in PRESETS.values():
-            assert config_from_json(config.to_json()) == config
+            assert config_from_json(json.dumps(config.to_dict())) == config
         rng = np.random.default_rng(31)
         for _ in range(200):
             state = random_xstate(rng)

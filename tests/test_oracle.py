@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from xdiscord import oracle
 from xdiscord import (
     PRESETS,
     FockTruncation,
@@ -26,7 +27,6 @@ from xdiscord.oracle import (
     THETA_13,
     _exchange,
     _expm,
-    _independent_blocks,
     _make_sector,
     _stark,
     poisson_tail,
@@ -58,8 +58,10 @@ def joint_states(initial, params, trunc, times):
 
 def unsplit_reduced(initial, params, trunc, times):
     """Reduced states from the stacked (2, 4L, 4L) offset-0 generators,
-    exponentiated whole and straight to each time, shape (len(times), 4, 4)."""
-    (pair_j, _, pair_k, _), gen = _make_sector(params, trunc)(0)
+    exponentiated whole and straight to each time, shape (len(times), 4, 4).
+    The generators are read from the module, so a monkeypatched _make_sector
+    is used here too."""
+    (pair_j, _, pair_k, _), gen = oracle._make_sector(params, trunc)(0)
     photons = np.abs(coherent_vector(math.sqrt(params.alpha_sq), trunc)) ** 2
     vec = (initial.to_matrix()[pair_j, pair_k] * photons).reshape(2, -1, 1)
     reduced = np.zeros((len(times), 4, 4), dtype=complex)
@@ -358,35 +360,21 @@ class TestIntegrate:
         assert report.max_deviation <= 1e-12
 
     def test_split_matches_unsplit_exponential(self):
-        # fig1 at n_max = 25: one 104 x 104 inner block and four 26 x 26 outer
-        # chains replace the stacked (2, 104, 104) exponential
+        # fig1 at n_max = 25: the 4 x 4 pair exponentials and the distinct
+        # 26 x 26 Fock ones replace the stacked (2, 104, 104) exponential
         cfg = preset_config("fig1")
         trunc = FockTruncation.for_alpha_sq(cfg.params.alpha_sq, n_max=25)
-        _, gen = _make_sector(cfg.params, trunc)(0)
-        blocks = _independent_blocks(gen.reshape(2, 4, trunc.dim, 4, trunc.dim))
-        assert [(g.tolist(), p.tolist()) for g, p in blocks] == [
-            ([0, 0, 0, 0], [[0], [1], [2], [3]]),
-            ([1], [[0, 1, 2, 3]]),
-        ]
         result = integrate(cfg.initial, cfg.params, trunc, [0.1])
         want = unsplit_reduced(cfg.initial, cfg.params, trunc, [0.1])
         assert np.abs(result.states.row(0).to_matrix() - want[0]).max() <= 1e-15
 
     def test_planted_outer_exchange_merges_chains(self, monkeypatch):
-        # an |gg><ee| exchange couples the outer chains; the split is read from
-        # the generator, so they merge into one block and the result still
-        # matches the unsplit exponential
-        def planted(params):
-            e = _exchange(params)
-            e[0, 3] = e[3, 0] = 0.3 * params.lam
-            return e
-
-        monkeypatch.setattr("xdiscord.oracle._exchange", planted)
+        # an |gg><ee| exchange couples outer pairs whose Fock blocks differ, so
+        # the split does not commute; the whole-group fallback still matches
+        # the unsplit exponential
+        monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
         trunc = FockTruncation.for_alpha_sq(0.8)
-        _, gen = _make_sector(params, trunc)(0)
-        blocks = _independent_blocks(gen.reshape(2, 4, trunc.dim, 4, trunc.dim))
-        assert [pairs.shape for _, pairs in blocks] == [(2, 4)]
         initial = random_xstate(np.random.default_rng(47))
         times = [0.0, 0.4, 1.3, 2.0]
         result = integrate(initial, params, trunc, times)
@@ -394,19 +382,70 @@ class TestIntegrate:
         for i in range(len(times)):
             assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
 
+    def test_n_dependent_coupled_shift_is_not_split(self, monkeypatch):
+        # an n-dependent shift of |eg> gives the exchange-coupled inner pairs
+        # different Fock blocks: the split X (x) I + blockdiag(D) still holds
+        # but does not commute, and the commutation check must refuse it
+        def shifted(params, fdim):
+            s = _stark(params, fdim)
+            s[2] += 0.1 * params.lam * np.arange(fdim)
+            return s
+
+        monkeypatch.setattr("xdiscord.oracle._stark", shifted)
+        params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
+        trunc = FockTruncation.for_alpha_sq(0.8)
+        initial = random_xstate(np.random.default_rng(49))
+        times = [0.0, 0.4, 1.3, 2.0]
+        result = integrate(initial, params, trunc, times)
+        want = unsplit_reduced(initial, params, trunc, times)
+        for i in range(len(times)):
+            assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
+
+    def test_fock_dependent_pair_coupling_is_not_split(self, monkeypatch):
+        # a sub-diagonal added to the inner (0, 1) pair block is no X (x) I
+        # term, and the split-form check must refuse the split. The planted
+        # generator does not preserve Hermiticity, so only the X entries that
+        # integrate reports are compared: the populations' real parts and the
+        # coherences rho14, rho23.
+        def planted(params, trunc):
+            sector = _make_sector(params, trunc)
+
+            def with_sub_diagonal(d):
+                index, gen = sector(d)
+                size = index[1].size
+                block = gen.reshape(2, 4, size, 4, size)[1, 0, :, 1]
+                block[np.arange(1, size), np.arange(size - 1)] += 0.2
+                return index, gen
+
+            return with_sub_diagonal
+
+        monkeypatch.setattr("xdiscord.oracle._make_sector", planted)
+        params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
+        trunc = FockTruncation.for_alpha_sq(0.8)
+        initial = random_xstate(np.random.default_rng(49))
+        times = [0.0, 0.4, 1.3, 2.0]
+        result = integrate(initial, params, trunc, times)
+        want = unsplit_reduced(initial, params, trunc, times)
+        for i in range(len(times)):
+            diff = result.states.row(i).to_matrix() - want[i]
+            assert np.abs(np.diagonal(diff).real).max() <= 1e-13
+            assert np.abs(diff[[0, 1], [3, 2]]).max() <= 1e-13
+
     @pytest.mark.parametrize("n_max", [25, MAX_N_MAX])
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_largest_exponential_is_fock_sized(self, name, n_max, expm_shapes):
-        # the inner group is exponentiated as a 4 x 4 and an L x L factor and
-        # the outer chains are L x L, so no 4L x 4L matrix is formed
+        # per distinct gap, one stack of the two groups' 4 x 4 pair parts and
+        # one of the three distinct L x L Fock blocks (the ladder shared by the
+        # inner pairs and the outer populations, and the two outer chains)
         cfg = preset_config(name)
         trunc = FockTruncation.for_alpha_sq(cfg.params.alpha_sq, n_max=n_max)
-        integrate(cfg.initial, cfg.params, trunc, [0.1, 0.2])
-        assert max(shape[-1] for shape in expm_shapes) == trunc.dim
+        integrate(cfg.initial, cfg.params, trunc, [0.1, 0.2, 0.5])
+        fdim = trunc.dim
+        assert expm_shapes == 2 * [(2, 4, 4), (3, fdim, fdim)]
 
     def test_planted_outer_exchange_is_exponentiated_whole(self, monkeypatch, expm_shapes):
-        # the planted exchange joins pairs whose Stark differences depend on n,
-        # so the merged block is no Kronecker sum and is exponentiated whole
+        # the planted exchange couples outer pairs whose Fock blocks differ, so
+        # the split does not commute and each group is exponentiated whole
         monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
         trunc = FockTruncation.for_alpha_sq(0.8)
