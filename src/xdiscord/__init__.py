@@ -12,7 +12,6 @@ from .discord import (
     build_chi_m1,
     build_chi_m2,
     discord,
-    discord_numeric,
     minimize_numeric,
     nullity_check,
 )
@@ -34,9 +33,7 @@ from .dynamics import (
 )
 from .oracle import (
     CompareReport,
-    FockTruncation,
     IntegrationResult,
-    coherent_vector,
     compare,
     integrate,
 )

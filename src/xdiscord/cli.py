@@ -19,7 +19,7 @@ import numpy as np
 
 from .discord import discord, minimize_numeric, nullity_check
 from .dynamics import TCParams, find_zeros, steady_coherence, steady_coherence_as_printed, trajectory
-from .oracle import TAIL_BOUND, FockTruncation, compare, poisson_tail
+from .oracle import TAIL_BOUND, compare, poisson_tail
 from .presets import (
     MAX_SAMPLES,
     PRESETS,
@@ -222,8 +222,8 @@ def _verify_propagator(config: RunConfig, t_max: float, n_max: int) -> dict:
     alpha_sq = config.params.alpha_sq
     tail = poisson_tail(alpha_sq, MAX_N_MAX)
     if tail > TAIL_BOUND:
-        # Refused before the truncation is built, whose refusal would name a
-        # cutoff above MAX_N_MAX and, for a huge field, take minutes to find it.
+        # Refused before the oracle runs, whose refusal would name a cutoff
+        # above MAX_N_MAX and, for a huge field, take minutes to find it.
         out.update({
             "error": f"alpha_sq = {alpha_sq:g} leaves a coherent tail of {tail:.3e} > "
             f"{TAIL_BOUND:.3e} even at n_max = {MAX_N_MAX}, the largest cutoff verify "
@@ -232,11 +232,9 @@ def _verify_propagator(config: RunConfig, t_max: float, n_max: int) -> dict:
         })
         return out
     try:
-        trunc = FockTruncation.for_alpha_sq(alpha_sq, n_max=n_max)
-        t_grid = np.linspace(0.0, t_max, n_grid)
-        report = compare(config.initial, config.params, t_grid, trunc)
+        report = compare(config.initial, config.params, np.linspace(0.0, t_max, n_grid), n_max)
     except ValueError as exc:
-        # A rejected truncation or grid is a verification failure, not a
+        # A rejected cutoff or grid is a verification failure, not a
         # config error: the requested check cannot vouch for the analytics.
         out.update({"error": str(exc), "pass": False})
         return out

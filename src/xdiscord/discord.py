@@ -114,16 +114,6 @@ def _cond_entropy_grid(states: XColumns, thetas, coh: np.ndarray) -> np.ndarray:
     return total
 
 
-def cond_entropy_basis(state: XState, theta: float, phi: float = 0.0) -> float:
-    """Conditional entropy sum_k p_k S(rho_k) after measuring B in the basis
-    |+> = cos(theta)|e> + sin(theta)e^{i phi}|g> and its orthogonal
-    complement."""
-    require_valid(state)
-    c = XColumns.from_states([state])
-    coh = np.abs(c.r14 * np.exp(1j * (c.phi1 - phi)) + c.r23 * np.exp(1j * (c.phi2 + phi)))
-    return float(_cond_entropy_grid(c, theta, coh)[0, 0])
-
-
 def _breakdown(state) -> BreakdownColumns:
     """The closed-form kernel: every correlation quantity of a validated
     state or batch, elementwise, as columns (one row for an XState).
@@ -215,26 +205,15 @@ def minimize_numeric(state):
     return theta, np.mod(0.5 * (c.phi1 - c.phi2), TWO_PI), value
 
 
-def discord_numeric(state):
-    """Discord with the measurement optimization done by direct search instead
-    of the closed form: mutual_info - S(A) + (numeric minimum).
-
-    Returns arrays (theta, phi, value) as minimize_numeric does, with value
-    the discord.
-    """
-    c = state if isinstance(state, XColumns) else XColumns.from_states([state])
-    theta, phi, value = minimize_numeric(c)
-    s_a = entropy_bits(np.stack([c.p1 + c.p2, c.p3 + c.p4], axis=-1))
-    value += _breakdown(c).mutual_info - s_a
-    return theta, phi, value
-
-
 def nullity_check(state: XState, tol: float = 1e-8) -> NullityVerdict:
     """Classify whether the state sits on one of the two zero-discord families.
 
     coherence-free: r14 and r23 both <= tol. degenerate-balanced: |p1-p2|,
-    |p3-p4| and |r14-r23| all <= tol. Otherwise not-null.
+    |p3-p4| and |r14-r23| all <= tol. Otherwise not-null. tol must be finite
+    and nonnegative.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol = {tol!r} must be finite and nonnegative")
     require_valid(state)
     coh = max(state.r14, state.r23)
     bal = max(

@@ -101,8 +101,12 @@ def lambda_from_g_delta(g: float, delta: float) -> float:
     Warns (DispersiveRegimeWarning) when |delta| < 10*g, where the
     second-order elimination of the cavity is no longer trustworthy.
     """
+    if not (math.isfinite(g) and math.isfinite(delta)):
+        raise ValueError(f"g = {g!r} and delta = {delta!r} must be finite")
     if delta == 0.0:
         raise ValueError("detuning must be nonzero")
+    if g == 0.0:
+        raise ValueError(f"g = {g!r} must be nonzero")
     if abs(delta) < 10.0 * abs(g):
         warnings.warn(
             f"|delta| = {abs(delta)!r} is below 10*g = {10.0 * abs(g)!r}; "

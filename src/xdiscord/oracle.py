@@ -1,9 +1,11 @@
 """Independent verification path: the atom-field master equation.
 
 The two-atom + cavity density matrix starts as rho_atoms (x) |alpha><alpha|
-in a truncated Fock basis and is propagated exactly; the field is traced out
+on Fock levels 0..n_max and is propagated exactly; the field is traced out
 and the reduced atomic state is compared element-wise against the analytic
-propagator. The dissipator is the standard cavity-decay form
+propagator. The field enters only through the Poisson photon-number weights
+of |alpha> (photon_weights), and a cutoff n_max whose Poisson tail exceeds
+TAIL_BOUND is refused. The dissipator is the standard cavity-decay form
 kappa*(a rho a+ - {a+a, rho}/2), under which the field amplitude decays at
 kappa/2 and the photon number at kappa; this is the convention the analytic
 solution and the steady coherence value correspond to.
@@ -47,41 +49,27 @@ EXCITED_COUNT = np.array([0.0, 1.0, 1.0, 2.0])
 TAIL_BOUND = 1e-12
 
 
-@dataclass(frozen=True)
-class FockTruncation:
-    """Retained Fock levels 0..n_max plus the coherent-state weight beyond."""
-
-    n_max: int
-    tail_mass: float
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError(f"n_max = {self.n_max} must be nonnegative")
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-    @classmethod
-    def for_alpha_sq(cls, alpha_sq: float, n_max: int | None = None) -> "FockTruncation":
-        """Truncation for a coherent field of mean photon number alpha_sq.
-
-        With n_max omitted, the smallest cutoff whose Poisson tail is at most
-        TAIL_BOUND is chosen. An explicit n_max that leaves more tail is
-        rejected with the required cutoff in the message.
-        """
-        if alpha_sq < 0.0:
-            raise ValueError("alpha_sq must be nonnegative")
-        if n_max is None:
-            n = _min_cutoff(alpha_sq)
-            return cls(n_max=n, tail_mass=poisson_tail(alpha_sq, n))
-        tail = poisson_tail(alpha_sq, n_max)
-        if tail > TAIL_BOUND:
-            raise ValueError(
-                f"n_max = {n_max} leaves a coherent tail of {tail:.3e} > {TAIL_BOUND:.3e}; "
-                f"need n_max >= {_min_cutoff(alpha_sq)}"
-            )
-        return cls(n_max=n_max, tail_mass=tail)
+def photon_weights(alpha_sq: float, n_max: int) -> np.ndarray:
+    """Photon-number weights of |alpha>: the Poisson terms alpha_sq^n/n! on
+    Fock levels 0..n_max, normalized. A cutoff whose Poisson tail exceeds
+    TAIL_BOUND is refused with the smallest one that does not."""
+    if n_max < 0:
+        raise ValueError(f"n_max = {n_max} must be nonnegative")
+    tail = poisson_tail(alpha_sq, n_max)
+    if tail > TAIL_BOUND:
+        raise ValueError(
+            f"n_max = {n_max} leaves a coherent tail of {tail:.3e} > {TAIL_BOUND:.3e}; "
+            f"need n_max >= {_min_cutoff(alpha_sq)}"
+        )
+    n = np.arange(n_max + 1)
+    if alpha_sq == 0.0:
+        return (n == 0).astype(float)
+    # The amplitudes alpha^n/sqrt(n!) from logs, scaled down only where their
+    # squares would overflow (alpha_sq above ~600), normalized and squared.
+    log_fact = np.array([math.lgamma(k + 1) for k in n])
+    log_amps = n * math.log(math.sqrt(alpha_sq)) - 0.5 * log_fact
+    amps = np.exp(log_amps - max(log_amps.max() - 300.0, 0.0))
+    return (amps / np.linalg.norm(amps)) ** 2
 
 
 def _min_cutoff(alpha_sq: float) -> int:
@@ -141,26 +129,6 @@ def _exchange(params: TCParams) -> np.ndarray:
     return e
 
 
-def coherent_vector(alpha: complex, trunc: FockTruncation) -> np.ndarray:
-    """Normalized truncated coherent-state amplitudes alpha^n/sqrt(n!)."""
-    alpha = complex(alpha)
-    tail = poisson_tail(abs(alpha) ** 2, trunc.n_max)
-    if tail > TAIL_BOUND:
-        raise ValueError(
-            f"truncation n_max = {trunc.n_max} too small for |alpha|^2 = {abs(alpha)**2:.4g} "
-            f"(tail {tail:.3e}); need n_max >= {_min_cutoff(abs(alpha) ** 2)}"
-        )
-    n = np.arange(trunc.dim)
-    log_fact = np.array([math.lgamma(k + 1) for k in n])
-    if alpha == 0:
-        amps = np.zeros(trunc.dim, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    log_mag = n * math.log(abs(alpha))
-    amps = np.exp(log_mag - 0.5 * log_fact) * np.exp(1j * n * math.atan2(alpha.imag, alpha.real))
-    return amps / np.linalg.norm(amps)
-
-
 @dataclass(frozen=True)
 class IntegrationResult:
     """Reduced atomic states at the sample times plus the run's conservation
@@ -178,7 +146,7 @@ _PAIR_J = np.array([[0, 0, 3, 3], [1, 1, 2, 2]])[:, :, None]
 _PAIR_K = np.array([[0, 3, 0, 3], [1, 2, 1, 2]])[:, :, None]
 
 
-def _make_sector(params: TCParams, trunc: FockTruncation):
+def _make_sector(params: TCParams, n_max: int):
     """Generators of -i[H, rho] + kappa*D[a] rho on the X sectors.
 
     H is Fock-diagonal and D[a] maps the element (n, m) to (n-1, m-1), so the
@@ -187,7 +155,7 @@ def _make_sector(params: TCParams, trunc: FockTruncation):
     indices (j, n, k, m) of both groups' offset-d elements, broadcasting to
     shape (2, 4, L), and the two generators, shape (2, 4L, 4L).
     """
-    fdim, kappa = trunc.dim, params.kappa
+    fdim, kappa = n_max + 1, params.kappa
     stark = _stark(params, fdim)
     e = _exchange(params)
     jp, jq = _PAIR_J, _PAIR_J.transpose(0, 2, 1)
@@ -270,7 +238,7 @@ def _distinct_gaps(gaps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     return np.bincount(which, gaps) / np.bincount(which), which
 
 
-def integrate(initial: XState, params: TCParams, trunc: FockTruncation, times) -> IntegrationResult:
+def integrate(initial: XState, params: TCParams, n_max: int, times) -> IntegrationResult:
     """Exact propagation of the joint master equation to each sample time,
     reduced to the atoms.
 
@@ -298,9 +266,9 @@ def integrate(initial: XState, params: TCParams, trunc: FockTruncation, times) -
         np.diff(times, prepend=0.0), 64 * np.finfo(float).eps * times[-1]
     )
 
-    fdim = trunc.dim
-    (pair_j, _, pair_k, _), gen = _make_sector(params, trunc)(0)
-    photons = np.abs(coherent_vector(math.sqrt(params.alpha_sq), trunc)) ** 2
+    photons = photon_weights(params.alpha_sq, n_max)
+    fdim = n_max + 1
+    (pair_j, _, pair_k, _), gen = _make_sector(params, n_max)(0)
     start = initial.to_matrix()[pair_j, pair_k] * photons
     # coeff[g, p, q, n, m]: coefficient of pair q, Fock m in pair p, Fock n.
     coeff = gen.reshape(2, 4, fdim, 4, fdim).transpose(0, 1, 3, 2, 4)
@@ -386,10 +354,10 @@ def _components(c: XColumns) -> np.ndarray:
     )
 
 
-def compare(initial: XState, params: TCParams, t_grid, trunc: FockTruncation) -> CompareReport:
+def compare(initial: XState, params: TCParams, t_grid, n_max: int) -> CompareReport:
     """Propagate the master equation once and compare the reduced atomic state
     against evolve() at every grid time."""
-    result = integrate(initial, params, trunc, t_grid)
+    result = integrate(initial, params, n_max, t_grid)
     oracle = _components(result.states)
     analytic = _components(evolve(initial, params, result.times))
     deviations = np.max(np.abs(analytic - oracle), axis=1)

@@ -242,9 +242,12 @@ def entropy_bits(probabilities):
 
     Entries may be any probability-like list (state spectra, marginals).
     Negative entries beyond DEFAULT_TOL are rejected; smaller ones count as 0.
+    A NaN or infinite entry makes its entropy non-finite and is rejected.
     """
     p = np.asarray(probabilities, dtype=float)
     if p.size and p.min() < -DEFAULT_TOL:
         raise ValueError(f"negative probability {p.min()!r} beyond tolerance {DEFAULT_TOL}")
     h = plogp(p).sum(axis=-1)
+    if not np.isfinite(h).all():
+        raise ValueError("probabilities must be finite")
     return float(h) if h.ndim == 0 else h

@@ -4,8 +4,9 @@ One test per shipped criterion, each printed as a single PASS/FAIL line
 (run with `pytest -s tests/test_acceptance.py` to see them all). Criteria 6
 and 7 locate events at threshold 5e-3, where `find_zeros` also reports
 shallow sub-threshold dips, and tell the true zeros from the dips with
-independent checks: `discord_numeric`, `nullity_check` and the
-population-degeneracy instants t_k = pi/2 + k*pi.
+independent checks: the discord with the measurement minimum found by
+`minimize_numeric`, `nullity_check` and the population-degeneracy instants
+t_k = pi/2 + k*pi.
 """
 
 import json
@@ -66,8 +67,9 @@ def test_criterion_02_nullity_families_have_zero_discord():
     states = [random_coherence_free(rng) for _ in range(500)]
     states += [random_degenerate_balanced(rng) for _ in range(500)]
     batch = xd.XColumns.from_states(states)
-    worst_closed = float(np.abs(xd.discord(batch).discord).max())
-    _, _, numeric = xd.discord_numeric(batch)
+    br = xd.discord(batch)
+    worst_closed = float(np.abs(br.discord).max())
+    numeric = br.discord - (np.minimum(br.c_m1, br.c_m2) - xd.minimize_numeric(batch)[2])
     worst_numeric = float(np.abs(numeric).max())
     elapsed = time.perf_counter() - start
     ok = worst_closed <= 1e-9 and worst_numeric <= 1e-6 and elapsed < 60.0
@@ -97,10 +99,7 @@ def test_criterion_03_bell_state_benchmark():
 def test_criterion_04_propagator_vs_master_equation():
     start = time.perf_counter()
     cfg = xd.preset_config("fig1")
-    trunc = xd.FockTruncation.for_alpha_sq(cfg.params.alpha_sq, n_max=25)
-    rep = xd.compare(
-        cfg.initial, cfg.params, np.linspace(0.0, 20.0, 201), trunc
-    )
+    rep = xd.compare(cfg.initial, cfg.params, np.linspace(0.0, 20.0, 201), 25)
     elapsed = time.perf_counter() - start
     ok = (
         rep.max_deviation <= 1e-3
@@ -151,7 +150,9 @@ def _inspect(cfg, t):
     verdict uses tol=1e-5 because alpha_sq is given to four digits, which
     leaves a balance residual of ~8e-7 at fig1's exact zero."""
     state = xd.evolve(cfg.initial, cfg.params, t)
-    (numeric,) = xd.discord_numeric(state)[2]
+    br = xd.discord(state)
+    (exact,) = xd.minimize_numeric(state)[2]
+    numeric = br.discord - (min(br.c_m1, br.c_m2) - exact)
     return state, numeric, xd.nullity_check(state, tol=1e-5)
 
 
@@ -338,8 +339,7 @@ def test_criterion_10_invariant_suites():
     tc_params = xd.TCParams(lam=1.0, kappa=0.1, alpha_sq=1.0)
     finals = []
     for n_max in (14, 28):
-        trunc = xd.FockTruncation.for_alpha_sq(1.0, n_max=n_max)
-        result = xd.integrate(initial, tc_params, trunc, 2.0)
+        result = xd.integrate(initial, tc_params, n_max, 2.0)
         finals.append(result.states.row(0).to_matrix())
     converged = bool(np.abs(finals[0] - finals[1]).max() <= 1e-9)
 

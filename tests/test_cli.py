@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from xdiscord import PRESETS, discord, minimize_numeric, nullity_check, random_xstate
 from xdiscord.cli import CSV_COLUMNS, MAX_N_MAX, MAX_SWEEP_STATES, _csv_rows, _write_json, main
+from xdiscord.oracle import poisson_tail
 from xdiscord.presets import (
     MAX_SAMPLES,
     ConfigError,
@@ -456,7 +459,7 @@ class TestVerifyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("an oversized cutoff must be refused before any work")
 
-        monkeypatch.setattr("xdiscord.cli.FockTruncation.for_alpha_sq", refuse)
+        monkeypatch.setattr("xdiscord.oracle._min_cutoff", refuse)
         monkeypatch.setattr("xdiscord.cli.compare", refuse)
         for n_max in (MAX_N_MAX + 1, 10**9):
             code, out, err = run_cli(
@@ -485,11 +488,11 @@ class TestVerifyCommand:
 
     def test_huge_field_refused_without_searching_its_cutoff(self, capsys, tmp_path, monkeypatch):
         # The smallest cutoff for alpha_sq = 1e12 takes minutes to find; the
-        # field is refused from the tail at MAX_N_MAX before any truncation.
+        # field is refused from the tail at MAX_N_MAX before the oracle runs.
         def refuse(*args, **kwargs):
             raise AssertionError("a field beyond MAX_N_MAX must be refused before any work")
 
-        monkeypatch.setattr("xdiscord.cli.FockTruncation.for_alpha_sq", refuse)
+        monkeypatch.setattr("xdiscord.oracle._min_cutoff", refuse)
         monkeypatch.setattr("xdiscord.cli.compare", refuse)
         config = PRESETS["fig1"].to_dict()
         config["params"]["alpha_sq"] = 1e12
@@ -500,6 +503,21 @@ class TestVerifyCommand:
         )
         assert code == 4
         assert "beyond what verify can check" in json.loads(out)["propagator"]["error"]
+
+    def test_poisson_tail_summed_twice(self, capsys, monkeypatch):
+        # once for the MAX_N_MAX pre-check, once for the requested cutoff
+        calls = []
+
+        def spy(alpha_sq, n_max):
+            calls.append(n_max)
+            return poisson_tail(alpha_sq, n_max)
+
+        monkeypatch.setattr("xdiscord.cli.poisson_tail", spy)
+        monkeypatch.setattr("xdiscord.oracle.poisson_tail", spy)
+        code, _, _ = run_cli(
+            ["verify", "--preset", "fig1", "--t-max", "0.3", "--sweep-states", "0"], capsys
+        )
+        assert code == 0 and calls == [MAX_N_MAX, 25]
 
     def test_largest_cutoff_passes(self, capsys):
         code, out, err = run_cli(
@@ -606,3 +624,13 @@ class TestCsvFormatting:
     def test_rows_match_plain_formatting(self, table):
         plain = [",".join("%.17g" % v for v in row) for row in table.tolist()]
         assert _csv_rows(table) == plain
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's one python block, so that it stays in step with the API
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (code,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["report"].max_deviation <= 1e-12
+    assert "NullityVerdict(kind='not-null'" in capsys.readouterr().out

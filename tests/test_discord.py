@@ -16,12 +16,12 @@ from xdiscord import (
     build_chi_m1,
     build_chi_m2,
     discord,
-    discord_numeric,
     minimize_numeric,
     nullity_check,
     random_xstate,
+    require_valid,
 )
-from xdiscord.discord import _cond_entropy_grid, cond_entropy_basis
+from xdiscord.discord import _cond_entropy_grid
 
 from samplers import random_degenerate_balanced
 
@@ -39,6 +39,16 @@ INTERIOR = XState(
     p4=0.00030297333193714975, r14=0.0025302925359784964, phi1=2.979637906773482,
     r23=0.20630937565720242, phi2=5.592793518703005,
 )
+
+
+def cond_entropy_basis(state, theta, phi=0.0):
+    """Conditional entropy sum_k p_k S(rho_k) after measuring B in the basis
+    |+> = cos(theta)|e> + sin(theta)e^{i phi}|g> and its orthogonal
+    complement, from the library's grid kernel at one (theta, phi)."""
+    require_valid(state)
+    c = XColumns.from_states([state])
+    coh = np.abs(c.r14 * np.exp(1j * (c.phi1 - phi)) + c.r23 * np.exp(1j * (c.phi2 + phi)))
+    return float(_cond_entropy_grid(c, theta, coh)[0, 0])
 
 
 def dense_cond_entropy(state, theta, phi):
@@ -278,16 +288,6 @@ class TestMinimizeNumeric:
             want = np.concatenate(minimize_numeric(state))
             assert_allclose([thetas[i], phis[i], values[i]], want, rtol=0, atol=1e-15)
 
-    @settings(max_examples=30)
-    @given(states=st.lists(x_states, min_size=1, max_size=8))
-    def test_numeric_discord_batch_equals_rows(self, states):
-        thetas, phis, values = discord_numeric(XColumns.from_states(states))
-        for i, state in enumerate(states):
-            want = np.concatenate(discord_numeric(state))
-            assert_allclose([thetas[i], phis[i], values[i]], want, rtol=0, atol=1e-15)
-            # the exact minimum is never above the closed form's
-            assert values[i] <= discord(state).discord + 1e-12
-
     @given(state=x_states, shift=st.floats(-10.0, 10.0))
     def test_common_phase_shift_leaves_minimum(self, state, shift):
         shifted = XState(
@@ -311,7 +311,9 @@ class TestMinimizeNumeric:
         rng = np.random.default_rng(22)
         for _ in range(20):
             s = random_degenerate_balanced(rng)
-            (value,) = discord_numeric(s)[2]
+            br = discord(s)
+            (exact,) = minimize_numeric(s)[2]
+            value = br.discord - (min(br.c_m1, br.c_m2) - exact)
             assert -1e-9 <= value <= 1e-6
 
 
@@ -392,6 +394,12 @@ class TestNullity:
             v = nullity_check(s, tol=tol)
             if v.kind != NOT_NULL:
                 assert discord(s).discord <= 10 * tol
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        # nan read every state as not-null, inf every state as coherence-free
+        with pytest.raises(ValueError, match=f"tol = {tol!r} must be finite and nonnegative"):
+            nullity_check(FIG1, tol=tol)
 
 
 class TestChiBuilders:

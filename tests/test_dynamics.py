@@ -45,6 +45,21 @@ class TestLambdaFromGDelta:
         with pytest.raises(ValueError):
             lambda_from_g_delta(1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "g, delta, text",
+        [
+            (1.0, math.nan, "delta = nan must be finite"),
+            (math.nan, 20.0, "g = nan and"),
+            (math.inf, 20.0, "g = inf and"),
+            (1.0, -math.inf, "delta = -inf must be finite"),
+            (0.0, 5.0, "g = 0.0 must be nonzero"),
+        ],
+    )
+    def test_non_finite_or_zero_coupling_rejected(self, g, delta, text):
+        # each used to return nan or 0.0, which no TCParams takes as lam
+        with pytest.raises(ValueError, match=text):
+            lambda_from_g_delta(g, delta)
+
 
 class TestEvolve:
     def test_inner_block_at_zero_and_quarter_cycle(self):

@@ -10,10 +10,8 @@ from numpy.testing import assert_allclose
 from xdiscord import oracle
 from xdiscord import (
     PRESETS,
-    FockTruncation,
     TCParams,
     XState,
-    coherent_vector,
     compare,
     evolve,
     integrate,
@@ -28,27 +26,29 @@ from xdiscord.oracle import (
     _exchange,
     _expm,
     _make_sector,
+    _min_cutoff,
     _stark,
+    photon_weights,
     poisson_tail,
 )
 
 
-def hamiltonian(params, trunc):
+def hamiltonian(params, n_max):
     """Dense effective Hamiltonian on the joint space, index (j, n):
     (lam/2) * [ sum_j (|e_j><e_j| a a+ - |g_j><g_j| a+ a) + exchange ]."""
-    diagonal = np.diag(_stark(params, trunc.dim).ravel())
-    return (diagonal + np.kron(_exchange(params), np.eye(trunc.dim))).astype(complex)
+    diagonal = np.diag(_stark(params, n_max + 1).ravel())
+    return (diagonal + np.kron(_exchange(params), np.eye(n_max + 1))).astype(complex)
 
 
-def joint_states(initial, params, trunc, times):
+def joint_states(initial, params, n_max, times):
     """Every sector of _make_sector propagated to each time, assembled into
     dense joint states, shape (len(times), 4, F, 4, F)."""
-    fdim = trunc.dim
-    v = coherent_vector(math.sqrt(params.alpha_sq), trunc)
+    fdim = n_max + 1
+    v = np.sqrt(photon_weights(params.alpha_sq, n_max))  # alpha is real
     rho0 = np.kron(initial.to_matrix(), np.outer(v, v.conj())).reshape(4, fdim, 4, fdim)
     states = np.zeros((len(times), 4, fdim, 4, fdim), dtype=complex)
-    sector = _make_sector(params, trunc)
-    for d in range(-trunc.n_max, fdim):
+    sector = _make_sector(params, n_max)
+    for d in range(-n_max, fdim):
         index, gen = sector(d)
         vec = rho0[index].reshape(2, -1, 1)
         for s, t in enumerate(times):
@@ -56,13 +56,13 @@ def joint_states(initial, params, trunc, times):
     return states
 
 
-def unsplit_reduced(initial, params, trunc, times):
+def unsplit_reduced(initial, params, n_max, times):
     """Reduced states from the stacked (2, 4L, 4L) offset-0 generators,
     exponentiated whole and straight to each time, shape (len(times), 4, 4).
     The generators are read from the module, so a monkeypatched _make_sector
     is used here too."""
-    (pair_j, _, pair_k, _), gen = oracle._make_sector(params, trunc)(0)
-    photons = np.abs(coherent_vector(math.sqrt(params.alpha_sq), trunc)) ** 2
+    (pair_j, _, pair_k, _), gen = oracle._make_sector(params, n_max)(0)
+    photons = photon_weights(params.alpha_sq, n_max)
     vec = (initial.to_matrix()[pair_j, pair_k] * photons).reshape(2, -1, 1)
     reduced = np.zeros((len(times), 4, 4), dtype=complex)
     for s, t in enumerate(times):
@@ -92,10 +92,12 @@ def planted_outer_exchange(params):
 
 
 class TestFockTruncation:
+    """The cutoff n_max: the Poisson tail it leaves and the smallest one that
+    TAIL_BOUND allows."""
+
     def test_vacuum_needs_single_level(self):
-        trunc = FockTruncation.for_alpha_sq(0.0)
-        assert trunc.n_max == 0
-        assert trunc.tail_mass == 0.0
+        assert _min_cutoff(0.0) == 0
+        assert poisson_tail(0.0, 0) == 0.0
 
     def test_tail_small_at_20_for_unit_field(self):
         assert poisson_tail(1.0, 20) < 1e-12
@@ -125,58 +127,56 @@ class TestFockTruncation:
     def test_tail_below_an_underflowing_mode_is_one(self):
         assert poisson_tail(700.0, 0) == 1.0
         assert poisson_tail(900.0, 25) == 1.0
-        trunc = FockTruncation.for_alpha_sq(1000.0)
-        assert trunc.n_max == 1230 and trunc.tail_mass <= 1e-12
-        assert poisson_tail(1000.0, 1229) > 1e-12
+        assert _min_cutoff(1000.0) == 1230
+        assert poisson_tail(1000.0, 1230) <= 1e-12 < poisson_tail(1000.0, 1229)
 
     def test_automatic_cutoff_respects_bound(self):
         for alpha_sq in (0.3, 0.5922, 1.0, 1.2):
-            trunc = FockTruncation.for_alpha_sq(alpha_sq)
-            assert trunc.tail_mass <= 1e-12
-            assert trunc.n_max <= 25
-            if trunc.n_max > 0:
-                assert poisson_tail(alpha_sq, trunc.n_max - 1) > 1e-12
+            n_max = _min_cutoff(alpha_sq)
+            assert 0 < n_max <= 25
+            assert poisson_tail(alpha_sq, n_max) <= 1e-12 < poisson_tail(alpha_sq, n_max - 1)
 
     def test_explicit_cutoff_too_small_rejected_with_hint(self):
-        with pytest.raises(ValueError, match="need n_max"):
-            FockTruncation.for_alpha_sq(1.0, n_max=3)
+        with pytest.raises(ValueError, match=f"need n_max >= {_min_cutoff(1.0)}$"):
+            photon_weights(1.0, 3)
 
     def test_negative_cutoff_rejected(self):
         # A zero field leaves no tail at any cutoff, so only the sign check refuses it.
-        with pytest.raises(ValueError, match="n_max = -1 must be nonnegative"):
-            FockTruncation.for_alpha_sq(0.0, n_max=-1)
-        with pytest.raises(ValueError, match="n_max = -5 must be nonnegative"):
-            FockTruncation(n_max=-5, tail_mass=0.0)
+        for n_max in (-1, -5):
+            with pytest.raises(ValueError, match=f"n_max = {n_max} must be nonnegative"):
+                photon_weights(0.0, n_max)
 
 
 class TestCoherentVector:
+    """The coherent field |alpha> as the oracle sees it: its photon-number
+    weights on the retained Fock levels."""
+
     def test_vacuum(self):
-        trunc = FockTruncation.for_alpha_sq(0.0)
-        assert_allclose(coherent_vector(0.0, trunc), [1.0 + 0j])
+        assert photon_weights(0.0, 0).tolist() == [1.0]
+        assert photon_weights(0.0, 4).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_normalized(self):
-        trunc = FockTruncation.for_alpha_sq(1.0, n_max=20)
-        vec = coherent_vector(1.0, trunc)
-        assert_allclose(np.linalg.norm(vec), 1.0, atol=1e-14)
+        for alpha_sq, n_max in ((1.0, 20), (0.5922, 25), (1000.0, 1230)):
+            weights = photon_weights(alpha_sq, n_max)
+            assert weights.shape == (n_max + 1,)
+            assert_allclose(weights.sum(), 1.0, rtol=0, atol=1e-14)
 
-    def test_amplitude_ratios(self):
-        alpha = 0.8 + 0.3j
-        trunc = FockTruncation.for_alpha_sq(abs(alpha) ** 2, n_max=25)
-        vec = coherent_vector(alpha, trunc)
-        for n in range(6):
-            assert_allclose(vec[n + 1] / vec[n], alpha / math.sqrt(n + 1), atol=1e-12)
+    @pytest.mark.parametrize("alpha_sq", [0.5922, 1.1434, 115.0])
+    def test_poisson_ratios(self, alpha_sq):
+        weights = photon_weights(alpha_sq, 200)
+        n = np.arange(60)
+        assert_allclose(weights[n + 1] / weights[n], alpha_sq / (n + 1), rtol=1e-12)
 
     def test_rejects_undersized_truncation(self):
-        trunc = FockTruncation.for_alpha_sq(0.1)
         with pytest.raises(ValueError, match="need n_max"):
-            coherent_vector(2.0, trunc)
+            photon_weights(4.0, _min_cutoff(0.1))
 
 
 class TestHamiltonian:
     def test_hermitian(self):
         params = TCParams(lam=0.7, kappa=0.1, alpha_sq=1.0)
-        trunc = FockTruncation.for_alpha_sq(1.0, n_max=16)
-        h = hamiltonian(params, trunc)
+        n_max = 16
+        h = hamiltonian(params, n_max)
         assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_elementwise_rule(self):
@@ -184,8 +184,7 @@ class TestHamiltonian:
         lam = 1.3
         n_max = 7
         params = TCParams(lam=lam, kappa=0.0, alpha_sq=0.0)
-        trunc = FockTruncation(n_max=n_max, tail_mass=0.0)
-        h = hamiltonian(params, trunc)
+        h = hamiltonian(params, n_max)
         fdim = n_max + 1
         for j in range(4):
             for n in range(fdim):
@@ -209,8 +208,7 @@ class TestHamiltonian:
         # with one retained level the photon-number shift is n+1 = 1 for the
         # excited projectors and 0 for the ground ones
         params = TCParams(lam=2.0, kappa=0.0, alpha_sq=0.0)
-        trunc = FockTruncation(n_max=0, tail_mass=0.0)
-        h = hamiltonian(params, trunc)
+        h = hamiltonian(params, 0)
         assert_allclose(np.diag(h).real, [0.0, 1.0, 1.0, 2.0])
 
 
@@ -219,10 +217,10 @@ class TestSectorGenerator:
         # oracle: the dense superoperator -i[H, .] + kappa*D[a] on row-major
         # vec(rho), from the dense H and an inline truncated a
         params = TCParams(lam=0.9, kappa=0.23, alpha_sq=0.6)
-        trunc = FockTruncation(n_max=6, tail_mass=0.0)
-        fdim = trunc.dim
+        n_max = 6
+        fdim = n_max + 1
         dim = 4 * fdim
-        h = hamiltonian(params, trunc)
+        h = hamiltonian(params, n_max)
         a = np.kron(np.eye(4), np.diag(np.sqrt(np.arange(1.0, fdim)), k=1))
         n_op = a.T @ a
         eye = np.eye(dim)
@@ -231,16 +229,16 @@ class TestSectorGenerator:
         )
         # label every element of rho by its sector; off-X elements get -1
         label = np.full((4, fdim, 4, fdim), -1)
-        sector = _make_sector(params, trunc)
+        sector = _make_sector(params, n_max)
         generators = []
-        for d in range(-trunc.n_max, fdim):
+        for d in range(-n_max, fdim):
             index, gen = sector(d)
             flat = np.ravel_multi_index(np.broadcast_arrays(*index), label.shape)
             for g in range(2):
                 assert np.all(label.flat[flat[g]] == -1)
                 label.flat[flat[g]] = len(generators)
                 generators.append((flat[g].ravel(), gen[g]))
-        assert len(generators) == 2 * (2 * trunc.n_max + 1)
+        assert len(generators) == 2 * (2 * n_max + 1)
         assert np.count_nonzero(label >= 0) == 8 * fdim * fdim
         rows, cols = np.nonzero(dense)
         assert np.array_equal(label.flat[rows], label.flat[cols])
@@ -309,17 +307,17 @@ class TestIntegrate:
         # two-level analytic solution: starting in |ge>, the inner population
         # oscillates as (1 + cos(lam t))/2 with no field present
         params = TCParams(lam=1.0, kappa=0.0, alpha_sq=0.0)
-        trunc = FockTruncation.for_alpha_sq(0.0)
+        n_max = 0
         initial = XState(0.0, 1.0, 0.0, 0.0)
         sample_times = [0.5, 1.0, 2.0, 3.0]
-        result = integrate(initial, params, trunc, sample_times)
+        result = integrate(initial, params, n_max, sample_times)
         assert_allclose(result.states.p2, 0.5 * (1.0 + np.cos(result.times)), atol=1e-12)
 
     def test_trace_preserved(self):
         params = TCParams(lam=1.0, kappa=0.2, alpha_sq=0.8)
-        trunc = FockTruncation.for_alpha_sq(0.8)
+        n_max = _min_cutoff(0.8)
         initial = XState(0.25, 3 / 16, 5 / 16, 0.25, r14=0.25, r23=0.05)
-        result = integrate(initial, params, trunc, 2.0)
+        result = integrate(initial, params, n_max, 2.0)
         assert result.max_trace_drift <= 1e-8
         assert result.min_eigenvalue >= -1e-8
 
@@ -327,14 +325,14 @@ class TestIntegrate:
         # oracle: all 2*n_max+1 sectors propagated and assembled into the
         # joint state, which integrate never forms
         params = TCParams(lam=1.0, kappa=0.2, alpha_sq=0.8)
-        trunc = FockTruncation.for_alpha_sq(0.8)  # n_max = 13
+        n_max = _min_cutoff(0.8)  # n_max = 13
         initial = random_xstate(np.random.default_rng(46))
         times = [0.0, 0.7, 2.0]
-        joint = joint_states(initial, params, trunc, times)
-        dim = 4 * trunc.dim
+        joint = joint_states(initial, params, n_max, times)
+        dim = 4 * (n_max + 1)
         joint_min = np.linalg.eigvalsh(joint.reshape(len(times), dim, dim)).min()
         assert joint_min >= -1e-8
-        result = integrate(initial, params, trunc, times)
+        result = integrate(initial, params, n_max, times)
         # each block <n|rho|n> is a compression of the joint state (Cauchy interlacing)
         assert result.min_eigenvalue >= joint_min - 1e-12
         conditioned = np.moveaxis(np.diagonal(joint, axis1=2, axis2=4), -1, 1)
@@ -347,15 +345,15 @@ class TestIntegrate:
         # non-uniform, unsorted, with a repeat: the result is sorted by time and
         # each sample matches a propagation straight to that time
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        trunc = FockTruncation.for_alpha_sq(0.8)
+        n_max = _min_cutoff(0.8)
         initial = random_xstate(np.random.default_rng(45))
         times = [2.5, 0.0, 0.31, 1.7, 0.31, 4.0]
-        result = integrate(initial, params, trunc, times)
+        result = integrate(initial, params, n_max, times)
         assert np.array_equal(result.times, np.sort(times))
         for i, t in enumerate(result.times):
-            alone = integrate(initial, params, trunc, t).states.row(0)
+            alone = integrate(initial, params, n_max, t).states.row(0)
             assert np.abs(result.states.row(i).to_matrix() - alone.to_matrix()).max() <= 1e-12
-        report = compare(initial, params, times, trunc)
+        report = compare(initial, params, times, n_max)
         assert np.array_equal(report.times, np.sort(times))
         assert report.max_deviation <= 1e-12
 
@@ -363,9 +361,9 @@ class TestIntegrate:
         # fig1 at n_max = 25: the 4 x 4 pair exponentials and the distinct
         # 26 x 26 Fock ones replace the stacked (2, 104, 104) exponential
         cfg = preset_config("fig1")
-        trunc = FockTruncation.for_alpha_sq(cfg.params.alpha_sq, n_max=25)
-        result = integrate(cfg.initial, cfg.params, trunc, [0.1])
-        want = unsplit_reduced(cfg.initial, cfg.params, trunc, [0.1])
+        n_max = 25
+        result = integrate(cfg.initial, cfg.params, n_max, [0.1])
+        want = unsplit_reduced(cfg.initial, cfg.params, n_max, [0.1])
         assert np.abs(result.states.row(0).to_matrix() - want[0]).max() <= 1e-15
 
     def test_planted_outer_exchange_merges_chains(self, monkeypatch):
@@ -374,11 +372,11 @@ class TestIntegrate:
         # the unsplit exponential
         monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        trunc = FockTruncation.for_alpha_sq(0.8)
+        n_max = _min_cutoff(0.8)
         initial = random_xstate(np.random.default_rng(47))
         times = [0.0, 0.4, 1.3, 2.0]
-        result = integrate(initial, params, trunc, times)
-        want = unsplit_reduced(initial, params, trunc, times)
+        result = integrate(initial, params, n_max, times)
+        want = unsplit_reduced(initial, params, n_max, times)
         for i in range(len(times)):
             assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
 
@@ -393,11 +391,11 @@ class TestIntegrate:
 
         monkeypatch.setattr("xdiscord.oracle._stark", shifted)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        trunc = FockTruncation.for_alpha_sq(0.8)
+        n_max = _min_cutoff(0.8)
         initial = random_xstate(np.random.default_rng(49))
         times = [0.0, 0.4, 1.3, 2.0]
-        result = integrate(initial, params, trunc, times)
-        want = unsplit_reduced(initial, params, trunc, times)
+        result = integrate(initial, params, n_max, times)
+        want = unsplit_reduced(initial, params, n_max, times)
         for i in range(len(times)):
             assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
 
@@ -407,8 +405,8 @@ class TestIntegrate:
         # generator does not preserve Hermiticity, so only the X entries that
         # integrate reports are compared: the populations' real parts and the
         # coherences rho14, rho23.
-        def planted(params, trunc):
-            sector = _make_sector(params, trunc)
+        def planted(params, n_max):
+            sector = _make_sector(params, n_max)
 
             def with_sub_diagonal(d):
                 index, gen = sector(d)
@@ -421,11 +419,11 @@ class TestIntegrate:
 
         monkeypatch.setattr("xdiscord.oracle._make_sector", planted)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        trunc = FockTruncation.for_alpha_sq(0.8)
+        n_max = _min_cutoff(0.8)
         initial = random_xstate(np.random.default_rng(49))
         times = [0.0, 0.4, 1.3, 2.0]
-        result = integrate(initial, params, trunc, times)
-        want = unsplit_reduced(initial, params, trunc, times)
+        result = integrate(initial, params, n_max, times)
+        want = unsplit_reduced(initial, params, n_max, times)
         for i in range(len(times)):
             diff = result.states.row(i).to_matrix() - want[i]
             assert np.abs(np.diagonal(diff).real).max() <= 1e-13
@@ -438,9 +436,8 @@ class TestIntegrate:
         # one of the three distinct L x L Fock blocks (the ladder shared by the
         # inner pairs and the outer populations, and the two outer chains)
         cfg = preset_config(name)
-        trunc = FockTruncation.for_alpha_sq(cfg.params.alpha_sq, n_max=n_max)
-        integrate(cfg.initial, cfg.params, trunc, [0.1, 0.2, 0.5])
-        fdim = trunc.dim
+        integrate(cfg.initial, cfg.params, n_max, [0.1, 0.2, 0.5])
+        fdim = n_max + 1
         assert expm_shapes == 2 * [(2, 4, 4), (3, fdim, fdim)]
 
     def test_planted_outer_exchange_is_exponentiated_whole(self, monkeypatch, expm_shapes):
@@ -448,9 +445,9 @@ class TestIntegrate:
         # the split does not commute and each group is exponentiated whole
         monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        trunc = FockTruncation.for_alpha_sq(0.8)
-        integrate(random_xstate(np.random.default_rng(48)), params, trunc, [0.4])
-        assert max(shape[-1] for shape in expm_shapes) == 4 * trunc.dim
+        n_max = _min_cutoff(0.8)
+        integrate(random_xstate(np.random.default_rng(48)), params, n_max, [0.4])
+        assert max(shape[-1] for shape in expm_shapes) == 4 * (n_max + 1)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -466,18 +463,18 @@ class TestIntegrate:
     def test_factored_matches_unsplit_exponential(self, seed, params, times):
         # alpha_sq = 0 keeps one Fock level, so the field factor is 1 x 1
         initial = random_xstate(np.random.default_rng(seed))
-        trunc = FockTruncation.for_alpha_sq(params.alpha_sq)
-        result = integrate(initial, params, trunc, times)
-        want = unsplit_reduced(initial, params, trunc, result.times)
+        n_max = _min_cutoff(params.alpha_sq)
+        result = integrate(initial, params, n_max, times)
+        want = unsplit_reduced(initial, params, n_max, result.times)
         for i in range(len(times)):
             assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
 
     def test_rejects_negative_or_empty_times(self):
         params = TCParams(lam=1.0, kappa=0.0, alpha_sq=0.0)
-        trunc = FockTruncation.for_alpha_sq(0.0)
+        n_max = 0
         for times in ([], [1.0, -0.5], [math.nan], [math.inf]):
             with pytest.raises(ValueError, match="times"):
-                integrate(XState(1, 0, 0, 0), params, trunc, times)
+                integrate(XState(1, 0, 0, 0), params, n_max, times)
 
 
 def inner_rate_error(initial, params, t):
@@ -514,8 +511,8 @@ class TestPlantedErrors:
 
     def deviation(self):
         cfg = preset_config("fig1")
-        trunc = FockTruncation.for_alpha_sq(cfg.params.alpha_sq, n_max=25)
-        return compare(cfg.initial, cfg.params, np.linspace(0.0, 5.0, 51), trunc).max_deviation
+        n_max = 25
+        return compare(cfg.initial, cfg.params, np.linspace(0.0, 5.0, 51), n_max).max_deviation
 
     def test_unperturbed_evolve_passes(self, capsys):
         assert self.deviation() <= 1e-12
@@ -533,25 +530,25 @@ class TestPlantedErrors:
 class TestCompare:
     def test_zero_time_grid(self):
         params = TCParams(lam=1.0, kappa=0.05, alpha_sq=0.5922)
-        trunc = FockTruncation.for_alpha_sq(0.5922)
+        n_max = _min_cutoff(0.5922)
         initial = XState(0.25, 3 / 16, 5 / 16, 0.25, r14=0.25, r23=0.05)
-        report = compare(initial, params, [0.0], trunc)
+        report = compare(initial, params, [0.0], n_max)
         assert report.max_deviation <= 1e-14
 
     def test_field_decoupled_case(self):
         # no photons, no damping: both paths are exact up to roundoff
         params = TCParams(lam=1.0, kappa=0.0, alpha_sq=0.0)
-        trunc = FockTruncation.for_alpha_sq(0.0)
+        n_max = 0
         initial = XState(0.3, 0.25, 0.25, 0.2, r14=0.15, r23=0.1)
-        report = compare(initial, params, np.linspace(0.0, 5.0, 11), trunc)
+        report = compare(initial, params, np.linspace(0.0, 5.0, 11), n_max)
         assert report.max_deviation <= 1e-12
 
     def test_random_phase_initial_state(self):
         rng = np.random.default_rng(44)
         initial = random_xstate(rng)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        trunc = FockTruncation.for_alpha_sq(0.8)
-        report = compare(initial, params, np.linspace(0.0, 2.0, 5), trunc)
+        n_max = _min_cutoff(0.8)
+        report = compare(initial, params, np.linspace(0.0, 2.0, 5), n_max)
         assert report.max_deviation <= 1e-9
         assert report.p1_drift <= 1e-9
         assert report.p4_drift <= 1e-9
@@ -569,8 +566,8 @@ class TestCompare:
     )
     def test_oracle_matches_evolve(self, seed, params, times):
         initial = random_xstate(np.random.default_rng(seed))
-        trunc = FockTruncation.for_alpha_sq(params.alpha_sq)
-        report = compare(initial, params, times, trunc)
+        n_max = _min_cutoff(params.alpha_sq)
+        report = compare(initial, params, times, n_max)
         assert report.max_deviation <= 1e-9
 
     def test_truncation_convergence(self):
@@ -579,8 +576,7 @@ class TestCompare:
         initial = XState(0.25, 0.25, 0.25, 0.25, r14=0.2, r23=0.0736)
         finals = []
         for n_max in (14, 28):
-            trunc = FockTruncation.for_alpha_sq(1.0, n_max=n_max)
-            result = integrate(initial, params, trunc, 2.0)
+            result = integrate(initial, params, n_max, 2.0)
             finals.append(result.states.row(0).to_matrix())
         assert np.abs(finals[0] - finals[1]).max() <= 1e-9
 
@@ -588,11 +584,11 @@ class TestCompare:
         # |rho14| reaches the stationary value and the analytic propagator
         # holds to roundoff over 300/lambda
         cfg = preset_config("fig3-separable")
-        trunc = FockTruncation.for_alpha_sq(cfg.params.alpha_sq)
-        assert trunc.n_max == 14
+        n_max = _min_cutoff(cfg.params.alpha_sq)
+        assert n_max == 14
         times = [0.0, 100.0, 200.0, 300.0]
-        report = compare(cfg.initial, cfg.params, times, trunc)
+        report = compare(cfg.initial, cfg.params, times, n_max)
         assert report.max_deviation <= 1e-12
-        result = integrate(cfg.initial, cfg.params, trunc, times)
+        result = integrate(cfg.initial, cfg.params, n_max, times)
         steady = steady_coherence(cfg.initial.r14, cfg.params)
         assert abs(result.states.r14[-1] - steady) <= 1e-6

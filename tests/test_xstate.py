@@ -117,6 +117,16 @@ class TestEntropyBits:
         with pytest.raises(ValueError):
             entropy_bits([-0.2, 1.2])
 
+    @pytest.mark.parametrize(
+        "probabilities",
+        [[0.5, math.nan], [0.5, 0.5, math.inf], [[0.5, 0.5], [1.0, math.nan]]],
+        ids=["nan", "inf", "nan-in-stack"],
+    )
+    def test_rejects_non_finite(self, probabilities):
+        # these gave nan, -inf and a nan row
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            entropy_bits(probabilities)
+
     def test_at_most_two_bits(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
