@@ -62,11 +62,12 @@ VERIFY_SPACING = 0.1
 #: Largest measurement sweep; peak memory grows ~3.2 MB per 1,000 states.
 MAX_SWEEP_STATES = 100_000
 #: Largest Fock cutoff of the master-equation check, enough for a field of
-#: mean photon number ~115. With L = n_max + 1 levels the offset-0 generator
-#: takes 512*L^2 bytes and its split test one copy more, while no exponential
-#: is larger than L x L, so peak memory grows as L^2: a `verify --t-max 0.3`
-#: process peaks at ~84 MB and takes ~0.16 s at the bound (~32 MB at
-#: n_max = 25), on a 2-CPU Xeon, one thread.
+#: mean photon number ~115. With L = n_max + 1 levels the offset-0 sector's
+#: eight L x L Fock blocks take 128*L^2 bytes, and their exponentials as much
+#: per distinct sample gap, while no exponential is larger than L x L, so peak
+#: memory grows as L^2: a `verify --t-max 0.3` process peaks at ~59 MB and
+#: takes ~0.16 s at the bound (~32 MB at n_max = 25), on a 2-CPU Xeon, one
+#: thread.
 MAX_N_MAX = 200
 
 

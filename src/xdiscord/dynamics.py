@@ -166,17 +166,19 @@ def evolve(initial: XState, params: TCParams, t):
 
 def steady_coherence(initial_r14: float, params: TCParams) -> float:
     """Long-time magnitude of the outer coherence:
-    r14(0) * exp(-4*lam^2*|alpha|^2 / (kappa^2 + 4*lam^2))."""
-    lam, kap = params.lam, params.kappa
-    return initial_r14 * math.exp(-4.0 * lam**2 * params.alpha_sq / (kap**2 + 4.0 * lam**2))
+    r14(0) * exp(-4*lam^2*|alpha|^2 / (kappa^2 + 4*lam^2)), with the exponent
+    written in x = kappa/(2*lam) so that no square of a rate overflows."""
+    x = params.kappa / (2.0 * params.lam)
+    return initial_r14 * math.exp(-params.alpha_sq / (1.0 + x * x))
 
 
 def steady_coherence_as_printed(initial_r14: float, params: TCParams) -> float:
     """Variant with the denominator kappa^2 + (4*lam)^2 instead of
     kappa^2 + (2*lam)^2. It does NOT agree with the long-time limit of
-    evolve(); verify reports both numbers so the difference stays visible."""
-    lam, kap = params.lam, params.kappa
-    return initial_r14 * math.exp(-4.0 * lam**2 * params.alpha_sq / (kap**2 + 16.0 * lam**2))
+    evolve(); verify reports both numbers so the difference stays visible.
+    The exponent is written in y = kappa/lam."""
+    y = params.kappa / params.lam
+    return initial_r14 * math.exp(-4.0 * params.alpha_sq / (y * y + 16.0))
 
 
 def trajectory(initial: XState, params: TCParams, t_max: float, n_samples: int) -> Trajectory:

@@ -15,18 +15,18 @@ the analytic solution. It splits an X state into independent sectors, one per
 atomic group ({|gg>,|ee>} or {|ge>,|eg>}) and Fock offset n - m. The reduced
 state Tr_F(rho) reads only offset 0, so that sector alone is propagated. Each
 group's generator there, over four atomic pairs by L = n_max + 1 Fock levels,
-is tested entry by entry for the split X (x) I + blockdiag(D_p) into a
-Fock-free pair coupling X and one L x L Fock block D_p per pair. The terms
-commute when coupled pairs have equal Fock blocks, and then exp(G) =
-(exp(X) (x) I) blockdiag(exp(D_p)): with no outer exchange term a step takes
-the 4 x 4 exponentials of X and three L x L ones, the ladder shared by the
-inner pairs and outer populations and one chain per outer coherence. If
-either test fails, each group's generator is exponentiated whole, as 4L x 4L.
-Each exponential is taken by scaling and squaring of the [13/13] Padé
-approximant, which needs no scaling up to the 1-norm theta_13 = 5.37
-(Higham, SIMAX 26, 2005; Moler & Van Loan, SIAM Rev. 45, 2003). The sector's
-elements are the Fock-conditioned atomic blocks <n|rho|n>, whose smallest
-eigenvalue is the run's positivity diagnostic.
+is built as X (x) I + blockdiag(D_p): the exchange couples the pairs alike on
+every Fock level (X), while the Stark shifts and the cavity decay act within
+one pair (an L x L Fock block D_p). Coupled pairs must have equal Fock
+blocks, or the generator is refused; then the terms commute and exp(G) =
+(exp(X) (x) I) blockdiag(exp(D_p)): a step takes the 4 x 4 exponentials of X
+and three L x L ones, the ladder shared by the inner pairs and outer
+populations and one chain per outer coherence. Each exponential is taken by
+scaling and squaring of the [13/13] Padé approximant, which needs no scaling
+up to the 1-norm theta_13 = 5.37 (Higham, SIMAX 26, 2005; Moler & Van Loan,
+SIAM Rev. 45, 2003). The sector's elements are the Fock-conditioned atomic
+blocks <n|rho|n>, whose smallest eigenvalue is the run's positivity
+diagnostic.
 
 Joint elements are indexed (j, n, k, m): atomic row, Fock row, atomic
 column, Fock column.
@@ -51,8 +51,11 @@ TAIL_BOUND = 1e-12
 
 def photon_weights(alpha_sq: float, n_max: int) -> np.ndarray:
     """Photon-number weights of |alpha>: the Poisson terms alpha_sq^n/n! on
-    Fock levels 0..n_max, normalized. A cutoff whose Poisson tail exceeds
-    TAIL_BOUND is refused with the smallest one that does not."""
+    Fock levels 0..n_max, normalized. A cutoff that is not an integer, and one
+    whose Poisson tail exceeds TAIL_BOUND, are refused, the latter with the
+    smallest one that does not."""
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise ValueError(f"n_max = {n_max!r} must be an integer")
     if n_max < 0:
         raise ValueError(f"n_max = {n_max} must be nonnegative")
     tail = poisson_tail(alpha_sq, n_max)
@@ -91,6 +94,8 @@ def _min_cutoff(alpha_sq: float) -> int:
 def poisson_tail(alpha_sq: float, n_max: int) -> float:
     """P(n > n_max) for Poisson(alpha_sq), summed forward from n_max + 1 to
     avoid cancellation, until the terms fall below 1e-300."""
+    if not (math.isfinite(alpha_sq) and alpha_sq >= 0.0):
+        raise ValueError(f"alpha_sq = {alpha_sq!r} must be finite and nonnegative")
     if alpha_sq == 0.0:
         return 0.0
     # term at n = n_max + 1
@@ -147,13 +152,16 @@ _PAIR_K = np.array([[0, 3, 0, 3], [1, 2, 1, 2]])[:, :, None]
 
 
 def _make_sector(params: TCParams, n_max: int):
-    """Generators of -i[H, rho] + kappa*D[a] rho on the X sectors.
+    """Generators of -i[H, rho] + kappa*D[a] rho on the X sectors, as factors.
 
     H is Fock-diagonal and D[a] maps the element (n, m) to (n-1, m-1), so the
     offset d = n - m is conserved, and an X state evolves in independent
-    sectors, one per (atomic group, offset). sector(d) returns the joint-state
-    indices (j, n, k, m) of both groups' offset-d elements, broadcasting to
-    shape (2, 4, L), and the two generators, shape (2, 4L, 4L).
+    sectors, one per (atomic group, offset). Each group's generator there is
+    X (x) I + blockdiag(D_p) over its atomic pairs p. Returns (pair, sector):
+    pair is both groups' Fock-free exchange coupling X, shape (2, 4, 4), the
+    same at every offset; sector(d) returns the joint-state indices
+    (j, n, k, m) of both groups' offset-d elements, broadcasting to shape
+    (2, 4, L), and their Fock blocks D_p, shape (2, 4, L, L).
     """
     fdim, kappa = n_max + 1, params.kappa
     stark = _stark(params, fdim)
@@ -162,21 +170,19 @@ def _make_sector(params: TCParams, n_max: int):
     kp, kq = _PAIR_K, _PAIR_K.transpose(0, 2, 1)
     # -i(E rho - rho E) restricted to each group: coefficient of rho[jq, kq]
     # in element (jp, kp).
-    exchange = -1j * (e[jp, jq] * (kp == kq) - (jp == jq) * e[kq, kp])
+    pair = -1j * (e[jp, jq] * (kp == kq) - (jp == jq) * e[kq, kp])
 
     def sector(d: int):
         n = np.arange(max(d, 0), fdim + min(d, 0))
         m = n - d
-        size = n.size
-        gen = np.zeros((2, 4, size, 4, size), dtype=complex)
-        p, i = np.arange(4)[:, None], np.arange(size)
+        i = np.arange(n.size)
+        fock = np.zeros((2, 4, n.size, n.size), dtype=complex)
         stark_diff = stark[_PAIR_J, n] - stark[_PAIR_K, m]
-        gen[:, p, i, p, i] = -1j * stark_diff - 0.5 * kappa * (n + m)
-        gen[:, p, i[:-1], p, i[1:]] = kappa * np.sqrt(n[1:] * m[1:])  # a rho a+
-        gen[:, :, i, :, i] += exchange
-        return (_PAIR_J, n, _PAIR_K, m), gen.reshape(2, 4 * size, 4 * size)
+        fock[..., i, i] = -1j * stark_diff - 0.5 * kappa * (n + m)
+        fock[..., i[:-1], i[1:]] = kappa * np.sqrt(n[1:] * m[1:])  # a rho a+
+        return (_PAIR_J, n, _PAIR_K, m), fock
 
-    return sector
+    return pair, sector
 
 
 #: Higham's bound on the 1-norm up to which the [13/13] Padé approximant of
@@ -244,18 +250,16 @@ def integrate(initial: XState, params: TCParams, n_max: int, times) -> Integrati
 
     The joint state starts as rho_atoms (x) |alpha><alpha|. Tr_F(rho) sums
     the elements (j, n, k, n), so only the offset-0 sector (see _make_sector)
-    is propagated. Each group's generator G[p, q, n, m] (pairs p, q; Fock
-    levels n, m) is tested, exactly, for the split X (x) I + blockdiag(D_p)
-    with D_p = G[p, p] and X[p, q] = G[p, q, 0, 0] for p != q, and its terms
-    for commuting (X[p, q] != 0 only where D_p = D_q). If both hold, the
-    elements V[p, n] step as exp(hX) (exp(hD_p) V_p); otherwise each group's
-    whole generator is its one Fock block, with a zero 1 x 1 X. Each distinct
-    factor is exponentiated once per distinct gap h between sorted sample
-    times, and each sample sums its elements over n into the reduced X state.
-    `min_eigenvalue` is the smallest eigenvalue of the Fock-conditioned
-    atomic blocks <n|rho|n> over all samples; their positivity is necessary
-    for that of the joint state. `times` is any nonnegative time or list of
-    times; the result is sorted by time.
+    is propagated. Its terms X (x) I and blockdiag(D_p) commute when every
+    coupled pair of atomic pairs shares one Fock block, and a generator whose
+    terms do not is refused. The elements V[p, n] step as
+    exp(hX) (exp(hD_p) V_p): X and each distinct Fock block are exponentiated
+    once per distinct gap h between sorted sample times, and each sample sums
+    its elements over n into the reduced X state. A propagation that is not
+    finite is refused. `min_eigenvalue` is the smallest eigenvalue of the
+    Fock-conditioned atomic blocks <n|rho|n> over all samples; their
+    positivity is necessary for that of the joint state. `times` is any
+    nonnegative time or list of times; the result is sorted by time.
     """
     require_valid(initial)
     times = np.sort(np.atleast_1d(np.asarray(times, dtype=float)))
@@ -267,43 +271,35 @@ def integrate(initial: XState, params: TCParams, n_max: int, times) -> Integrati
     )
 
     photons = photon_weights(params.alpha_sq, n_max)
-    fdim = n_max + 1
-    (pair_j, _, pair_k, _), gen = _make_sector(params, n_max)(0)
-    start = initial.to_matrix()[pair_j, pair_k] * photons
-    # coeff[g, p, q, n, m]: coefficient of pair q, Fock m in pair p, Fock n.
-    coeff = gen.reshape(2, 4, fdim, 4, fdim).transpose(0, 1, 3, 2, 4)
-    diag = np.arange(4)
-    fock, pair = coeff[:, diag, diag], coeff[..., 0, 0] * (1 - np.eye(4))
-    split = pair[..., None, None] * np.eye(fdim)
-    split[:, diag, diag] = fock
-    commutes = all(np.array_equal(fock[g, p], fock[g, q]) for g, p, q in zip(*np.nonzero(pair)))
-    if not (commutes and np.array_equal(coeff, split)):
-        pair, fock = np.zeros((2, 1, 1)), gen[:, None]
-    del split
-    # Each distinct Fock block (by bit pattern) is exponentiated once.
-    flat = fock.reshape(-1, *fock.shape[-2:])
-    keys = [b.tobytes() for b in flat]
-    first, label = np.unique([keys.index(k) for k in keys], return_inverse=True)
-    props = [
-        (_expm(pair * gap), _expm(flat[first] * gap)[label].reshape(fock.shape)) if gap else None
-        for gap in gaps
-    ]
-    # V <- exp(hX) (exp(hD_p) V_p), V of shape (group, pair, Fock level) or,
-    # unsplit, (group, 1, (pair, Fock level)).
-    vec = start.reshape(fock.shape[:-1])
-    steps = np.empty((times.size,) + vec.shape, dtype=complex)
-    for s, u in enumerate(which):
-        if props[u] is not None:
-            vec = props[u][0] @ (props[u][1] @ vec[..., None])[..., 0]
-        steps[s] = vec
-    # blocks[s, group, pair, n]: element (j, n, k, n) at sample s.
-    blocks = steps.reshape(times.size, 2, 4, fdim)
-
-    # Pairs per group: outer (0,0),(0,3),(3,0),(3,3); inner (1,1),(1,2),(2,1),(2,2).
-    reduced = blocks.sum(axis=-1)
+    # A huge rate overflows to inf or nan, which the check below refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair, sector = _make_sector(params, n_max)
+        (pair_j, _, pair_k, _), fock = sector(0)
+        vec = initial.to_matrix()[pair_j, pair_k] * photons
+        # Each distinct Fock block (by bit pattern) is exponentiated once.
+        flat = fock.reshape(-1, *fock.shape[-2:])
+        keys = [b.tobytes() for b in flat]
+        first, label = np.unique([keys.index(k) for k in keys], return_inverse=True)
+        label = label.reshape(fock.shape[:2])
+        if np.any((pair != 0) & (label[..., :, None] != label[..., None, :])):
+            raise ValueError("coupled atomic pairs have different Fock blocks")
+        props = [
+            (_expm(pair * gap), _expm(flat[first] * gap)[label]) if gap else None
+            for gap in gaps
+        ]
+        # blocks[s, group, pair, n]: element (j, n, k, n) at sample s.
+        blocks = np.empty((times.size,) + vec.shape, dtype=complex)
+        for s, u in enumerate(which):
+            if props[u] is not None:
+                vec = props[u][0] @ (props[u][1] @ vec[..., None])[..., 0]
+            blocks[s] = vec
+        # Pairs per group: outer (0,0),(0,3),(3,0),(3,3); inner (1,1),(1,2),(2,1),(2,2).
+        reduced = blocks.sum(axis=-1)
+        top, bottom = blocks[:, :, 0].real, blocks[:, :, 3].real
+        block_min = 0.5 * (top + bottom) - np.hypot(0.5 * (top - bottom), np.abs(blocks[:, :, 1]))
+    if not (np.isfinite(reduced).all() and np.isfinite(block_min).all()):
+        raise ValueError("the master-equation propagation is not finite")
     (p1, rho14, _, p4), (p2, rho23, _, p3) = reduced.transpose(1, 2, 0)
-    top, bottom = blocks[:, :, 0].real, blocks[:, :, 3].real
-    block_min = 0.5 * (top + bottom) - np.hypot(0.5 * (top - bottom), np.abs(blocks[:, :, 1]))
     return IntegrationResult(
         times=times,
         states=XColumns.from_coherences(p1.real, p2.real, p3.real, p4.real, rho14, rho23),
@@ -317,7 +313,6 @@ class CompareReport:
     """Element-wise deviation of the analytic propagator from the oracle."""
 
     times: np.ndarray
-    deviations: np.ndarray
     max_deviation: float
     t_at_max: float
     max_trace_drift: float
@@ -366,7 +361,6 @@ def compare(initial: XState, params: TCParams, t_grid, n_max: int) -> CompareRep
     k_max = int(np.argmax(deviations))
     return CompareReport(
         times=result.times,
-        deviations=deviations,
         max_deviation=float(deviations[k_max]),
         t_at_max=float(result.times[k_max]),
         max_trace_drift=result.max_trace_drift,

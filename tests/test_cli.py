@@ -504,6 +504,41 @@ class TestVerifyCommand:
         assert code == 4
         assert "beyond what verify can check" in json.loads(out)["propagator"]["error"]
 
+    def test_huge_kappa_reports_steady_coherence(self, capsys, tmp_path):
+        # kappa^2 overflows a float, which the steady values no longer square.
+        # At this kappa the oracle fails its trace check, so verify exits 4.
+        config = PRESETS["fig1"].to_dict()
+        config["params"]["kappa"] = 1e155
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(
+            ["evolve", "--config", str(path), "--samples", "3", "--t-max", "1.0",
+             "--show-eq13-as-printed"], capsys
+        )
+        assert code == 0
+        assert "long-time limit 0.25; as-printed alternative 0.25" in err
+        code, out, _ = run_cli(
+            ["verify", "--config", str(path), "--t-max", "0.3", "--sweep-states", "0"], capsys
+        )
+        assert code == 4
+        steady = json.loads(out)["steady_coherence"]
+        assert steady["long_time_limit"] == steady["as_printed_alternative"] == 0.25
+
+    def test_non_finite_oracle_fails_verify_exit_4(self, capsys, tmp_path):
+        # at lam = 1e20 the oracle's exponentials overflow; the propagation
+        # is refused, and the report stays valid JSON
+        config = PRESETS["fig1"].to_dict()
+        config["params"]["lambda"] = 1e20
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(
+            ["verify", "--config", str(path), "--t-max", "0.3", "--sweep-states", "0"], capsys
+        )
+        assert code == 4
+        propagator = json.loads(out)["propagator"]
+        assert propagator["error"] == "the master-equation propagation is not finite"
+        assert not propagator["pass"] and "propagator: FAIL" in err
+
     def test_poisson_tail_summed_twice(self, capsys, monkeypatch):
         # once for the MAX_N_MAX pre-check, once for the requested cutoff
         calls = []

@@ -163,6 +163,15 @@ class TestSteadyCoherence:
         params = TCParams(lam=1.0, kappa=1e9, alpha_sq=1.0)
         assert_allclose(steady_coherence(0.25, params), 0.25, rtol=1e-8)
 
+    @pytest.mark.parametrize(
+        "lam, kappa", [(1e200, 0.0), (1e200, 1e-200), (1e-200, 1.0), (1.0, 1e155), (1e300, 1e300)]
+    )
+    def test_extreme_rates_stay_finite(self, lam, kappa):
+        # lam^2 or kappa^2 overflows a float here; neither value needs it
+        params = TCParams(lam=lam, kappa=kappa, alpha_sq=1.0)
+        for value in (steady_coherence(0.25, params), steady_coherence_as_printed(0.25, params)):
+            assert math.isfinite(value) and 0.0 <= value <= 0.25
+
     def test_as_printed_disagrees(self):
         params = TCParams(lam=1.0, kappa=0.05, alpha_sq=1.0)
         printed = steady_coherence_as_printed(0.2, params)

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from xdiscord import oracle
 from xdiscord import (
     PRESETS,
     TCParams,
@@ -40,6 +41,16 @@ def hamiltonian(params, n_max):
     return (diagonal + np.kron(_exchange(params), np.eye(n_max + 1))).astype(complex)
 
 
+def whole(pair, fock):
+    """Each group's generator X (x) I + blockdiag(D_p) assembled from the
+    factors of _make_sector, shape (2, 4L, 4L), index (pair, Fock level)."""
+    size = fock.shape[-1]
+    gen = np.kron(pair, np.eye(size))
+    for p in range(4):
+        gen[:, p * size : (p + 1) * size, p * size : (p + 1) * size] += fock[:, p]
+    return gen
+
+
 def joint_states(initial, params, n_max, times):
     """Every sector of _make_sector propagated to each time, assembled into
     dense joint states, shape (len(times), 4, F, 4, F)."""
@@ -47,9 +58,10 @@ def joint_states(initial, params, n_max, times):
     v = np.sqrt(photon_weights(params.alpha_sq, n_max))  # alpha is real
     rho0 = np.kron(initial.to_matrix(), np.outer(v, v.conj())).reshape(4, fdim, 4, fdim)
     states = np.zeros((len(times), 4, fdim, 4, fdim), dtype=complex)
-    sector = _make_sector(params, n_max)
+    pair, sector = _make_sector(params, n_max)
     for d in range(-n_max, fdim):
-        index, gen = sector(d)
+        index, fock = sector(d)
+        gen = whole(pair, fock)
         vec = rho0[index].reshape(2, -1, 1)
         for s, t in enumerate(times):
             states[(s,) + index] = (_expm(gen * t) @ vec).reshape(2, 4, -1)
@@ -57,11 +69,11 @@ def joint_states(initial, params, n_max, times):
 
 
 def unsplit_reduced(initial, params, n_max, times):
-    """Reduced states from the stacked (2, 4L, 4L) offset-0 generators,
-    exponentiated whole and straight to each time, shape (len(times), 4, 4).
-    The generators are read from the module, so a monkeypatched _make_sector
-    is used here too."""
-    (pair_j, _, pair_k, _), gen = oracle._make_sector(params, n_max)(0)
+    """Reduced states from the assembled (2, 4L, 4L) offset-0 generators,
+    exponentiated whole and straight to each time, shape (len(times), 4, 4)."""
+    pair, sector = _make_sector(params, n_max)
+    (pair_j, _, pair_k, _), fock = sector(0)
+    gen = whole(pair, fock)
     photons = photon_weights(params.alpha_sq, n_max)
     vec = (initial.to_matrix()[pair_j, pair_k] * photons).reshape(2, -1, 1)
     reduced = np.zeros((len(times), 4, 4), dtype=complex)
@@ -171,6 +183,31 @@ class TestCoherentVector:
         with pytest.raises(ValueError, match="need n_max"):
             photon_weights(4.0, _min_cutoff(0.1))
 
+    @pytest.mark.parametrize(
+        "alpha_sq, n_max, text",
+        [
+            (0.5922, 25.0, "n_max = 25.0 must be an integer"),
+            (0.5922, True, "n_max = True must be an integer"),
+            (0.5922, "25", "n_max = '25' must be an integer"),
+            (math.nan, 25, "alpha_sq = nan must be finite and nonnegative"),
+            (math.inf, 25, "alpha_sq = inf must be finite and nonnegative"),
+            (-0.5, 25, "alpha_sq = -0.5 must be finite and nonnegative"),
+        ],
+    )
+    def test_rejects_invalid_arguments(self, alpha_sq, n_max, text):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            photon_weights(alpha_sq, n_max)
+
+    def test_invalid_arguments_refused_at_the_boundary(self):
+        # a float cutoff used to fail deep in the sector build with an
+        # IndexError, and an infinite field to leave a tail of 0.0
+        cfg = preset_config("fig1")
+        with pytest.raises(ValueError, match="n_max = 25.0 must be an integer"):
+            compare(cfg.initial, cfg.params, [0.1], 25.0)
+        with pytest.raises(ValueError, match="alpha_sq = inf"):
+            poisson_tail(math.inf, 25)
+        assert np.array_equal(photon_weights(0.5922, np.int64(25)), photon_weights(0.5922, 25))
+
 
 class TestHamiltonian:
     def test_hermitian(self):
@@ -229,10 +266,11 @@ class TestSectorGenerator:
         )
         # label every element of rho by its sector; off-X elements get -1
         label = np.full((4, fdim, 4, fdim), -1)
-        sector = _make_sector(params, n_max)
+        pair, sector = _make_sector(params, n_max)
         generators = []
         for d in range(-n_max, fdim):
-            index, gen = sector(d)
+            index, fock = sector(d)
+            gen = whole(pair, fock)
             flat = np.ravel_multi_index(np.broadcast_arrays(*index), label.shape)
             for g in range(2):
                 assert np.all(label.flat[flat[g]] == -1)
@@ -366,24 +404,22 @@ class TestIntegrate:
         want = unsplit_reduced(cfg.initial, cfg.params, n_max, [0.1])
         assert np.abs(result.states.row(0).to_matrix() - want[0]).max() <= 1e-15
 
-    def test_planted_outer_exchange_merges_chains(self, monkeypatch):
+    def test_planted_outer_exchange_is_refused(self, monkeypatch, expm_shapes):
         # an |gg><ee| exchange couples outer pairs whose Fock blocks differ, so
-        # the split does not commute; the whole-group fallback still matches
-        # the unsplit exponential
+        # the terms X (x) I and blockdiag(D_p) do not commute: refused before
+        # anything is exponentiated
         monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
         n_max = _min_cutoff(0.8)
         initial = random_xstate(np.random.default_rng(47))
-        times = [0.0, 0.4, 1.3, 2.0]
-        result = integrate(initial, params, n_max, times)
-        want = unsplit_reduced(initial, params, n_max, times)
-        for i in range(len(times)):
-            assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
+        with pytest.raises(ValueError, match="coupled atomic pairs have different Fock blocks"):
+            integrate(initial, params, n_max, [0.0, 0.4, 1.3, 2.0])
+        assert expm_shapes == []
 
     def test_n_dependent_coupled_shift_is_not_split(self, monkeypatch):
         # an n-dependent shift of |eg> gives the exchange-coupled inner pairs
-        # different Fock blocks: the split X (x) I + blockdiag(D) still holds
-        # but does not commute, and the commutation check must refuse it
+        # different Fock blocks: the terms do not commute, and the
+        # commutation check must refuse the generator
         def shifted(params, fdim):
             s = _stark(params, fdim)
             s[2] += 0.1 * params.lam * np.arange(fdim)
@@ -393,41 +429,8 @@ class TestIntegrate:
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
         n_max = _min_cutoff(0.8)
         initial = random_xstate(np.random.default_rng(49))
-        times = [0.0, 0.4, 1.3, 2.0]
-        result = integrate(initial, params, n_max, times)
-        want = unsplit_reduced(initial, params, n_max, times)
-        for i in range(len(times)):
-            assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
-
-    def test_fock_dependent_pair_coupling_is_not_split(self, monkeypatch):
-        # a sub-diagonal added to the inner (0, 1) pair block is no X (x) I
-        # term, and the split-form check must refuse the split. The planted
-        # generator does not preserve Hermiticity, so only the X entries that
-        # integrate reports are compared: the populations' real parts and the
-        # coherences rho14, rho23.
-        def planted(params, n_max):
-            sector = _make_sector(params, n_max)
-
-            def with_sub_diagonal(d):
-                index, gen = sector(d)
-                size = index[1].size
-                block = gen.reshape(2, 4, size, 4, size)[1, 0, :, 1]
-                block[np.arange(1, size), np.arange(size - 1)] += 0.2
-                return index, gen
-
-            return with_sub_diagonal
-
-        monkeypatch.setattr("xdiscord.oracle._make_sector", planted)
-        params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        n_max = _min_cutoff(0.8)
-        initial = random_xstate(np.random.default_rng(49))
-        times = [0.0, 0.4, 1.3, 2.0]
-        result = integrate(initial, params, n_max, times)
-        want = unsplit_reduced(initial, params, n_max, times)
-        for i in range(len(times)):
-            diff = result.states.row(i).to_matrix() - want[i]
-            assert np.abs(np.diagonal(diff).real).max() <= 1e-13
-            assert np.abs(diff[[0, 1], [3, 2]]).max() <= 1e-13
+        with pytest.raises(ValueError, match="coupled atomic pairs have different Fock blocks"):
+            integrate(initial, params, n_max, [0.0, 0.4, 1.3, 2.0])
 
     @pytest.mark.parametrize("n_max", [25, MAX_N_MAX])
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -439,15 +442,6 @@ class TestIntegrate:
         integrate(cfg.initial, cfg.params, n_max, [0.1, 0.2, 0.5])
         fdim = n_max + 1
         assert expm_shapes == 2 * [(2, 4, 4), (3, fdim, fdim)]
-
-    def test_planted_outer_exchange_is_exponentiated_whole(self, monkeypatch, expm_shapes):
-        # the planted exchange couples outer pairs whose Fock blocks differ, so
-        # the split does not commute and each group is exponentiated whole
-        monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
-        params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        n_max = _min_cutoff(0.8)
-        integrate(random_xstate(np.random.default_rng(48)), params, n_max, [0.4])
-        assert max(shape[-1] for shape in expm_shapes) == 4 * (n_max + 1)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -468,6 +462,27 @@ class TestIntegrate:
         want = unsplit_reduced(initial, params, n_max, result.times)
         for i in range(len(times)):
             assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
+
+    def test_peak_memory_at_largest_cutoff(self):
+        # the eight L x L Fock blocks and their exponentials, 128*L^2 bytes
+        # each set (~5.2 MB at L = 201), bound the peak; a dense (2, 4L, 4L)
+        # generator would add 512*L^2 bytes and its split test as much again
+        cfg = preset_config("fig1")
+        integrate(cfg.initial, cfg.params, 25, [0.1])
+        tracemalloc.start()
+        try:
+            integrate(cfg.initial, cfg.params, MAX_N_MAX, [0.0, 0.1, 0.2, 0.3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
+
+    def test_non_finite_propagation_refused(self):
+        # at lam = 1e20 the exponentials overflow: refused, with no warning
+        cfg = preset_config("fig1")
+        params = replace(cfg.params, lam=1e20)
+        with pytest.raises(ValueError, match="propagation is not finite"):
+            integrate(cfg.initial, params, 25, [0.0, 0.1, 0.2, 0.3])
 
     def test_rejects_negative_or_empty_times(self):
         params = TCParams(lam=1.0, kappa=0.0, alpha_sq=0.0)
