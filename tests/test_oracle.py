@@ -404,16 +404,24 @@ class TestIntegrate:
         want = unsplit_reduced(cfg.initial, cfg.params, n_max, [0.1])
         assert np.abs(result.states.row(0).to_matrix() - want[0]).max() <= 1e-15
 
-    def test_planted_outer_exchange_is_refused(self, monkeypatch, expm_shapes):
+    def test_planted_outer_exchange_is_refused(self, monkeypatch):
         # an |gg><ee| exchange couples outer pairs whose Fock blocks differ, so
-        # the terms X (x) I and blockdiag(D_p) do not commute: refused before
-        # anything is exponentiated
+        # the terms X (x) I and blockdiag(D_p) do not commute: refused
         monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
         n_max = _min_cutoff(0.8)
         initial = random_xstate(np.random.default_rng(47))
         with pytest.raises(ValueError, match="coupled atomic pairs have different Fock blocks"):
             integrate(initial, params, n_max, [0.0, 0.4, 1.3, 2.0])
+
+    def test_planted_outer_exchange_exponentiates_nothing(self, monkeypatch, expm_shapes):
+        # the refusal comes before the first exponential, so no whole
+        # 4L x 4L group is exponentiated as a fallback
+        monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
+        params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
+        n_max = _min_cutoff(0.8)
+        with pytest.raises(ValueError, match="coupled atomic pairs have different Fock blocks"):
+            integrate(random_xstate(np.random.default_rng(48)), params, n_max, [0.4])
         assert expm_shapes == []
 
     def test_n_dependent_coupled_shift_is_not_split(self, monkeypatch):
