@@ -59,7 +59,8 @@ NUMERIC_EXCESS_TOL = 1e-6
 STEADY_TOL = 5e-4
 #: Sample spacing of the master-equation check, about 0.1 up to --t-max.
 VERIFY_SPACING = 0.1
-#: Largest measurement sweep; peak memory grows ~3.2 MB per 1,000 states.
+#: Largest measurement sweep. The search works in fixed chunks, so peak memory
+#: grows ~0.15 MB per 1,000 states beyond the first chunk, to ~67 MB in all.
 MAX_SWEEP_STATES = 100_000
 #: Largest Fock cutoff of the master-equation check, enough for a field of
 #: mean photon number ~115. With L = n_max + 1 levels the offset-0 sector's

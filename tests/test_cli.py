@@ -591,6 +591,28 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "n_states, seed, max_gap, n_discrepancies, fraction",
+        [
+            # the measure-sweep benchmark's command at workload seed 1
+            (300, 577090037, 1.5922539748913778e-06, 0, 1.0),
+            (10_000, 1, 5.211731561958477e-04, 2, 0.9998),
+        ],
+    )
+    def test_sweep_verdicts_are_pinned(
+        self, capsys, n_states, seed, max_gap, n_discrepancies, fraction
+    ):
+        code, out, _ = run_cli(
+            ["verify", "--preset", "fig3-separable", "--n-max", "14", "--t-max", "0.1",
+             "--sweep-states", str(n_states), "--seed", str(seed)], capsys
+        )
+        assert code == 0
+        sweep = json.loads(out)["measurement_sweep"]
+        assert sweep["pass"] is True
+        assert len(sweep["discrepancies"]) == n_discrepancies
+        assert sweep["fraction_within_1e-4"] == fraction
+        assert abs(sweep["max_gap"] - max_gap) <= 1e-15
+
     def test_sweep_gap_is_closed_form_minus_exact_minimum(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--preset", "fig1", "--t-max", "0.5", "--n-max", "15",

@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from xdiscord import (
     random_xstate,
     require_valid,
 )
-from xdiscord.discord import _cond_entropy_grid
+from xdiscord.discord import SEARCH_CHUNK, SHRINK_ROUNDS, THETA_GRID, _cond_entropy_grid
+from xdiscord.xstate import FIELDS, plogp
 
 from samplers import random_degenerate_balanced
 
@@ -48,7 +51,32 @@ def cond_entropy_basis(state, theta, phi=0.0):
     require_valid(state)
     c = XColumns.from_states([state])
     coh = np.abs(c.r14 * np.exp(1j * (c.phi1 - phi)) + c.r23 * np.exp(1j * (c.phi2 + phi)))
-    return float(_cond_entropy_grid(c, theta, coh)[0, 0])
+    return _cond_entropy_grid(c, theta, coh).item()
+
+
+def reference_cond_entropy_grid(states, thetas, coh):
+    """The measured conditional entropy as the library first computed it:
+    thetas broadcast against shape (rows, 1), result (rows, k), one hypot
+    radius and three plogp terms per outcome block. The reference for the
+    library's fused kernel, which returns the same points as (k, rows)."""
+    s2 = np.sin(thetas) ** 2
+    c2 = 1.0 - s2
+    off = np.sqrt(s2 * c2) * coh[:, None]
+    p1, p2, p3, p4 = (p[:, None] for p in (states.p1, states.p2, states.p3, states.p4))
+    total = 0.0
+    for a, b in ((s2, c2), (c2, s2)):  # outcome along |+>, then along |->
+        # the block is [[a*p1 + b*p2, .], [., a*p3 + b*p4]]
+        mid = 0.5 * (a * (p1 + p3) + b * (p2 + p4))
+        rad = np.hypot(0.5 * (a * (p1 - p3) + b * (p2 - p4)), off)
+        total += plogp(mid + rad)
+        total += plogp(np.maximum(mid - rad, 0.0))
+        total -= plogp(2.0 * mid)
+    return total
+
+
+def take_rows(c, rows):
+    """The rows `rows` (a slice) of an XColumns batch."""
+    return XColumns(*(getattr(c, name)[rows] for name in FIELDS))
 
 
 def dense_cond_entropy(state, theta, phi):
@@ -153,6 +181,46 @@ class TestCondEntropyBasis:
     def test_invalid_state_rejected(self):
         with pytest.raises(InvalidStateError):
             cond_entropy_basis(XState(0.25, 0.25, 0.25, 0.25, r23=0.5), 0.3)
+
+
+#: Rows where an eigenvalue, an outcome or a population is exactly 0, or a
+#: coherence sits exactly on its positivity bound.
+EDGE_STATES = [
+    BELL,
+    MIXED,
+    XState(0.0, 0.7, 0.0, 0.3),  # p1 = p3 = 0
+    XState(0.55, 0.0, 0.45, 0.0),  # p2 = p4 = 0
+    XState(0.3, 0.2, 0.1, 0.4, r14=math.sqrt(0.12), phi1=1.0, r23=math.sqrt(0.02), phi2=2.5),
+]
+
+
+class TestCondEntropyGrid:
+    """The fused kernel against the hypot kernel it replaced."""
+
+    @given(state=x_states, theta=st.floats(0.0, math.pi / 2), coh_fraction=st.floats(0.0, 1.0))
+    def test_matches_reference_kernel(self, state, theta, coh_fraction):
+        c = XColumns.from_states([state])
+        coh = coh_fraction * (c.r14 + c.r23)
+        assert_allclose(
+            _cond_entropy_grid(c, theta, coh),
+            reference_cond_entropy_grid(c, theta, coh)[:, 0],
+            rtol=0,
+            atol=2e-15,
+        )
+
+    def test_edge_rows_match_reference_without_warnings(self):
+        # 0*log2(0) must read 0 without a floating-point warning, also where
+        # an eigenvalue comes out as a rounding-level negative
+        c = XColumns.from_states(EDGE_STATES)
+        coh = c.r14 + c.r23
+        thetas = np.array([0.0, math.pi / 4, math.pi / 2])
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            got = _cond_entropy_grid(c, thetas[:, None], coh)
+        assert got.shape == (len(thetas), len(EDGE_STATES))
+        want = reference_cond_entropy_grid(c, thetas, coh).T
+        assert_allclose(got, want, rtol=0, atol=2e-15)
+        assert_allclose(got[:, 0], 0.0, atol=2e-15)  # BELL
+        assert_allclose(got[:, 1], 1.0, atol=2e-15)  # MIXED
 
 
 class TestClosedForms:
@@ -317,6 +385,64 @@ class TestMinimizeNumeric:
             assert -1e-9 <= value <= 1e-6
 
 
+@pytest.fixture
+def grid_points(monkeypatch):
+    """The number of (row, theta) points of each kernel call that
+    minimize_numeric makes, in call order."""
+    module = importlib.import_module("xdiscord.discord")
+    kernel = module._cond_entropy_grid
+    points = []
+
+    def spy(states, thetas, coh):
+        values = kernel(states, thetas, coh)
+        points.append(values.size)
+        return values
+
+    monkeypatch.setattr(module, "_cond_entropy_grid", spy)
+    return points
+
+
+class TestSearchWork:
+    """The search evaluates each row at 65 + 12*8 = 161 angles, one kernel
+    call per round for a whole chunk, and its memory is bounded by the chunk."""
+
+    @pytest.mark.parametrize("n", [1, 300, SEARCH_CHUNK])
+    def test_one_chunk_makes_13_calls(self, grid_points, n):
+        minimize_numeric(random_xstate(np.random.default_rng(41), n))
+        assert len(grid_points) == 1 + SHRINK_ROUNDS == 13
+        assert sum(grid_points) == n * (THETA_GRID + SHRINK_ROUNDS * 8) == n * 161
+
+    def test_chunks_repeat_the_calls(self, grid_points):
+        n = SEARCH_CHUNK + 3
+        minimize_numeric(random_xstate(np.random.default_rng(42), n))
+        assert len(grid_points) == 2 * 13
+        assert sum(grid_points) == n * 161
+
+    def test_batch_equals_its_chunks_one_at_a_time(self):
+        batch = random_xstate(np.random.default_rng(43), 2 * SEARCH_CHUNK + 5)
+        got = minimize_numeric(batch)
+        parts = [
+            minimize_numeric(take_rows(batch, slice(start, start + SEARCH_CHUNK)))
+            for start in range(0, len(batch), SEARCH_CHUNK)
+        ]
+        assert [len(part[0]) for part in parts] == [SEARCH_CHUNK, SEARCH_CHUNK, 5]
+        for i in range(3):
+            assert np.array_equal(got[i], np.concatenate([part[i] for part in parts]))
+
+    def test_peak_memory_of_a_large_batch(self):
+        # one chunk's (65, 4096) arrays, about 15 MB, bound the peak; one
+        # pass over all 20,000 rows at once would take about 61 MB
+        batch = random_xstate(np.random.default_rng(44), 20_000)
+        minimize_numeric(take_rows(batch, slice(0, 10)))
+        tracemalloc.start()
+        try:
+            minimize_numeric(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25e6
+
+
 def full_interval_search(c):
     """The search of minimize_numeric over the whole of [0, pi/2] instead of
     [0, pi/4]: a 129-point grid, then 12 rounds of a 9-point grid around the
@@ -324,17 +450,17 @@ def full_interval_search(c):
     coh = c.r14 + c.r23
     rows = np.arange(len(c))
     thetas = np.linspace(0.0, math.pi / 2, 129)
-    values = _cond_entropy_grid(c, thetas, coh)
-    k = np.argmin(values, axis=1)
-    theta, value = thetas[k], values[rows, k]
+    values = _cond_entropy_grid(c, thetas[:, None], coh)
+    k = np.argmin(values, axis=0)
+    theta, value = thetas[k], values[k, rows]
     span = thetas[1]
     for _ in range(12):
-        local = np.clip(theta[:, None] + span * np.linspace(-1.0, 1.0, 9), 0.0, math.pi / 2)
+        local = np.clip(theta + span * np.linspace(-1.0, 1.0, 9)[:, None], 0.0, math.pi / 2)
         values = _cond_entropy_grid(c, local, coh)
-        k = np.argmin(values, axis=1)
-        lower = values[rows, k] < value
-        theta = np.where(lower, local[rows, k], theta)
-        value = np.where(lower, values[rows, k], value)
+        k = np.argmin(values, axis=0)
+        lower = values[k, rows] < value
+        theta = np.where(lower, local[k, rows], theta)
+        value = np.where(lower, values[k, rows], value)
         span /= 4.0
     return value
 
