@@ -1,11 +1,11 @@
 """Classical correlations and quantum discord of X states.
 
-The conditional entropy after a projective measurement on qubit B is computed
-in closed form for the two special bases (theta = 0 and theta = pi/4 with the
-phase-matched azimuth), combined as min{C_m1, C_m2}, and cross-checked by the
-exact minimum over all projective bases, a batched search over theta in
-[0, pi/4] at the phase-matched azimuth (the entropy is symmetric about
-theta = pi/4).
+The conditional entropy after a projective measurement on qubit B has one
+formula, _cond_entropy_grid, which takes s2 = sin(theta)^2 at the
+phase-matched azimuth. The paper's two candidates are that formula at
+s2 = 0 (C_m1) and s2 = 1/2 (C_m2), combined as min{C_m1, C_m2}, and the
+exact minimum over all projective bases is a batched search over theta in
+[0, pi/4] (the entropy is symmetric about theta = pi/4).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .xstate import (
     XColumns,
     XState,
     eigenvalues,
+    _xlog2x,
     entropy_bits,
-    plogp,
     require_valid,
 )
 
@@ -91,48 +91,25 @@ class NullityVerdict:
     balance_residual: float
 
 
-def _binary_entropy(x) -> np.ndarray:
-    """h(x) = -x*log2(x) - (1-x)*log2(1-x), elementwise, 0 at the endpoints."""
-    x = np.asarray(x, dtype=float)
-    return np.where((x > 0.0) & (x < 1.0), plogp(x) + plogp(1.0 - x), 0.0)
-
-
-#: The smallest positive normal double. Adding it keeps log2 finite at 0 and
-#: leaves every x above about 1e-292 unchanged.
-_TINY = 2.2250738585072014e-308
-
-
-def _xlog2x(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x*log2(x) into `out`, 0 where x <= 0, with no floating-point warning.
-    x is clamped at 0 in place. Below 1e-292 the product is off by at most
-    _TINY/ln 2."""
-    np.maximum(x, 0.0, out=x)
-    np.add(x, _TINY, out=out)
-    np.log2(out, out=out)
-    out *= x
-    return out
-
-
-def _cond_entropy_grid(states: XColumns, thetas, coh: np.ndarray) -> np.ndarray:
+def _cond_entropy_grid(states: XColumns, s2, coh: np.ndarray) -> np.ndarray:
     """Measured conditional entropy sum_k p_k S(rho_k) of each state row at the
-    polar angles `thetas`, whose last axis broadcasts against the rows: shape
-    (k, 1) puts the same k angles on every row, (k, rows) k angles per row. The
-    result has the broadcast shape, (k, rows); the rows are the last axis so
-    that each array pass runs along them.
+    polar angles theta given as s2 = sin(theta)^2, whose last axis broadcasts
+    against the rows: shape (k, 1) puts the same k angles on every row,
+    (k, rows) k angles per row. The result has the broadcast shape, (k, rows);
+    the rows are the last axis so that each array pass runs along them.
 
     The azimuth phi enters only through the per-row coherence magnitude
     coh = |r14*exp(i(phi1 - phi)) + r23*exp(i(phi2 + phi))|. Each outcome
     leaves A in a 2x2 Hermitian block. Its half-trace `mid` and the half
-    difference of its diagonal are linear in s2 = sin(theta)^2, with row
-    constants, and its squared off-diagonal magnitude is (s2 - s2^2)*coh^2
-    for both outcomes. Its eigenvalues mid +- rad, rad = sqrt(difference^2 +
-    off-diagonal^2), give the outcome's weighted entropy
+    difference of its diagonal are linear in s2, with row constants, and its
+    squared off-diagonal magnitude is (s2 - s2^2)*coh^2 for both outcomes.
+    Its eigenvalues mid +- rad, rad = sqrt(difference^2 + off-diagonal^2),
+    give the outcome's weighted entropy
     2*mid*log2(2*mid) - sum_e e*log2(e). rad is a plain sqrt: np.hypot
     makes one libm call per element, and every term is at most 1, so no
     square overflows and an underflowing one moves rad by at most 1e-154. A
     zero eigenvalue raises no floating-point warning.
     """
-    s2 = np.sin(thetas) ** 2
     off2 = (s2 - s2 * s2) * (coh * coh)
     total = np.zeros(off2.shape)
     scratch = np.empty(off2.shape)
@@ -162,23 +139,18 @@ def _breakdown(state) -> BreakdownColumns:
     state or batch, elementwise, as columns (one row for an XState).
 
     S(A), S(B) from the marginals (p1+p2, p3+p4) and (p1+p3, p2+p4); S(AB)
-    from the block spectra; C_m1 = (p2+p4)*h(p2/(p2+p4)) +
-    (p1+p3)*h(p1/(p1+p3)), an empty branch giving 0; the other fields as in
-    DiscordBreakdown.
+    from the block spectra; C_m1 and C_m2 from one _cond_entropy_grid call
+    at s2 = 0 and 1/2 with the phase-matched coh = r14 + r23; the other
+    fields as in DiscordBreakdown.
     """
     s_ab = entropy_bits(eigenvalues(state))  # validates the input
     states = state if isinstance(state, XColumns) else XColumns.from_states([state])
     p1, p2, p3, p4 = states.p1, states.p2, states.p3, states.p4
     s_a = entropy_bits(np.stack([p1 + p2, p3 + p4], axis=-1))
     s_b = entropy_bits(np.stack([p1 + p3, p2 + p4], axis=-1))
-
-    def branch(a, b):
-        s = a + b
-        return s * _binary_entropy(np.divide(a, s, out=np.zeros_like(s), where=s > 0.0))
-
-    cm1 = branch(p2, p4) + branch(p1, p3)
-    ups = np.hypot(p1 + p2 - p3 - p4, 2.0 * (states.r14 + states.r23))
-    cm2 = _binary_entropy(0.5 * (1.0 + ups))
+    coh = states.r14 + states.r23
+    cm1, cm2 = _cond_entropy_grid(states, np.array([[0.0], [0.5]]), coh)
+    ups = np.hypot(p1 + p2 - p3 - p4, 2.0 * coh)
     mutual = s_a + s_b - s_ab
     classical = s_a - np.minimum(cm1, cm2)
     conc = 2.0 * np.maximum(
@@ -220,13 +192,13 @@ def _search_theta(c: XColumns):
     coh = c.r14 + c.r23
     rows = np.arange(len(c))
     thetas = np.linspace(0.0, math.pi / 4, THETA_GRID)
-    values = _cond_entropy_grid(c, thetas[:, None], coh)
+    values = _cond_entropy_grid(c, np.sin(thetas[:, None]) ** 2, coh)
     k = np.argmin(values, axis=0)
     theta, value = thetas[k], values[k, rows]
     span = thetas[1]
     for _ in range(SHRINK_ROUNDS):
         local = np.clip(theta + span * _ROUND_OFFSETS, 0.0, math.pi / 4)
-        values = _cond_entropy_grid(c, local, coh)
+        values = _cond_entropy_grid(c, np.sin(local) ** 2, coh)
         k = np.argmin(values, axis=0)
         best = values[k, rows]
         lower = best < value

@@ -114,7 +114,13 @@ def lambda_from_g_delta(g: float, delta: float) -> float:
             DispersiveRegimeWarning,
             stacklevel=2,
         )
-    return g * g / (2.0 * abs(delta))
+    # |g|*(|g|/(2|delta|)), not g*g/(2|delta|): g*g overflows for |g| > 1e154
+    lam = abs(g) * (0.5 * (abs(g) / abs(delta)))
+    if not 0.0 < lam < math.inf:
+        raise ValueError(
+            f"g = {g!r} and delta = {delta!r} give lam = {lam!r}, not finite and positive"
+        )
+    return lam
 
 
 def _cmul(a, b):
@@ -134,7 +140,9 @@ def evolve(initial: XState, params: TCParams, t):
     its initial values c_plus/c_minus = (p2(0) +- p3(0))/2 and rho23(0) =
     c1 + i*c2, so its positivity is preserved; the outer coherence rho41(0)
     is multiplied by exp(-i*lam*t - (2i*lam*|alpha|^2/z)*(1 - exp(-z*t)))
-    with z = kappa + 2i*lam, so its magnitude only shrinks.
+    with z = kappa + 2i*lam, so its magnitude only shrinks. A propagation that
+    is not finite in double precision (a rate near the largest double) is
+    refused.
     """
     require_valid(initial)
     times = np.asarray(t, dtype=float)
@@ -145,14 +153,18 @@ def evolve(initial: XState, params: TCParams, t):
     c_plus = 0.5 * (initial.p2 + initial.p3)
     c_minus = 0.5 * (initial.p2 - initial.p3)
     c1, c2 = initial.rho23.real, initial.rho23.imag
-    cos_lt = np.cos(lam * ts)
-    sin_lt = np.sin(lam * ts)
-    p2_t = c_plus + c_minus * cos_lt - c2 * sin_lt
-    p3_t = 1.0 - initial.p1 - p2_t - initial.p4
-    rho23_t = c1 + 1j * (c2 * cos_lt + c_minus * sin_lt)
-    z = complex(params.kappa, 2.0 * lam)
-    w = -1j * lam * ts - _cmul(2j * lam * asq / z, 1.0 - np.exp(-z * ts))
-    rho41_t = _cmul(initial.rho14.conjugate(), np.exp(w))
+    # A huge rate overflows to inf or nan, which the check below refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos_lt = np.cos(lam * ts)
+        sin_lt = np.sin(lam * ts)
+        p2_t = c_plus + c_minus * cos_lt - c2 * sin_lt
+        p3_t = 1.0 - initial.p1 - p2_t - initial.p4
+        rho23_t = c1 + 1j * (c2 * cos_lt + c_minus * sin_lt)
+        z = complex(params.kappa, 2.0 * lam)
+        w = -1j * lam * ts - _cmul(2j * lam * asq / z, 1.0 - np.exp(-z * ts))
+        rho41_t = _cmul(initial.rho14.conjugate(), np.exp(w))
+    if not all(np.isfinite(x).all() for x in (p2_t, rho23_t, rho41_t)):
+        raise ValueError("the analytic propagation is not finite")
     states = XColumns.from_coherences(
         np.full_like(ts, initial.p1),
         p2_t,

@@ -48,6 +48,10 @@ EXCITED_COUNT = np.array([0.0, 1.0, 1.0, 2.0])
 #: Largest coherent-state weight a Fock truncation may leave beyond n_max.
 TAIL_BOUND = 1e-12
 
+#: Samples whose Fock elements integrate holds at once before it reduces them
+#: to the X state and the block minimum; this bounds its memory on any grid.
+SAMPLE_CHUNK = 1024
+
 
 def photon_weights(alpha_sq: float, n_max: int) -> np.ndarray:
     """Photon-number weights of |alpha>: the Poisson terms alpha_sq^n/n! on
@@ -255,11 +259,12 @@ def integrate(initial: XState, params: TCParams, n_max: int, times) -> Integrati
     terms do not is refused. The elements V[p, n] step as
     exp(hX) (exp(hD_p) V_p): X and each distinct Fock block are exponentiated
     once per distinct gap h between sorted sample times, and each sample sums
-    its elements over n into the reduced X state. A propagation that is not
-    finite is refused. `min_eigenvalue` is the smallest eigenvalue of the
-    Fock-conditioned atomic blocks <n|rho|n> over all samples; their
-    positivity is necessary for that of the joint state. `times` is any
-    nonnegative time or list of times; the result is sorted by time.
+    its elements over n into the reduced X state, SAMPLE_CHUNK samples at a
+    time. A propagation that is not finite is refused. `min_eigenvalue` is
+    the smallest eigenvalue of the Fock-conditioned atomic blocks <n|rho|n>
+    over all samples; their positivity is necessary for that of the joint
+    state. `times` is any nonnegative time or list of times; the result is
+    sorted by time.
     """
     require_valid(initial)
     times = np.sort(np.atleast_1d(np.asarray(times, dtype=float)))
@@ -287,16 +292,22 @@ def integrate(initial: XState, params: TCParams, n_max: int, times) -> Integrati
             (_expm(pair * gap), _expm(flat[first] * gap)[label]) if gap else None
             for gap in gaps
         ]
-        # blocks[s, group, pair, n]: element (j, n, k, n) at sample s.
-        blocks = np.empty((times.size,) + vec.shape, dtype=complex)
-        for s, u in enumerate(which):
-            if props[u] is not None:
-                vec = props[u][0] @ (props[u][1] @ vec[..., None])[..., 0]
-            blocks[s] = vec
-        # Pairs per group: outer (0,0),(0,3),(3,0),(3,3); inner (1,1),(1,2),(2,1),(2,2).
-        reduced = blocks.sum(axis=-1)
-        top, bottom = blocks[:, :, 0].real, blocks[:, :, 3].real
-        block_min = 0.5 * (top + bottom) - np.hypot(0.5 * (top - bottom), np.abs(blocks[:, :, 1]))
+        reduced = np.empty((times.size,) + vec.shape[:-1], dtype=complex)
+        block_min = np.empty(times.size)  # each sample's smallest eigenvalue
+        # chunk[s, group, pair, n]: element (j, n, k, n) at sample start + s.
+        chunk = np.empty((min(SAMPLE_CHUNK, times.size),) + vec.shape, dtype=complex)
+        for start in range(0, times.size, SAMPLE_CHUNK):
+            blocks = chunk[: times.size - start]
+            for s, u in enumerate(which[start : start + len(blocks)]):
+                if props[u] is not None:
+                    vec = props[u][0] @ (props[u][1] @ vec[..., None])[..., 0]
+                blocks[s] = vec
+            # Pairs per group: outer (0,0),(0,3),(3,0),(3,3); inner (1,1),(1,2),(2,1),(2,2).
+            here = slice(start, start + len(blocks))
+            reduced[here] = blocks.sum(axis=-1)
+            top, bottom = blocks[:, :, 0].real, blocks[:, :, 3].real
+            eig = 0.5 * (top + bottom) - np.hypot(0.5 * (top - bottom), np.abs(blocks[:, :, 1]))
+            block_min[here] = eig.min(axis=(1, 2))
     if not (np.isfinite(reduced).all() and np.isfinite(block_min).all()):
         raise ValueError("the master-equation propagation is not finite")
     (p1, rho14, _, p4), (p2, rho23, _, p3) = reduced.transpose(1, 2, 0)

@@ -228,12 +228,20 @@ def eigenvalues(state) -> np.ndarray:
     return vals if isinstance(state, XColumns) else vals[0]
 
 
-def plogp(p) -> np.ndarray:
-    """Elementwise entropy terms -p*log2(p), with 0 where p <= 0."""
-    p = np.asarray(p, dtype=float)
-    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
-    logs *= p
-    return np.negative(logs, out=logs)
+#: The smallest positive normal double. Adding it keeps log2 finite at 0 and
+#: leaves every x above about 1e-292 unchanged.
+_TINY = 2.2250738585072014e-308
+
+
+def _xlog2x(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x*log2(x) into `out`, 0 where x <= 0, with no floating-point warning:
+    the library's one x*log2(x). x is clamped at 0 in place. Below 1e-292 the product is off by at most
+    _TINY/ln 2."""
+    np.maximum(x, 0.0, out=x)
+    np.add(x, _TINY, out=out)
+    np.log2(out, out=out)
+    out *= x
+    return out
 
 
 def entropy_bits(probabilities):
@@ -244,10 +252,11 @@ def entropy_bits(probabilities):
     Negative entries beyond DEFAULT_TOL are rejected; smaller ones count as 0.
     A NaN or infinite entry makes its entropy non-finite and is rejected.
     """
-    p = np.asarray(probabilities, dtype=float)
+    p = np.array(probabilities, dtype=float)  # a copy, which _xlog2x clamps
     if p.size and p.min() < -DEFAULT_TOL:
         raise ValueError(f"negative probability {p.min()!r} beyond tolerance {DEFAULT_TOL}")
-    h = plogp(p).sum(axis=-1)
+    # 0 - sum, not -sum: an entropy of 0 reads +0.0, not -0.0
+    h = 0.0 - _xlog2x(p, np.empty_like(p)).sum(axis=-1)
     if not np.isfinite(h).all():
         raise ValueError("probabilities must be finite")
     return float(h) if h.ndim == 0 else h

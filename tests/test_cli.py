@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -167,6 +168,23 @@ class TestEvolveCommand:
         code, out, err = run_cli(["evolve", "--config", str(config)], capsys)
         assert (code, out) == (3, "")
         assert "t_max = inf must be finite" in err
+
+    @pytest.mark.parametrize("command", ["evolve", "zeros"])
+    def test_non_finite_propagation_exit_3(self, command, capsys, tmp_path):
+        # lambda*t overflows: this used to print numpy RuntimeWarnings and
+        # exit 2, blaming a NaN coherence on the valid initial state
+        config = tmp_path / "config.json"
+        config.write_text(
+            '{"initial": {"populations": [0.25, 0.1875, 0.3125, 0.25], "r14": 0.25}, '
+            '"params": {"lambda": 1e308, "kappa": 0.5, "alpha_sq": 2.0}, '
+            '"grid": {"t_max": 10, "n_samples": 11}}'
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli([command, "--config", str(config)], capsys)
+        assert caught == []
+        assert (code, out) == (3, "")
+        assert err == "error: the analytic propagation is not finite\n"
 
     # int() would truncate 2.7 to 2 and read true as 1
     @pytest.mark.parametrize("n_samples", ["Infinity", "1e400", "2.7", "true", '"7"'])

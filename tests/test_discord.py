@@ -24,7 +24,7 @@ from xdiscord import (
     require_valid,
 )
 from xdiscord.discord import SEARCH_CHUNK, SHRINK_ROUNDS, THETA_GRID, _cond_entropy_grid
-from xdiscord.xstate import FIELDS, plogp
+from xdiscord.xstate import DEFAULT_TOL, FIELDS, entropy_bits
 
 from samplers import random_degenerate_balanced
 
@@ -44,6 +44,39 @@ INTERIOR = XState(
 )
 
 
+def plogp(p) -> np.ndarray:
+    """Elementwise entropy terms -p*log2(p), with 0 where p <= 0: the masked
+    form, the reference for the library's one x*log2(x)."""
+    p = np.asarray(p, dtype=float)
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    logs *= p
+    return np.negative(logs, out=logs)
+
+
+def binary_entropy(x) -> np.ndarray:
+    """h(x) = -x*log2(x) - (1-x)*log2(1-x), elementwise, 0 at the endpoints."""
+    x = np.asarray(x, dtype=float)
+    return np.where((x > 0.0) & (x < 1.0), plogp(x) + plogp(1.0 - x), 0.0)
+
+
+def paper_c_m1(s):
+    """C_m1 as the paper writes it: (p2+p4)*h(p2/(p2+p4)) +
+    (p1+p3)*h(p1/(p1+p3)), an empty branch giving 0."""
+
+    def branch(a, b):
+        total = a + b
+        return total * binary_entropy(a / total) if total > 0.0 else 0.0
+
+    return float(branch(s.p2, s.p4) + branch(s.p1, s.p3))
+
+
+def paper_c_m2(s):
+    """C_m2 as the paper writes it: h((1 + upsilon)/2), with upsilon =
+    sqrt((p1+p2-p3-p4)^2 + 4*(r14+r23)^2)."""
+    upsilon = math.hypot(s.p1 + s.p2 - s.p3 - s.p4, 2.0 * (s.r14 + s.r23))
+    return float(binary_entropy(0.5 * (1.0 + upsilon)))
+
+
 def cond_entropy_basis(state, theta, phi=0.0):
     """Conditional entropy sum_k p_k S(rho_k) after measuring B in the basis
     |+> = cos(theta)|e> + sin(theta)e^{i phi}|g> and its orthogonal
@@ -51,7 +84,7 @@ def cond_entropy_basis(state, theta, phi=0.0):
     require_valid(state)
     c = XColumns.from_states([state])
     coh = np.abs(c.r14 * np.exp(1j * (c.phi1 - phi)) + c.r23 * np.exp(1j * (c.phi2 + phi)))
-    return _cond_entropy_grid(c, theta, coh).item()
+    return _cond_entropy_grid(c, np.sin(theta) ** 2, coh).item()
 
 
 def reference_cond_entropy_grid(states, thetas, coh):
@@ -202,7 +235,7 @@ class TestCondEntropyGrid:
         c = XColumns.from_states([state])
         coh = coh_fraction * (c.r14 + c.r23)
         assert_allclose(
-            _cond_entropy_grid(c, theta, coh),
+            _cond_entropy_grid(c, np.sin(theta) ** 2, coh),
             reference_cond_entropy_grid(c, theta, coh)[:, 0],
             rtol=0,
             atol=2e-15,
@@ -215,7 +248,7 @@ class TestCondEntropyGrid:
         coh = c.r14 + c.r23
         thetas = np.array([0.0, math.pi / 4, math.pi / 2])
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            got = _cond_entropy_grid(c, thetas[:, None], coh)
+            got = _cond_entropy_grid(c, np.sin(thetas[:, None]) ** 2, coh)
         assert got.shape == (len(thetas), len(EDGE_STATES))
         want = reference_cond_entropy_grid(c, thetas, coh).T
         assert_allclose(got, want, rtol=0, atol=2e-15)
@@ -267,6 +300,51 @@ class TestClosedForms:
             assert_allclose(discord(s).c_m2, cond_entropy_basis(s, math.pi / 4, phi), atol=1e-10)
 
 
+class TestPaperFormulas:
+    """discord() takes C_m1 and C_m2 from the measurement kernel at s2 = 0
+    and 1/2; the paper's closed forms are the reference."""
+
+    @staticmethod
+    def assert_matches_paper(state):
+        with np.errstate(all="raise"):
+            br = discord(state)
+            want = (paper_c_m1(state), paper_c_m2(state))
+        assert_allclose((br.c_m1, br.c_m2), want, rtol=0, atol=1e-15)
+
+    @given(state=x_states)
+    def test_matches_paper_formulas(self, state):
+        self.assert_matches_paper(state)
+
+    # an empty C_m1 branch (p2 + p4 = 0, p1 + p3 = 0, or all but p1), and
+    # upsilon = 1 (BELL, |gg>), where C_m2 is h(1) = 0
+    @pytest.mark.parametrize("state", EDGE_STATES + [XState(1.0, 0.0, 0.0, 0.0)])
+    def test_edge_rows(self, state):
+        self.assert_matches_paper(state)
+
+
+class TestEntropyBits:
+    """entropy_bits runs on the library's one x*log2(x), which clamps its
+    argument in place; the masked plogp is the reference."""
+
+    def test_argument_unchanged(self):
+        p = np.array([[0.5, -1e-13, 0.5, 0.0], [0.25, 0.25, 0.25, 0.25]])
+        before = p.copy()
+        entropy_bits(p)
+        assert np.array_equal(p.view(np.int64), before.view(np.int64))
+
+    def test_bit_identical_to_masked_reference(self):
+        rng = np.random.default_rng(50)
+        p = np.exp(rng.uniform(math.log(1e-292), 0.0, (5000, 4)))
+        p[:10, 0] = 1e-292
+        p[::3, 1] = 0.0
+        p[::7, 2] = -rng.uniform(0.0, DEFAULT_TOL, p[::7, 2].shape)
+        p[:5] = [1.0, 0.0, -DEFAULT_TOL, 0.0]
+        got, want = entropy_bits(p), plogp(p).sum(axis=-1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        one_at_a_time = np.array([entropy_bits(row) for row in p[:20]])
+        assert np.array_equal(one_at_a_time.view(np.int64), want[:20].view(np.int64))
+
+
 def entropy(p):
     p = np.asarray(p, float)
     nz = p[p > 0]
@@ -298,8 +376,6 @@ class TestDiscord:
             assert br.discord >= -1e-9
 
     def test_classical_corr_identity(self):
-        from xdiscord import entropy_bits
-
         rng = np.random.default_rng(17)
         for _ in range(50):
             s = random_xstate(rng)
@@ -393,8 +469,8 @@ def grid_points(monkeypatch):
     kernel = module._cond_entropy_grid
     points = []
 
-    def spy(states, thetas, coh):
-        values = kernel(states, thetas, coh)
+    def spy(states, s2, coh):
+        values = kernel(states, s2, coh)
         points.append(values.size)
         return values
 
@@ -450,13 +526,13 @@ def full_interval_search(c):
     coh = c.r14 + c.r23
     rows = np.arange(len(c))
     thetas = np.linspace(0.0, math.pi / 2, 129)
-    values = _cond_entropy_grid(c, thetas[:, None], coh)
+    values = _cond_entropy_grid(c, np.sin(thetas[:, None]) ** 2, coh)
     k = np.argmin(values, axis=0)
     theta, value = thetas[k], values[k, rows]
     span = thetas[1]
     for _ in range(12):
         local = np.clip(theta + span * np.linspace(-1.0, 1.0, 9)[:, None], 0.0, math.pi / 2)
-        values = _cond_entropy_grid(c, local, coh)
+        values = _cond_entropy_grid(c, np.sin(local) ** 2, coh)
         k = np.argmin(values, axis=0)
         lower = values[k, rows] < value
         theta = np.where(lower, local[k, rows], theta)
@@ -474,8 +550,8 @@ class TestHalfInterval:
         c = XColumns.from_states([state])
         coh = coh_fraction * (c.r14 + c.r23)
         assert_allclose(
-            _cond_entropy_grid(c, theta, coh),
-            _cond_entropy_grid(c, math.pi / 2 - theta, coh),
+            _cond_entropy_grid(c, np.sin(theta) ** 2, coh),
+            _cond_entropy_grid(c, np.sin(math.pi / 2 - theta) ** 2, coh),
             rtol=0,
             atol=1e-15,
         )

@@ -53,12 +53,22 @@ class TestLambdaFromGDelta:
             (math.inf, 20.0, "g = inf and"),
             (1.0, -math.inf, "delta = -inf must be finite"),
             (0.0, 5.0, "g = 0.0 must be nonzero"),
+            (1e-200, 1.0, r"give lam = 0\.0, not finite and positive"),
+            (1e-170, -1e150, r"give lam = 0\.0, not finite and positive"),
         ],
     )
     def test_non_finite_or_zero_coupling_rejected(self, g, delta, text):
         # each used to return nan or 0.0, which no TCParams takes as lam
         with pytest.raises(ValueError, match=text):
             lambda_from_g_delta(g, delta)
+
+    @pytest.mark.parametrize(
+        "g, delta, lam",
+        [(1e200, 1e300, 5e99), (1e160, -1e170, 5e149), (1e300, 1e308, 5e291)],
+    )
+    def test_large_coupling_does_not_overflow(self, g, delta, lam):
+        # g*g overflowed to inf (or inf/inf = nan) although lam is finite
+        assert_allclose(lambda_from_g_delta(g, delta), lam, rtol=1e-15)
 
 
 class TestEvolve:
@@ -88,6 +98,15 @@ class TestEvolve:
         for t in (-1.0, math.inf, math.nan, [0.0, -1.0]):
             with pytest.raises(ValueError):
                 evolve(XState(0.25, 0.25, 0.25, 0.25), TCParams(), t)
+
+    @pytest.mark.parametrize("t", [0.0, [0.0, 1.0, 10.0]])
+    def test_non_finite_propagation_rejected(self, t):
+        # lam*t and 2*lam overflow; this used to warn and return NaN
+        # coherences, which the validity check then blamed on the state
+        cfg = preset_config("fig1")
+        params = TCParams(lam=1e308, kappa=cfg.params.kappa, alpha_sq=cfg.params.alpha_sq)
+        with pytest.raises(ValueError, match="^the analytic propagation is not finite$"):
+            evolve(cfg.initial, params, t)
 
     def test_fig3_separable_inner_block_frozen(self):
         cfg = preset_config("fig3-separable")

@@ -23,6 +23,7 @@ from xdiscord import (
 from xdiscord.cli import MAX_N_MAX, PROPAGATOR_TOL, main
 from xdiscord.oracle import (
     EXCITED_COUNT,
+    SAMPLE_CHUNK,
     THETA_13,
     _exchange,
     _expm,
@@ -484,6 +485,31 @@ class TestIntegrate:
         finally:
             tracemalloc.stop()
         assert peak <= 40e6
+
+    def test_peak_memory_on_a_long_grid(self):
+        # the Fock elements of SAMPLE_CHUNK samples at a time (~3.4 MB at
+        # n_max = 25) bound the peak; keeping every sample's took 103 MB here
+        cfg = preset_config("fig1")
+        integrate(cfg.initial, cfg.params, 25, [0.1])
+        tracemalloc.start()
+        try:
+            integrate(cfg.initial, cfg.params, 25, np.linspace(0.0, 2.0, 20_001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
+
+    def test_chunks_carry_the_state_across(self):
+        # samples on both sides of each chunk boundary match the generator
+        # exponentiated whole and straight to their times, up to the roundoff
+        # of ~2,000 steps (~2e-13)
+        cfg = preset_config("fig1")
+        times = np.linspace(0.0, 3.0, 2 * SAMPLE_CHUNK + 3)
+        result = integrate(cfg.initial, cfg.params, 12, times)
+        picks = [0, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK, 2 * SAMPLE_CHUNK + 2]
+        want = unsplit_reduced(cfg.initial, cfg.params, 12, times[picks])
+        for i, k in enumerate(picks):
+            assert np.abs(result.states.row(k).to_matrix() - want[i]).max() <= 1e-12
 
     def test_non_finite_propagation_refused(self):
         # at lam = 1e20 the exponentials overflow: refused, with no warning
