@@ -63,11 +63,11 @@ VERIFY_SPACING = 0.1
 #: grows ~0.15 MB per 1,000 states beyond the first chunk, to ~67 MB in all.
 MAX_SWEEP_STATES = 100_000
 #: Largest Fock cutoff of the master-equation check, enough for a field of
-#: mean photon number ~115. With L = n_max + 1 levels the offset-0 sector's
-#: eight L x L Fock blocks take 128*L^2 bytes, and their exponentials as much
-#: per distinct sample gap, while no exponential is larger than L x L, so peak
-#: memory grows as L^2: a `verify --t-max 0.3` process peaks at ~59 MB and
-#: takes ~0.16 s at the bound (~32 MB at n_max = 25), on a 2-CPU Xeon, one
+#: mean photon number ~115. With L = n_max + 1 levels the oracle holds one
+#: L x L table of binomial weights (8*L^2 bytes) and, per chunk of samples,
+#: arrays of L x 8 elements a sample; it forms no L x L exponential. A
+#: `verify --t-max 0.3` process peaks at ~34 MB and takes ~0.16 s at the
+#: bound, most of it the import (~32 MB at n_max = 25), on a 2-CPU Xeon, one
 #: thread.
 MAX_N_MAX = 200
 
@@ -225,7 +225,7 @@ def _verify_propagator(config: RunConfig, t_max: float, n_max: int) -> dict:
     tail = poisson_tail(alpha_sq, MAX_N_MAX)
     if tail > TAIL_BOUND:
         # Refused before the oracle runs, whose refusal would name a cutoff
-        # above MAX_N_MAX and, for a huge field, take minutes to find it.
+        # above MAX_N_MAX, the largest that verify accepts.
         out.update({
             "error": f"alpha_sq = {alpha_sq:g} leaves a coherent tail of {tail:.3e} > "
             f"{TAIL_BOUND:.3e} even at n_max = {MAX_N_MAX}, the largest cutoff verify "

@@ -523,8 +523,8 @@ class TestVerifyCommand:
         assert "beyond what verify can check" in json.loads(out)["propagator"]["error"]
 
     def test_huge_kappa_reports_steady_coherence(self, capsys, tmp_path):
-        # kappa^2 overflows a float, which the steady values no longer square.
-        # At this kappa the oracle fails its trace check, so verify exits 4.
+        # kappa^2 overflows a float, which the steady values no longer square,
+        # and the oracle's closed-form decay keeps the trace, so verify passes
         config = PRESETS["fig1"].to_dict()
         config["params"]["kappa"] = 1e155
         path = tmp_path / "config.json"
@@ -538,13 +538,29 @@ class TestVerifyCommand:
         code, out, _ = run_cli(
             ["verify", "--config", str(path), "--t-max", "0.3", "--sweep-states", "0"], capsys
         )
-        assert code == 4
+        assert code == 0
         steady = json.loads(out)["steady_coherence"]
         assert steady["long_time_limit"] == steady["as_printed_alternative"] == 0.25
 
+    def test_stiff_kappa_passes_verify(self, capsys, tmp_path):
+        # at kappa = 1e8 the Padé exponential of the decay ladder lost 1.5e-8
+        # of the trace, past its 1e-8 tolerance, and verify exited 4
+        config = PRESETS["fig1"].to_dict()
+        config["params"]["kappa"] = 1e8
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli(
+            ["verify", "--config", str(path), "--t-max", "0.3", "--sweep-states", "0"], capsys
+        )
+        assert code == 0
+        propagator = json.loads(out)["propagator"]
+        assert propagator["max_trace_drift"] <= 1e-14
+        assert propagator["max_deviation"] <= 1e-14
+
     def test_non_finite_oracle_fails_verify_exit_4(self, capsys, tmp_path):
-        # at lam = 1e20 the oracle's exponentials overflow; the propagation
-        # is refused, and the report stays valid JSON
+        # at lam = 1e20 no radian of the oracle's largest phase survives in
+        # double precision; the propagation is refused, and the report stays
+        # valid JSON
         config = PRESETS["fig1"].to_dict()
         config["params"]["lambda"] = 1e20
         path = tmp_path / "config.json"
@@ -554,7 +570,10 @@ class TestVerifyCommand:
         )
         assert code == 4
         propagator = json.loads(out)["propagator"]
-        assert propagator["error"] == "the master-equation propagation is not finite"
+        assert propagator["error"] == (
+            "the largest phase of the propagation, 1.530e+21, is not below 2**53: "
+            "not one radian of it survives"
+        )
         assert not propagator["pass"] and "propagator: FAIL" in err
 
     def test_poisson_tail_summed_twice(self, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -24,9 +25,9 @@ from xdiscord.cli import MAX_N_MAX, PROPAGATOR_TOL, main
 from xdiscord.oracle import (
     EXCITED_COUNT,
     SAMPLE_CHUNK,
-    THETA_13,
+    _PAIR_J,
+    _PAIR_K,
     _exchange,
-    _expm,
     _make_sector,
     _min_cutoff,
     _stark,
@@ -42,9 +43,71 @@ def hamiltonian(params, n_max):
     return (diagonal + np.kron(_exchange(params), np.eye(n_max + 1))).astype(complex)
 
 
+#: Higham's bound on the 1-norm up to which the [13/13] Padé approximant of
+#: exp is accurate to double precision, and its numerator coefficients b0..b13
+#: (the denominator's alternate in sign).
+THETA_13 = 5.371920351148152
+PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+
+
+def _expm(m):
+    """exp of a stack of square matrices by scaling and squaring (Higham,
+    SIMAX 26, 2005): the [13/13] Padé approximant r(a) = q(a)^-1 p(a) of
+    a = m / 2^s, where s is the least power that brings the 1-norm to at most
+    THETA_13, then squared s times. The generic reference the closed-form
+    propagator is checked against."""
+    norm = np.abs(m).sum(axis=-2).max()
+    s = math.ceil(math.log2(norm / THETA_13)) if norm > THETA_13 else 0
+    a = m / 2.0**s if s else m
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    diag = np.arange(m.shape[-1])
+
+    def even(b):
+        """b[0]*I + b[1]*a^2 + b[2]*a^4 (+ b[3]*a^6), summed in place."""
+        w = b[1] * a2
+        for c, power in zip(b[2:], (a4, a6)):
+            w += c * power
+        w[..., diag, diag] += b[0]
+        return w
+
+    u = a6 @ even(PADE_13[7::2])
+    u += even(PADE_13[1:7:2])
+    u = a @ u
+    v = a6 @ even(PADE_13[6::2])
+    v += even(PADE_13[0:6:2])
+    q = v - u
+    v += u
+    out = np.linalg.solve(q, v)
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def sector(params, n_max, d):
+    """Both groups' offset-d X elements, from _stark and the decay ladder of
+    D[a]: their joint indices (j, n, k, m), broadcasting to shape (2, 4, L),
+    and their Fock blocks D_p, shape (2, 4, L, L), with the diagonal
+    -i(stark[j, n] - stark[k, m]) - kappa(n + m)/2 and the superdiagonal
+    kappa*sqrt(nm) (a rho a+)."""
+    stark = _stark(params, n_max + 1)
+    n = np.arange(max(d, 0), n_max + 1 + min(d, 0))
+    m = n - d
+    i = np.arange(n.size)
+    fock = np.zeros((2, 4, n.size, n.size), dtype=complex)
+    fock[..., i, i] = -1j * (stark[_PAIR_J, n] - stark[_PAIR_K, m]) - 0.5 * params.kappa * (n + m)
+    fock[..., i[:-1], i[1:]] = params.kappa * np.sqrt(n[1:] * m[1:])
+    return (_PAIR_J, n, _PAIR_K, m), fock
+
+
 def whole(pair, fock):
-    """Each group's generator X (x) I + blockdiag(D_p) assembled from the
-    factors of _make_sector, shape (2, 4L, 4L), index (pair, Fock level)."""
+    """Each group's generator X (x) I + blockdiag(D_p) assembled from its
+    factors, shape (2, 4L, 4L), index (pair, Fock level)."""
     size = fock.shape[-1]
     gen = np.kron(pair, np.eye(size))
     for p in range(4):
@@ -53,15 +116,15 @@ def whole(pair, fock):
 
 
 def joint_states(initial, params, n_max, times):
-    """Every sector of _make_sector propagated to each time, assembled into
-    dense joint states, shape (len(times), 4, F, 4, F)."""
+    """Every sector propagated to each time with _expm, assembled into dense
+    joint states, shape (len(times), 4, F, 4, F)."""
     fdim = n_max + 1
     v = np.sqrt(photon_weights(params.alpha_sq, n_max))  # alpha is real
     rho0 = np.kron(initial.to_matrix(), np.outer(v, v.conj())).reshape(4, fdim, 4, fdim)
     states = np.zeros((len(times), 4, fdim, 4, fdim), dtype=complex)
-    pair, sector = _make_sector(params, n_max)
+    pair = -1j * _make_sector(params, n_max)[0]
     for d in range(-n_max, fdim):
-        index, fock = sector(d)
+        index, fock = sector(params, n_max, d)
         gen = whole(pair, fock)
         vec = rho0[index].reshape(2, -1, 1)
         for s, t in enumerate(times):
@@ -71,10 +134,10 @@ def joint_states(initial, params, n_max, times):
 
 def unsplit_reduced(initial, params, n_max, times):
     """Reduced states from the assembled (2, 4L, 4L) offset-0 generators,
-    exponentiated whole and straight to each time, shape (len(times), 4, 4)."""
-    pair, sector = _make_sector(params, n_max)
-    (pair_j, _, pair_k, _), fock = sector(0)
-    gen = whole(pair, fock)
+    exponentiated whole with _expm straight to each time, shape
+    (len(times), 4, 4)."""
+    (pair_j, _, pair_k, _), fock = sector(params, n_max, 0)
+    gen = whole(-1j * _make_sector(params, n_max)[0], fock)
     photons = photon_weights(params.alpha_sq, n_max)
     vec = (initial.to_matrix()[pair_j, pair_k] * photons).reshape(2, -1, 1)
     reduced = np.zeros((len(times), 4, 4), dtype=complex)
@@ -85,16 +148,22 @@ def unsplit_reduced(initial, params, n_max, times):
 
 
 @pytest.fixture
-def expm_shapes(monkeypatch):
-    """The shape of every stack that integrate exponentiates, in call order."""
-    shapes = []
+def work(monkeypatch):
+    """The shape of every array integrate decomposes with eigh or
+    exponentiates elementwise, by function, in call order."""
+    calls = {"eigh": [], "exp": [], "expm1": []}
 
-    def spy(m):
-        shapes.append(m.shape)
-        return _expm(m)
+    def spy(name, real):
+        def wrapped(x, *args, **kwargs):
+            calls[name].append(np.shape(x))
+            return real(x, *args, **kwargs)
 
-    monkeypatch.setattr("xdiscord.oracle._expm", spy)
-    return shapes
+        return wrapped
+
+    monkeypatch.setattr("xdiscord.oracle.np.linalg.eigh", spy("eigh", np.linalg.eigh))
+    monkeypatch.setattr("xdiscord.oracle.np.exp", spy("exp", np.exp))
+    monkeypatch.setattr("xdiscord.oracle.np.expm1", spy("expm1", np.expm1))
+    return calls
 
 
 def planted_outer_exchange(params):
@@ -148,6 +217,15 @@ class TestFockTruncation:
             n_max = _min_cutoff(alpha_sq)
             assert 0 < n_max <= 25
             assert poisson_tail(alpha_sq, n_max) <= 1e-12 < poisson_tail(alpha_sq, n_max - 1)
+
+    def test_huge_field_refused_within_a_second(self):
+        # the cutoff hint used to sum Poisson terms near the mode for every
+        # doubled and bisected cutoff, and took over 5 s here; the Chernoff
+        # bound now brackets it without summing
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"need n_max >= 10000070\d{5}$"):
+            photon_weights(1e12, 25)
+        assert time.perf_counter() - start < 1.0
 
     def test_explicit_cutoff_too_small_rejected_with_hint(self):
         with pytest.raises(ValueError, match=f"need n_max >= {_min_cutoff(1.0)}$"):
@@ -267,10 +345,11 @@ class TestSectorGenerator:
         )
         # label every element of rho by its sector; off-X elements get -1
         label = np.full((4, fdim, 4, fdim), -1)
-        pair, sector = _make_sector(params, n_max)
+        coupling, rate, slope = _make_sector(params, n_max)
+        pair = -1j * coupling  # X
         generators = []
         for d in range(-n_max, fdim):
-            index, fock = sector(d)
+            index, fock = sector(params, n_max, d)
             gen = whole(pair, fock)
             flat = np.ravel_multi_index(np.broadcast_arrays(*index), label.shape)
             for g in range(2):
@@ -283,6 +362,15 @@ class TestSectorGenerator:
         assert np.array_equal(label.flat[rows], label.flat[cols])
         for flat, gen in generators:
             assert np.abs(dense[np.ix_(flat, flat)] - gen).max() <= 1e-12
+        # the offset-0 factors integrate reads: D_p upper bidiagonal, with the
+        # diagonal rate + slope * n and the superdiagonal kappa * (n + 1)
+        n = np.arange(fdim)
+        ladder = np.zeros((2, 4, fdim, fdim), dtype=complex)
+        ladder[..., n, n] = rate[..., None] + slope[..., None] * n
+        ladder[..., n[:-1], n[1:]] = params.kappa * n[1:]
+        zero = generators[2 * n_max : 2 * n_max + 2]  # d = 0, both groups
+        for g, (flat, _) in enumerate(zero):
+            assert np.abs(dense[np.ix_(flat, flat)] - whole(pair, ladder)[g]).max() <= 1e-12
 
 
 def scaled(rng, n, norm, hermitian=False):
@@ -397,8 +485,9 @@ class TestIntegrate:
         assert report.max_deviation <= 1e-12
 
     def test_split_matches_unsplit_exponential(self):
-        # fig1 at n_max = 25: the 4 x 4 pair exponentials and the distinct
-        # 26 x 26 Fock ones replace the stacked (2, 104, 104) exponential
+        # fig1 at n_max = 25: one eigh of the 4 x 4 pair parts and the closed
+        # form of the 26 x 26 Fock ones replace the stacked (2, 104, 104)
+        # exponential
         cfg = preset_config("fig1")
         n_max = 25
         result = integrate(cfg.initial, cfg.params, n_max, [0.1])
@@ -415,15 +504,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="coupled atomic pairs have different Fock blocks"):
             integrate(initial, params, n_max, [0.0, 0.4, 1.3, 2.0])
 
-    def test_planted_outer_exchange_exponentiates_nothing(self, monkeypatch, expm_shapes):
-        # the refusal comes before the first exponential, so no whole
-        # 4L x 4L group is exponentiated as a fallback
+    def test_planted_outer_exchange_exponentiates_nothing(self, monkeypatch, work):
+        # the refusal comes before the eigh of X and before any exponential,
+        # so nothing is propagated as a fallback
         monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
         n_max = _min_cutoff(0.8)
         with pytest.raises(ValueError, match="coupled atomic pairs have different Fock blocks"):
             integrate(random_xstate(np.random.default_rng(48)), params, n_max, [0.4])
-        assert expm_shapes == []
+        assert work["eigh"] == work["expm1"] == []
+        assert set(work["exp"]) == {(n_max + 1,)}  # photon_weights' amplitudes alone
 
     def test_n_dependent_coupled_shift_is_not_split(self, monkeypatch):
         # an n-dependent shift of |eg> gives the exchange-coupled inner pairs
@@ -441,16 +531,31 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="coupled atomic pairs have different Fock blocks"):
             integrate(initial, params, n_max, [0.0, 0.4, 1.3, 2.0])
 
+    def test_non_affine_fock_diagonal_is_refused(self, monkeypatch):
+        # a Kerr-like n^2 shift of |ee> bends the outer coherences' Fock
+        # diagonals, which the closed form needs affine in n: refused
+        def bent(params, fdim):
+            s = _stark(params, fdim)
+            s[3] += 0.01 * params.lam * np.arange(fdim) ** 2
+            return s
+
+        monkeypatch.setattr("xdiscord.oracle._stark", bent)
+        params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
+        with pytest.raises(ValueError, match="diagonal is not affine in n"):
+            integrate(random_xstate(np.random.default_rng(50)), params, 13, [0.4])
+
     @pytest.mark.parametrize("n_max", [25, MAX_N_MAX])
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_largest_exponential_is_fock_sized(self, name, n_max, expm_shapes):
-        # per distinct gap, one stack of the two groups' 4 x 4 pair parts and
-        # one of the three distinct L x L Fock blocks (the ladder shared by the
-        # inner pairs and the outer populations, and the two outer chains)
+    def test_exponentials_are_elementwise(self, name, n_max, work):
+        # per chunk of samples, exp and expm1 act elementwise on (group, pair,
+        # sample) arrays, after one eigh of the two groups' 4 x 4 pair parts:
+        # no L x L exponential is formed
         cfg = preset_config(name)
         integrate(cfg.initial, cfg.params, n_max, [0.1, 0.2, 0.5])
-        fdim = n_max + 1
-        assert expm_shapes == 2 * [(2, 4, 4), (3, fdim, fdim)]
+        assert work["eigh"] == [(2, 4, 4)]
+        assert work["expm1"] == [(2, 4, 3)]
+        # photon_weights takes one over the Fock levels
+        assert sorted(set(work["exp"])) == [(2, 4, 3), (n_max + 1,)]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -472,10 +577,30 @@ class TestIntegrate:
         for i in range(len(times)):
             assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.1, 3.0),
+        alpha_sq=st.floats(0.01, 1.5),
+        times=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4),
+    )
+    def test_undamped_field_matches_unsplit_exponential(self, seed, lam, alpha_sq, times):
+        # kappa = 0 zeroes b_p = -i lam (e_j - e_k) - kappa on the pairs with
+        # e_j = e_k, where q_p = kappa (e^{b_p t} - 1) / b_p is 0/0 and takes
+        # its limit kappa t = 0, on a field with more than one Fock level
+        params = TCParams(lam=lam, kappa=0.0, alpha_sq=alpha_sq)
+        initial = random_xstate(np.random.default_rng(seed))
+        n_max = _min_cutoff(alpha_sq)
+        result = integrate(initial, params, n_max, times)
+        want = unsplit_reduced(initial, params, n_max, result.times)
+        for i in range(len(times)):
+            assert np.abs(result.states.row(i).to_matrix() - want[i]).max() <= 1e-13
+
     def test_peak_memory_at_largest_cutoff(self):
-        # the eight L x L Fock blocks and their exponentials, 128*L^2 bytes
-        # each set (~5.2 MB at L = 201), bound the peak; a dense (2, 4L, 4L)
-        # generator would add 512*L^2 bytes and its split test as much again
+        # one L x L table of binomial weights, 8*L^2 bytes (~0.3 MB at
+        # L = 201), bounds the peak; the eight L x L Fock blocks and their
+        # exponentials took 128*L^2 bytes each set, and a dense (2, 4L, 4L)
+        # generator 512*L^2 bytes
         cfg = preset_config("fig1")
         integrate(cfg.initial, cfg.params, 25, [0.1])
         tracemalloc.start()
@@ -487,8 +612,9 @@ class TestIntegrate:
         assert peak <= 40e6
 
     def test_peak_memory_on_a_long_grid(self):
-        # the Fock elements of SAMPLE_CHUNK samples at a time (~3.4 MB at
-        # n_max = 25) bound the peak; keeping every sample's took 103 MB here
+        # the Fock elements of SAMPLE_CHUNK samples at a time (~0.4 MB an
+        # array at n_max = 25) and the reduced states (~2.6 MB) bound the
+        # peak; keeping every sample's Fock elements took 103 MB here
         cfg = preset_config("fig1")
         integrate(cfg.initial, cfg.params, 25, [0.1])
         tracemalloc.start()
@@ -501,21 +627,24 @@ class TestIntegrate:
 
     def test_chunks_carry_the_state_across(self):
         # samples on both sides of each chunk boundary match the generator
-        # exponentiated whole and straight to their times, up to the roundoff
-        # of ~2,000 steps (~2e-13)
+        # exponentiated whole and straight to their times: each chunk starts
+        # from the initial state, so no roundoff carries across
         cfg = preset_config("fig1")
         times = np.linspace(0.0, 3.0, 2 * SAMPLE_CHUNK + 3)
         result = integrate(cfg.initial, cfg.params, 12, times)
         picks = [0, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, 2 * SAMPLE_CHUNK, 2 * SAMPLE_CHUNK + 2]
         want = unsplit_reduced(cfg.initial, cfg.params, 12, times[picks])
         for i, k in enumerate(picks):
-            assert np.abs(result.states.row(k).to_matrix() - want[i]).max() <= 1e-12
+            assert np.abs(result.states.row(k).to_matrix() - want[i]).max() <= 1e-13
 
     def test_non_finite_propagation_refused(self):
-        # at lam = 1e20 the exponentials overflow: refused, with no warning
+        # at lam = 1e20 the largest phase, lam * t * (2 n_max + 1) = 1.5e21,
+        # is far past 2**53 and the closed form would return finite garbage:
+        # refused, with no warning
         cfg = preset_config("fig1")
         params = replace(cfg.params, lam=1e20)
-        with pytest.raises(ValueError, match="propagation is not finite"):
+        text = r"phase of the propagation, 1\.530e\+21, is not below 2\*\*53"
+        with pytest.raises(ValueError, match=text):
             integrate(cfg.initial, params, 25, [0.0, 0.1, 0.2, 0.3])
 
     def test_rejects_negative_or_empty_times(self):
