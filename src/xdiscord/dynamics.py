@@ -217,28 +217,32 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 LOOKAHEAD = 4
 
 
-def _narrow(a, b, c, d, left):
-    """One golden-section step on brackets [a, b] with interior points c < d:
-    to [a, d] where `left` (the old c becomes the new d), else to [c, b] (the
-    old d becomes the new c). Returns the new a, b, c, d and the point the step
-    evaluates, the new c where `left` and the new d elsewhere."""
-    a, b = np.where(left, a, c), np.where(left, d, b)
-    c, d = np.where(left, b - (b - a) / GOLDEN, d), np.where(left, c, a + (b - a) / GOLDEN)
-    return a, b, c, d, np.where(left, c, d)
+#: A golden-section step on the bracket [a, b] with interior points c < d
+#: goes left, to [a, d] with the new points (d - (d - a)/GOLDEN, c), or right,
+#: to [c, b] with (d, c + (b - c)/GOLDEN), and evaluates its one new point.
+#: Row 0 (left) and row 1 (right) pick each child's a, b, c, d and point from
+#: the parent's (a, b, c, d, d - (d - a)/GOLDEN, c + (b - c)/GOLDEN).
+_CHILDREN = np.array([[0, 3, 4, 2, 4], [2, 1, 3, 5, 5]])
 
 
 def _lookahead(a, b, c, d):
-    """The points the next LOOKAHEAD steps could evaluate from each bracket,
-    one array per step. Step k's array has shape (brackets, 2**(k+1)): node
-    2*j holds the point of the left and node 2*j + 1 that of the right step
-    from node j of step k - 1."""
-    level = [x[:, None] for x in (a, b, c, d)]
-    points = []
+    """Every bracket the next LOOKAHEAD steps could reach from each of the n
+    brackets, as one array of shape (n*(2 + 4 + ... + 2**LOOKAHEAD), 5): the
+    a, b, c, d of a node and the point the step to it evaluates. Step k's
+    nodes follow those of step k - 1, bracket by bracket, 2**(k+1) per
+    bracket: node 2*j holds the left and node 2*j + 1 the right step from
+    node j of step k - 1."""
+    level = np.stack([a, b, c, d], axis=-1)[:, None]
+    steps = []
     for _ in range(LOOKAHEAD):
-        both = _narrow(*(x[:, :, None] for x in level), np.array([True, False]))
-        *level, point = (x.reshape(a.size, -1) for x in both)
-        points.append(point)
-    return points
+        a, b, c, d = (level[..., q] for q in range(4))
+        left = d - (d - a) / GOLDEN
+        right = c + (b - c) / GOLDEN
+        parent = np.concatenate([level, left[..., None], right[..., None]], axis=-1)
+        step = parent[..., _CHILDREN].reshape(len(a), -1, 5)
+        level = step[..., :4]
+        steps.append(step.reshape(-1, 5))
+    return np.concatenate(steps)
 
 
 def _golden_min(fn, a: np.ndarray, b: np.ndarray, tol: float):
@@ -246,10 +250,11 @@ def _golden_min(fn, a: np.ndarray, b: np.ndarray, tol: float):
     in the argument, all in lockstep: fn maps an array of arguments to an
     array of values. Each call evaluates, for every bracket still narrowing,
     all 2 + 4 + 8 + 16 points its next LOOKAHEAD steps could visit (the first
-    call also the initial c and d), and the steps then read their values from
-    it. Each bracket makes the comparisons and visits the points, bit for bit,
-    that a search on it alone with one evaluation per step would. Returns the
-    bracket midpoints and fn there."""
+    call also the initial c and d), and the steps then walk that tree: each
+    reads its bracket, its value and whether the bracket is still wider than
+    tol at the node its comparison picks. Each bracket makes the comparisons
+    and visits the points, bit for bit, that a search on it alone with one
+    evaluation per step would. Returns the bracket midpoints and fn there."""
     a, b = a.copy(), b.copy()
     c = b - (b - a) / GOLDEN
     d = a + (b - a) / GOLDEN
@@ -258,23 +263,31 @@ def _golden_min(fn, a: np.ndarray, b: np.ndarray, tol: float):
     first = True
     while active.any():
         i = np.flatnonzero(active)
-        points = _lookahead(a[i], b[i], c[i], d[i])
+        tree = _lookahead(a[i], b[i], c[i], d[i])
         head = [c[i], d[i]] if first else []
-        f = fn(np.concatenate(head + [p.ravel() for p in points]))
+        f = fn(np.concatenate(head + [tree[:, 4]]))
         if first:
             fc[i], fd[i], f = f[: i.size], f[i.size : 2 * i.size], f[2 * i.size :]
             first = False
-        node = np.zeros(i.size, dtype=int)
-        for p in points:
-            f_step, f = f[: p.size].reshape(p.shape), f[p.size :]
-            live = np.flatnonzero(active[i])
-            j = i[live]
-            left = fc[j] < fd[j]
-            node[live] = 2 * node[live] + ~left
-            f_new = f_step[live, node[live]]
-            a[j], b[j], c[j], d[j], _ = _narrow(a[j], b[j], c[j], d[j], left)
-            fc[j], fd[j] = np.where(left, f_new, fd[j]), np.where(left, fc[j], f_new)
-            active[j] = np.abs(c[j] - d[j]) > tol
+        wide = np.abs(tree[:, 2] - tree[:, 3]) > tol
+        # The walk, on these brackets alone: `node` numbers a bracket's node
+        # within its step over all brackets, and `at` is the tree row of its
+        # last step taken while wider than tol. A bracket within tol walks
+        # on, but nothing it reaches is read.
+        fci, fdi = fc[i], fd[i]
+        node = np.arange(i.size)
+        at, live = np.zeros(i.size, dtype=int), np.ones(i.size, dtype=bool)
+        for k in range(1, LOOKAHEAD + 1):
+            left = fci < fdi
+            node += node
+            node += ~left
+            pos = node + i.size * (2**k - 2)  # tree rows of the steps before
+            f_new = f[pos]
+            fci, fdi = np.where(left, f_new, fdi), np.where(left, fci, f_new)
+            at = np.where(live, pos, at)
+            live &= wide[pos]
+        a[i], b[i], c[i], d[i] = tree[at, :4].T
+        fc[i], fd[i], active[i] = fci, fdi, live
     m = 0.5 * (a + b)
     return m, fn(m)
 

@@ -117,8 +117,44 @@ def _min_cutoff(alpha_sq: float) -> int:
 
 
 def _log_term(alpha_sq: float, n: int) -> float:
-    """log P(N = n) for Poisson(alpha_sq), alpha_sq > 0."""
-    return -alpha_sq + n * math.log(alpha_sq) - math.lgamma(n + 1)
+    """log P(N = n) for Poisson(alpha_sq), alpha_sq > 0, in Loader's
+    saddle-point form -deviance - stirling_error(n) - log(2*pi*n)/2 (Loader
+    2000, "Fast and accurate computation of binomial probabilities"). No term
+    is near alpha_sq*log(alpha_sq), whose rounding the direct form
+    -alpha_sq + n*log(alpha_sq) - lgamma(n + 1) carries: about 4e-3 at
+    alpha_sq = 1e12."""
+    if n == 0:
+        return -alpha_sq
+    return -_deviance(n, alpha_sq) - _stirling_error(n) - 0.5 * math.log(2.0 * math.pi * n)
+
+
+def _deviance(n: int, alpha_sq: float) -> float:
+    """n*log(n/alpha_sq) + alpha_sq - n, for n >= 1. Near the mean it is the
+    series (n - a)*v + 2n*(v^3/3 + v^5/5 + ...) in v = (n - a)/(n + a), summed
+    until it stops changing, with no cancellation."""
+    x = float(n)
+    if abs(x - alpha_sq) >= 0.1 * (x + alpha_sq):
+        return x * math.log(x / alpha_sq) + alpha_sq - x
+    v = (x - alpha_sq) / (x + alpha_sq)
+    total, term, v2 = (x - alpha_sq) * v, 2.0 * x * v, v * v
+    for j in range(3, 1000, 2):
+        term *= v2
+        new = total + term / j
+        if new == total:
+            break
+        total = new
+    return total
+
+
+def _stirling_error(n: int) -> float:
+    """log(n!) - log(sqrt(2*pi*n) * (n/e)**n), for n >= 1: up to n = 15 from
+    lgamma, whose cancelling terms are below 70 there, and above it by the
+    asymptotic series 1/(12n) - 1/(360n^3) + 1/(1260n^5) - 1/(1680n^7) +
+    1/(1188n^9), off by at most 1.1e-16."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2.0 * math.pi)
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
 
 def poisson_tail(alpha_sq: float, n_max: int) -> float:

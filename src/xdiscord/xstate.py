@@ -138,66 +138,60 @@ def _angle(z: np.ndarray) -> np.ndarray:
     return np.where(phi < 0.0, phi + TWO_PI, phi)
 
 
-def _checks(c: XColumns):
-    """The physicality predicates, elementwise over a batch: pairs of
-    (rows that fail, message for row i). Finiteness comes first; a row with a
-    non-finite field fails that check alone."""
-    trace = c.p1 + c.p2 + c.p3 + c.p4
-    # A NaN or infinite field makes this sum non-finite.
-    finite = np.isfinite(trace + c.r14 + c.phi1 + c.r23 + c.phi2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        outer, inner = c.p1 * c.p4, c.p2 * c.p3
-        r14_sq, r23_sq = c.r14**2, c.r23**2
-    checks = [
-        (~finite, lambda i: f"non-finite field in {c.row(i)!r}"),
-        (
-            finite & (np.abs(trace - 1.0) > DEFAULT_TOL),
-            lambda i: f"trace {trace.item(i)!r} differs from 1 by more than {DEFAULT_TOL}",
-        ),
+def _predicates(p1, p2, p3, p4, r14, phi1, r23, phi2):
+    """The physicality checks as pass values, elementwise on the fields as
+    floats or as arrays: every field finite, the trace, p1..p4, the outer and
+    the inner block, each within DEFAULT_TOL. A NaN fails every inequality."""
+    trace = p1 + p2 + p3 + p4
+    total = trace + r14 + phi1 + r23 + phi2  # NaN or infinite if any field is
+    return (
+        total - total == 0.0,
+        abs(trace - 1.0) <= DEFAULT_TOL,
+        p1 >= -DEFAULT_TOL,
+        p2 >= -DEFAULT_TOL,
+        p3 >= -DEFAULT_TOL,
+        p4 >= -DEFAULT_TOL,
+        p1 * p4 >= r14 * r14 - DEFAULT_TOL,
+        p2 * p3 >= r23 * r23 - DEFAULT_TOL,
+    )
+
+
+def _violations(row) -> str:
+    """The failed checks of one invalid row of field floats, as a message:
+    the finiteness check alone when a field is not finite."""
+    p1, p2, p3, p4, r14, _, r23, _ = row
+    passed = _predicates(*row)
+    if not passed[0]:
+        return f"non-finite field in {XState(*row)!r}"
+    trace = p1 + p2 + p3 + p4
+    messages = [f"trace {trace!r} differs from 1 by more than {DEFAULT_TOL}"]
+    messages += [f"population {f} = {p!r} is negative" for f, p in zip(FIELDS, row[:4])]
+    messages += [
+        f"outer block not positive: p1*p4 = {p1 * p4!r} < r14^2 = {r14 * r14!r}",
+        f"inner block not positive: p2*p3 = {p2 * p3!r} < r23^2 = {r23 * r23!r}",
     ]
-    for name in ("p1", "p2", "p3", "p4"):
-        p = getattr(c, name)
-        checks.append(
-            (
-                finite & (p < -DEFAULT_TOL),
-                lambda i, name=name, p=p: f"population {name} = {p.item(i)!r} is negative",
-            )
-        )
-    checks.append(
-        (
-            finite & (outer < r14_sq - DEFAULT_TOL),
-            lambda i: f"outer block not positive: p1*p4 = {outer.item(i)!r} "
-            f"< r14^2 = {r14_sq.item(i)!r}",
-        )
-    )
-    checks.append(
-        (
-            finite & (inner < r23_sq - DEFAULT_TOL),
-            lambda i: f"inner block not positive: p2*p3 = {inner.item(i)!r} "
-            f"< r23^2 = {r23_sq.item(i)!r}",
-        )
-    )
-    return checks
+    return "; ".join(m for m, ok in zip(messages, passed[1:]) if not ok)
 
 
 def require_valid(state) -> None:
     """Raise InvalidStateError unless every field is finite and the trace,
     the populations and the outer (1,4) and inner (2,3) coherence blocks are
-    physical, each within DEFAULT_TOL. For an XState the message lists its
-    violations; for an XColumns batch it also names the first failing row and
-    the number that fail."""
-    batch = isinstance(state, XColumns)
-    c = state if batch else XColumns.from_states([state])
-    checks = _checks(c)
-    bad = np.zeros(len(c), dtype=bool)
-    for failed, _ in checks:
-        bad |= failed
-    if bad.any():
-        i = int(np.argmax(bad))
-        violations = "; ".join(message(i) for failed, message in checks if failed[i])
-        if batch:
-            violations = f"row {i} of {len(c)} ({int(bad.sum())} invalid): {violations}"
-        raise InvalidStateError(violations)
+    physical, each within DEFAULT_TOL. The checks run as one conjunction on
+    an XState's floats or on an XColumns batch's arrays; messages are formed
+    only on failure. For an XState the message lists its violations; for a
+    batch it also names the first failing row and the number that fail."""
+    fields = [getattr(state, f) for f in FIELDS]
+    if not isinstance(state, XColumns):
+        if not all(_predicates(*fields)):
+            raise InvalidStateError(_violations(fields))
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.logical_and.reduce(_predicates(*fields))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        n_bad = len(state) - int(np.count_nonzero(ok))
+        row = [x.item(i) for x in fields]
+        raise InvalidStateError(f"row {i} of {len(state)} ({n_bad} invalid): {_violations(row)}")
 
 
 def eigenvalues(state) -> np.ndarray:

@@ -728,3 +728,19 @@ def test_readme_library_example_runs(capsys):
     exec(code, namespace)
     assert namespace["report"].max_deviation <= 1e-12
     assert "NullityVerdict(kind='not-null'" in capsys.readouterr().out
+
+
+def test_cli_import_loads_only_stdlib_and_numpy():
+    # Import time counts in every CLI run; a new third-party import fails here.
+    code = (
+        "import sys; before = set(sys.modules); import xdiscord.cli; "
+        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    loaded = proc.stdout.split()
+    assert "xdiscord" in loaded
+    assert [m for m in loaded if m not in sys.stdlib_module_names | {"numpy", "xdiscord"}] == []

@@ -352,7 +352,7 @@ WIDTHS = st.one_of(st.sampled_from([0.0, 1e-9, 2e-6, 4.2e-6]), st.floats(1e-6, 1
 
 class TestGoldenLookahead:
     @given(
-        st.lists(st.tuples(st.floats(-10.0, 10.0), WIDTHS), min_size=1, max_size=8),
+        st.lists(st.tuples(st.floats(-10.0, 10.0), WIDTHS), min_size=1, max_size=40),
         st.sampled_from(sorted(SHAPES)),
         st.floats(-10.0, 10.0),
         st.sampled_from([1e-6, 1e-3, 0.05]),

@@ -126,6 +126,73 @@ def test_require_valid_batch_agrees_with_rows(rows):
     assert str(info.value) == f"row {i} of {len(states)} ({len(bad)} invalid): {messages[i]}"
 
 
+# Rows at the edges of validity: an X state with, maybe, both coherence
+# blocks on their bounds, then up to three fields shifted or set at the 1e-12
+# scale of DEFAULT_TOL (a zero population set slightly negative, say), to
+# exactly -DEFAULT_TOL, or to NaN or an infinity.
+edge_values = st.one_of(
+    st.floats(-3e-12, 3e-12), st.sampled_from([-1e-12, math.nan, math.inf, -math.inf])
+)
+
+
+@st.composite
+def edge_states(draw):
+    state = draw(xstates())
+    values = {f: getattr(state, f) for f in FIELDS}
+    if draw(st.booleans()):
+        values["r14"] = math.sqrt(state.p1 * state.p4)
+        values["r23"] = math.sqrt(state.p2 * state.p3)
+    for field, add, x in draw(
+        st.lists(st.tuples(st.sampled_from(FIELDS), st.booleans(), edge_values), max_size=3)
+    ):
+        values[field] = values[field] + x if add else x
+    return XState(**values)
+
+
+def mask_messages(c):
+    """The checks as one elementwise mask each, with the message of every
+    failed check: for each row of the batch its message, None if it is
+    valid. A row with a non-finite field fails that check alone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = c.p1 + c.p2 + c.p3 + c.p4
+        finite = np.isfinite(trace + c.r14 + c.phi1 + c.r23 + c.phi2)
+        outer, inner, r14_sq, r23_sq = c.p1 * c.p4, c.p2 * c.p3, c.r14**2, c.r23**2
+        masks = [np.abs(trace - 1.0) > 1e-12]
+        masks += [getattr(c, f) < -1e-12 for f in FIELDS[:4]]
+        masks += [outer < r14_sq - 1e-12, inner < r23_sq - 1e-12]
+    messages = []
+    for i in range(len(c)):
+        if not finite[i]:
+            messages.append(f"non-finite field in {c.row(i)!r}")
+            continue
+        texts = [f"trace {trace.item(i)!r} differs from 1 by more than 1e-12"]
+        texts += [f"population {f} = {getattr(c, f).item(i)!r} is negative" for f in FIELDS[:4]]
+        texts += [
+            f"outer block not positive: p1*p4 = {outer.item(i)!r} < r14^2 = {r14_sq.item(i)!r}",
+            f"inner block not positive: p2*p3 = {inner.item(i)!r} < r23^2 = {r23_sq.item(i)!r}",
+        ]
+        failed = [text for text, mask in zip(texts, masks) if mask[i]]
+        messages.append("; ".join(failed) if failed else None)
+    return messages
+
+
+@given(st.lists(edge_states(), min_size=1, max_size=30))
+def test_require_valid_agrees_with_per_check_masks(states):
+    # The check on one XState's floats and on a batch's arrays accepts and
+    # rejects what the per-check masks do, with their messages.
+    batch = XColumns.from_states(states)
+    want = mask_messages(batch)
+    assert [scalar_message(s) for s in states] == want
+    bad = [i for i, m in enumerate(want) if m is not None]
+    if not bad:
+        require_valid(batch)
+        return
+    with pytest.raises(InvalidStateError) as info:
+        require_valid(batch)
+    i = bad[0]
+    assert str(info.value) == f"row {i} of {len(states)} ({len(bad)} invalid): {want[i]}"
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig3-separable"])
 def test_refined_minima_match_dense_scan(name):
     # Each event's minimum is refined inside the bracket of the sampled

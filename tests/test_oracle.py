@@ -28,6 +28,7 @@ from xdiscord.oracle import (
     _PAIR_J,
     _PAIR_K,
     _exchange,
+    _log_term,
     _make_sector,
     _min_cutoff,
     _stark,
@@ -205,6 +206,18 @@ class TestFockTruncation:
         peak = max(logs)
         expected = math.exp(peak) * math.fsum(math.exp(x - peak) for x in logs)
         assert_allclose(poisson_tail(alpha_sq, n_max), expected, rtol=1e-9, atol=1e-290)
+
+    @pytest.mark.parametrize("alpha_sq", [0.5922, 115.0, 1e6, 1e12])
+    def test_log_term_matches_50_digits(self, alpha_sq):
+        # From the mode to 10 standard deviations above it. The direct form
+        # -a + n*log(a) - lgamma(n + 1) is off by up to 4e-3 at a = 1e12.
+        mpmath = pytest.importorskip("mpmath")
+        mode, top = math.floor(alpha_sq), math.floor(alpha_sq + 10.0 * math.sqrt(alpha_sq))
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha_sq)
+            for n in sorted({mode + (top - mode) * k // 40 for k in range(41)}):
+                exact = -a + n * mpmath.log(a) - mpmath.loggamma(n + 1)
+                assert abs(_log_term(alpha_sq, n) - float(exact)) <= 1e-11, n
 
     def test_tail_below_an_underflowing_mode_is_one(self):
         assert poisson_tail(700.0, 0) == 1.0
