@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -139,11 +138,18 @@ def _eq13_note(config: RunConfig):
     )
 
 
+def _field_dict(record) -> dict:
+    """A dataclass of plain values as a {field: value} dict in field order
+    (the order its __init__ sets them), without the deep copy of
+    dataclasses.asdict."""
+    return dict(vars(record))
+
+
 def cmd_discord(args) -> int:
     config, _ = _resolve_config(args)
     state = config.initial
-    payload = asdict(discord(state))
-    payload["nullity"] = asdict(nullity_check(state))
+    payload = _field_dict(discord(state))
+    payload["nullity"] = _field_dict(nullity_check(state))
     _write_json(payload, args.out)
     return 0
 
@@ -193,7 +199,7 @@ def cmd_evolve(args) -> int:
 def cmd_zeros(args) -> int:
     config, _ = _resolve_config(args)
     traj = trajectory(config.initial, config.params, config.t_max, config.n_samples)
-    payload = [asdict(event) for event in find_zeros(traj, config.zero_threshold)]
+    payload = [_field_dict(event) for event in find_zeros(traj, config.zero_threshold)]
     _write_json(payload, args.out)
     if args.show_eq13_as_printed:
         _eq13_note(config)

@@ -138,16 +138,24 @@ def _breakdown(state) -> BreakdownColumns:
     """The closed-form kernel: every correlation quantity of a validated
     state or batch, elementwise, as columns (one row for an XState).
 
-    S(A), S(B) from the marginals (p1+p2, p3+p4) and (p1+p3, p2+p4); S(AB)
-    from the block spectra; C_m1 and C_m2 from one _cond_entropy_grid call
-    at s2 = 0 and 1/2 with the phase-matched coh = r14 + r23; the other
-    fields as in DiscordBreakdown.
+    S(AB) from the spectrum; S(A), S(B) from the marginals (p1+p2, p3+p4)
+    and (p1+p3, p2+p4), one entropy_bits call for both. The spectrum and the
+    marginals are stored entry by entry, so that each entropy's sum runs
+    along the rows, in the order of a row-by-row sum and with its bits.
+    C_m1 and C_m2 come from one _cond_entropy_grid call at s2 = 0 and 1/2
+    with the phase-matched coh = r14 + r23; the other fields are as in
+    DiscordBreakdown.
     """
-    s_ab = entropy_bits(eigenvalues(state))  # validates the input
+    spectrum = eigenvalues(state)  # validates the input
     states = state if isinstance(state, XColumns) else XColumns.from_states([state])
     p1, p2, p3, p4 = states.p1, states.p2, states.p3, states.p4
-    s_a = entropy_bits(np.stack([p1 + p2, p3 + p4], axis=-1))
-    s_b = entropy_bits(np.stack([p1 + p3, p2 + p4], axis=-1))
+    marginals = np.empty((2, 2, len(states)))  # entry, subsystem, row
+    np.add(p1, p2, out=marginals[0, 0])
+    np.add(p3, p4, out=marginals[1, 0])
+    np.add(p1, p3, out=marginals[0, 1])
+    np.add(p2, p4, out=marginals[1, 1])
+    s_a, s_b = entropy_bits(marginals.transpose(1, 2, 0))
+    s_ab = entropy_bits(spectrum)
     coh = states.r14 + states.r23
     cm1, cm2 = _cond_entropy_grid(states, np.array([[0.0], [0.5]]), coh)
     ups = np.hypot(p1 + p2 - p3 - p4, 2.0 * coh)

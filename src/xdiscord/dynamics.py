@@ -249,27 +249,43 @@ def _golden_min(fn, a: np.ndarray, b: np.ndarray, tol: float):
     """Golden-section minima of fn on the brackets [a_i, b_i], to within tol
     in the argument, all in lockstep: fn maps an array of arguments to an
     array of values. Each call evaluates, for every bracket still narrowing,
-    all 2 + 4 + 8 + 16 points its next LOOKAHEAD steps could visit (the first
-    call also the initial c and d), and the steps then walk that tree: each
-    reads its bracket, its value and whether the bracket is still wider than
-    tol at the node its comparison picks. Each bracket makes the comparisons
-    and visits the points, bit for bit, that a search on it alone with one
-    evaluation per step would. Returns the bracket midpoints and fn there."""
+    all 2 + 4 + 8 + 16 points its next LOOKAHEAD steps could visit, and the
+    midpoint of every node of that tree where a walk can stop: a node within
+    tol whose parent is wider. The first call also evaluates the initial c
+    and d, and the midpoints of the brackets within tol from the start. The
+    steps then walk that tree: each reads its bracket, its value and whether
+    the bracket is still wider than tol at the node its comparison picks, and
+    a walk that stops reads its midpoint and fn there at its last node. Each
+    bracket makes the comparisons and visits the points, bit for bit, that a
+    search on it alone with one evaluation per step would. Returns the
+    bracket midpoints and fn there."""
     a, b = a.copy(), b.copy()
     c = b - (b - a) / GOLDEN
     d = a + (b - a) / GOLDEN
-    fc, fd = np.empty_like(a), np.empty_like(a)
+    fc, fd, fm = np.empty_like(a), np.empty_like(a), np.empty_like(a)
     active = np.abs(c - d) > tol
-    first = True
+    if not active.any():
+        m = 0.5 * (a + b)
+        return m, fn(m)
+    idle = ~active
+    head = [c[active], d[active], 0.5 * (a[idle] + b[idle])]
+    n_head = len(a) + head[0].size
     while active.any():
         i = np.flatnonzero(active)
         tree = _lookahead(a[i], b[i], c[i], d[i])
-        head = [c[i], d[i]] if first else []
-        f = fn(np.concatenate(head + [tree[:, 4]]))
-        if first:
-            fc[i], fd[i], f = f[: i.size], f[i.size : 2 * i.size], f[2 * i.size :]
-            first = False
         wide = np.abs(tree[:, 2] - tree[:, 3]) > tol
+        points = head + [tree[:, 4]]
+        if not wide.all():
+            # A walk stops at its first node within tol, whose parent is
+            # wider: the parents of tree rows 2q and 2q + 1 are entry q of
+            # the brackets (all wider than tol) followed by the tree rows.
+            parent_wide = np.concatenate([np.ones(i.size, dtype=bool), wide])
+            stop = ~wide & np.repeat(parent_wide, 2)[: len(tree)]
+            points.append(0.5 * (tree[stop, 0] + tree[stop, 1]))
+        f = fn(np.concatenate(points))
+        if head:
+            fc[i], fd[i], fm[idle] = f[: i.size], f[i.size : 2 * i.size], f[2 * i.size : n_head]
+            f, head = f[n_head:], []
         # The walk, on these brackets alone: `node` numbers a bracket's node
         # within its step over all brackets, and `at` is the tree row of its
         # last step taken while wider than tol. A bracket within tol walks
@@ -286,10 +302,14 @@ def _golden_min(fn, a: np.ndarray, b: np.ndarray, tol: float):
             fci, fdi = np.where(left, f_new, fdi), np.where(left, fci, f_new)
             at = np.where(live, pos, at)
             live &= wide[pos]
+        done = ~live
+        if done.any():  # then some node is within tol, and `stop` is set
+            f_node = np.empty(len(tree))
+            f_node[stop] = f[len(tree) :]
+            fm[i[done]] = f_node[at[done]]
         a[i], b[i], c[i], d[i] = tree[at, :4].T
         fc[i], fd[i], active[i] = fci, fdi, live
-    m = 0.5 * (a + b)
-    return m, fn(m)
+    return 0.5 * (a + b), fm
 
 
 def _crossing(t0, t1, d0, d1, threshold):

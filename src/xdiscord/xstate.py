@@ -140,8 +140,11 @@ def _angle(z: np.ndarray) -> np.ndarray:
 
 def _predicates(p1, p2, p3, p4, r14, phi1, r23, phi2):
     """The physicality checks as pass values, elementwise on the fields as
-    floats or as arrays: every field finite, the trace, p1..p4, the outer and
-    the inner block, each within DEFAULT_TOL. A NaN fails every inequality."""
+    floats or as arrays: every field finite, the trace within DEFAULT_TOL of
+    1, p1..p4 at least -DEFAULT_TOL, and the outer and the inner block plus
+    DEFAULT_TOL times the identity positive semidefinite. Given the
+    population checks, a block check holds exactly when the block's smaller
+    eigenvalue is at least -DEFAULT_TOL. A NaN fails every inequality."""
     trace = p1 + p2 + p3 + p4
     total = trace + r14 + phi1 + r23 + phi2  # NaN or infinite if any field is
     return (
@@ -151,8 +154,8 @@ def _predicates(p1, p2, p3, p4, r14, phi1, r23, phi2):
         p2 >= -DEFAULT_TOL,
         p3 >= -DEFAULT_TOL,
         p4 >= -DEFAULT_TOL,
-        p1 * p4 >= r14 * r14 - DEFAULT_TOL,
-        p2 * p3 >= r23 * r23 - DEFAULT_TOL,
+        (p1 + DEFAULT_TOL) * (p4 + DEFAULT_TOL) >= r14 * r14,
+        (p2 + DEFAULT_TOL) * (p3 + DEFAULT_TOL) >= r23 * r23,
     )
 
 
@@ -166,9 +169,13 @@ def _violations(row) -> str:
     trace = p1 + p2 + p3 + p4
     messages = [f"trace {trace!r} differs from 1 by more than {DEFAULT_TOL}"]
     messages += [f"population {f} = {p!r} is negative" for f, p in zip(FIELDS, row[:4])]
+    tol = DEFAULT_TOL
+    outer, inner = (p1 + tol) * (p4 + tol), (p2 + tol) * (p3 + tol)
     messages += [
-        f"outer block not positive: p1*p4 = {p1 * p4!r} < r14^2 = {r14 * r14!r}",
-        f"inner block not positive: p2*p3 = {p2 * p3!r} < r23^2 = {r23 * r23!r}",
+        f"outer block has an eigenvalue below -{tol}: "
+        f"(p1 + {tol})*(p4 + {tol}) = {outer!r} < r14^2 = {r14 * r14!r}",
+        f"inner block has an eigenvalue below -{tol}: "
+        f"(p2 + {tol})*(p3 + {tol}) = {inner!r} < r23^2 = {r23 * r23!r}",
     ]
     return "; ".join(m for m, ok in zip(messages, passed[1:]) if not ok)
 
@@ -197,10 +204,13 @@ def require_valid(state) -> None:
 def eigenvalues(state) -> np.ndarray:
     """Spectrum of the X matrix from its two 2x2 blocks, sorted descending.
 
-    Each block contributes (mean of its populations) +- the block radius.
-    Negatives within DEFAULT_TOL (boundary states, roundoff) are clamped to 0.
-    An XState gives 4 values; an XColumns batch gives shape (n, 4), one
-    validated spectrum per row.
+    Each block contributes (mean of its populations) +- the block radius, a
+    pair already in order, so the four values are ordered by merging the two
+    pairs. Negatives within DEFAULT_TOL (boundary states, roundoff) are
+    clamped to 0. An XState gives 4 values; an XColumns batch gives shape
+    (n, 4), one validated spectrum per row. The batch is stored column by
+    column, so a reduction over each spectrum (entropy_bits) runs along the
+    rows, in the order a row-by-row sum takes.
     """
     require_valid(state)
     c = state if isinstance(state, XColumns) else XColumns.from_states([state])
@@ -208,17 +218,17 @@ def eigenvalues(state) -> np.ndarray:
     outer_rad = np.hypot(0.5 * (c.p1 - c.p4), c.r14)
     inner_mid = 0.5 * (c.p2 + c.p3)
     inner_rad = np.hypot(0.5 * (c.p2 - c.p3), c.r23)
-    vals = np.stack(
-        [
-            outer_mid + outer_rad,
-            outer_mid - outer_rad,
-            inner_mid + inner_rad,
-            inner_mid - inner_rad,
-        ],
-        axis=-1,
-    )
+    outer_hi, outer_lo = outer_mid + outer_rad, outer_mid - outer_rad
+    inner_hi, inner_lo = inner_mid + inner_rad, inner_mid - inner_rad
+    # the middle two values are the smaller top and the larger bottom
+    top, bottom = np.minimum(outer_hi, inner_hi), np.maximum(outer_lo, inner_lo)
+    columns = np.empty((4, len(c)))
+    np.maximum(outer_hi, inner_hi, out=columns[0])
+    np.maximum(top, bottom, out=columns[1])
+    np.minimum(top, bottom, out=columns[2])
+    np.minimum(outer_lo, inner_lo, out=columns[3])
+    vals = columns.T
     vals[(vals < 0.0) & (vals > -DEFAULT_TOL)] = 0.0
-    vals = np.sort(vals, axis=-1)[..., ::-1]
     return vals if isinstance(state, XColumns) else vals[0]
 
 
@@ -248,7 +258,7 @@ def entropy_bits(probabilities):
     """
     p = np.array(probabilities, dtype=float)  # a copy, which _xlog2x clamps
     if p.size and p.min() < -DEFAULT_TOL:
-        raise ValueError(f"negative probability {p.min()!r} beyond tolerance {DEFAULT_TOL}")
+        raise ValueError(f"negative probability {float(p.min())!r} beyond tolerance {DEFAULT_TOL}")
     # 0 - sum, not -sum: an entropy of 0 reads +0.0, not -0.0
     h = 0.0 - _xlog2x(p, np.empty_like(p)).sum(axis=-1)
     if not np.isfinite(h).all():

@@ -72,6 +72,14 @@ class TestDiscordCommand:
         assert code == 2
         assert "invalid state" in err
 
+    def test_small_block_with_negative_eigenvalue_exit_2(self, capsys):
+        # p1*p4 is within 1e-12 of r14^2, but the outer block has an eigenvalue
+        # of -8.5e-7: an invalid state (exit 2), not an entropy error (exit 3)
+        state = '{"populations": [1e-7, 0.5, 0.4999998, 1e-7], "r14": 9.539392014169456e-07}'
+        code, out, err = run_cli(["discord", "--state", state], capsys)
+        assert (code, out) == (2, "")
+        assert "invalid state: outer block has an eigenvalue below -1e-12" in err
+
     @pytest.mark.parametrize(
         "state",
         [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from xdiscord import (
     COHERENCE_FREE,
@@ -18,10 +18,13 @@ from xdiscord import (
     build_chi_m1,
     build_chi_m2,
     discord,
+    eigenvalues,
     minimize_numeric,
     nullity_check,
+    preset_config,
     random_xstate,
     require_valid,
+    trajectory,
 )
 from xdiscord.discord import SEARCH_CHUNK, SHRINK_ROUNDS, THETA_GRID, _cond_entropy_grid
 from xdiscord.xstate import DEFAULT_TOL, FIELDS, entropy_bits
@@ -225,6 +228,55 @@ EDGE_STATES = [
     XState(0.55, 0.0, 0.45, 0.0),  # p2 = p4 = 0
     XState(0.3, 0.2, 0.1, 0.4, r14=math.sqrt(0.12), phi1=1.0, r23=math.sqrt(0.02), phi2=2.5),
 ]
+
+
+def sorted_spectrum(c):
+    """The X spectrum as eigenvalues first formed it: each block's mean +-
+    its radius, negatives within DEFAULT_TOL clamped to 0, then np.sort per
+    row, descending."""
+    outer_mid, inner_mid = 0.5 * (c.p1 + c.p4), 0.5 * (c.p2 + c.p3)
+    outer_rad = np.hypot(0.5 * (c.p1 - c.p4), c.r14)
+    inner_rad = np.hypot(0.5 * (c.p2 - c.p3), c.r23)
+    outer = [outer_mid + outer_rad, outer_mid - outer_rad]
+    inner = [inner_mid + inner_rad, inner_mid - inner_rad]
+    vals = np.stack(outer + inner, axis=-1)
+    vals[(vals < 0.0) & (vals > -DEFAULT_TOL)] = 0.0
+    return np.sort(vals, axis=-1)[:, ::-1]
+
+
+def assert_breakdown_composes(c):
+    """discord(c) carries the bits of the composition it replaced: S(AB) from
+    the np.sort spectrum and S(A), S(B) from one entropy_bits call each. The
+    public spectrum equals the np.sort one."""
+    br = discord(c)
+    assert_array_equal(eigenvalues(c), sorted_spectrum(c))
+    s_ab = entropy_bits(sorted_spectrum(c))
+    s_a = entropy_bits(np.stack([c.p1 + c.p2, c.p3 + c.p4], axis=-1))
+    s_b = entropy_bits(np.stack([c.p1 + c.p3, c.p2 + c.p4], axis=-1))
+    mutual = s_a + s_b - s_ab
+    classical = s_a - np.minimum(br.c_m1, br.c_m2)
+    for got, want in (
+        (br.mutual_info, mutual), (br.classical_corr, classical), (br.discord, mutual - classical)
+    ):
+        assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBreakdownBits:
+    """The merged spectrum and the entropies summed entry by entry along the
+    rows change no output bit."""
+
+    @given(st.lists(x_states, min_size=1, max_size=30))
+    def test_random_and_boundary_batches(self, states):
+        assert_breakdown_composes(XColumns.from_states(states))
+
+    def test_edge_rows(self):
+        assert_breakdown_composes(XColumns.from_states(EDGE_STATES + [XState(1.0, 0.0, 0.0, 0.0)]))
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3-separable", "fig3-entangled"])
+    def test_preset_trajectories(self, name):
+        cfg = preset_config(name)
+        traj = trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples)
+        assert_breakdown_composes(traj.states)
 
 
 class TestCondEntropyGrid:

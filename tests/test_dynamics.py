@@ -373,10 +373,12 @@ class TestGoldenLookahead:
         assert f.view(np.int64).tolist() == f_ref.view(np.int64).tolist()
         assert len(calls) <= math.ceil(steps / LOOKAHEAD) + 2
 
-    def test_fig3_separable_refines_in_seven_calls(self, monkeypatch):
+    def test_fig3_separable_refines_in_six_calls(self, monkeypatch):
         # 33 events at 1e-4, each bracket two samples (0.2) wide, need 23
-        # steps: six lookahead rounds and the closing call, where one call
-        # per step made 25.
+        # steps: six lookahead rounds, where one call per step made 25. The
+        # last round stops at its third step, so it also evaluates the
+        # midpoints of the 8 third-step nodes per bracket, and no closing
+        # call is made.
         cfg = preset_config("fig3-separable")
         traj = trajectory(cfg.initial, cfg.params, 300.0, 3001)
         calls = []
@@ -387,7 +389,7 @@ class TestGoldenLookahead:
 
         monkeypatch.setattr(dynamics, "evolve", counted)
         assert len(find_zeros(traj, 1e-4)) == 33
-        assert calls == [33 * 32] + [33 * 30] * 5 + [33]
+        assert calls == [33 * 32] + [33 * 30] * 4 + [33 * 38]
 
 
 class TestParams:

@@ -156,10 +156,13 @@ def mask_messages(c):
     with np.errstate(over="ignore", invalid="ignore"):
         trace = c.p1 + c.p2 + c.p3 + c.p4
         finite = np.isfinite(trace + c.r14 + c.phi1 + c.r23 + c.phi2)
-        outer, inner, r14_sq, r23_sq = c.p1 * c.p4, c.p2 * c.p3, c.r14**2, c.r23**2
+        # each block plus 1e-12 times the identity must be positive semidefinite
+        outer = (c.p1 + 1e-12) * (c.p4 + 1e-12)
+        inner = (c.p2 + 1e-12) * (c.p3 + 1e-12)
+        r14_sq, r23_sq = c.r14**2, c.r23**2
         masks = [np.abs(trace - 1.0) > 1e-12]
         masks += [getattr(c, f) < -1e-12 for f in FIELDS[:4]]
-        masks += [outer < r14_sq - 1e-12, inner < r23_sq - 1e-12]
+        masks += [outer < r14_sq, inner < r23_sq]
     messages = []
     for i in range(len(c)):
         if not finite[i]:
@@ -168,8 +171,10 @@ def mask_messages(c):
         texts = [f"trace {trace.item(i)!r} differs from 1 by more than 1e-12"]
         texts += [f"population {f} = {getattr(c, f).item(i)!r} is negative" for f in FIELDS[:4]]
         texts += [
-            f"outer block not positive: p1*p4 = {outer.item(i)!r} < r14^2 = {r14_sq.item(i)!r}",
-            f"inner block not positive: p2*p3 = {inner.item(i)!r} < r23^2 = {r23_sq.item(i)!r}",
+            "outer block has an eigenvalue below -1e-12: (p1 + 1e-12)*(p4 + 1e-12) = "
+            f"{outer.item(i)!r} < r14^2 = {r14_sq.item(i)!r}",
+            "inner block has an eigenvalue below -1e-12: (p2 + 1e-12)*(p3 + 1e-12) = "
+            f"{inner.item(i)!r} < r23^2 = {r23_sq.item(i)!r}",
         ]
         failed = [text for text, mask in zip(texts, masks) if mask[i]]
         messages.append("; ".join(failed) if failed else None)

@@ -1,10 +1,13 @@
-"""The figure outputs against the benchmark's recorded references.
+"""Every benchmark command's output, judged as the benchmark judges it.
 
-The benchmark's `figures` commands (`evolve`, and `zeros` at two thresholds,
-on the four presets) run through cli.main, and perfbench/checks.py judges each
-output with the benchmark's own tolerances: CSV fields within 1e-12, event
-times within 1e-6 and min_discord within 1e-9 of perfbench/reference/. The
-benchmark's modules are only imported, under names of their own.
+The benchmark's commands run through cli.main: the `figures` commands
+(`evolve`, and `zeros` at two thresholds, on the four presets), the
+`oracle-check` command and the `measure-sweep` command at workload seeds 1-3
+(the seed picks its sweep seed). perfbench/checks.py judges each output with
+the benchmark's own tolerances: CSV fields within 1e-12, event times within
+1e-6 and min_discord within 1e-9 of perfbench/reference/, and a `verify`
+report by its verdict, propagator deviation and sweep size. The benchmark's
+modules are only imported, under names of their own.
 """
 
 import importlib.util
@@ -28,7 +31,11 @@ def _load(name):
 
 
 checks, workloads = _load("checks"), _load("workloads")
-COMMANDS = workloads.build("figures", 0).commands
+#: The commands by test id. Only `measure-sweep` depends on the workload seed.
+COMMANDS = {f"{c.argv[0]}-{c.ref_key}": c for c in workloads.build("figures", 0).commands}
+(COMMANDS["verify-oracle-check"],) = workloads.build("oracle-check", 0).commands
+for _seed in (1, 2, 3):
+    (COMMANDS[f"verify-measure-sweep/{_seed}"],) = workloads.build("measure-sweep", _seed).commands
 
 
 @pytest.fixture(scope="module")
@@ -36,15 +43,19 @@ def reference():
     return checks.Reference()
 
 
-@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: f"{c.argv[0]}-{c.ref_key}")
-def test_output_matches_reference(command, reference, tmp_path, capsys):
+@pytest.mark.parametrize("name", COMMANDS)
+def test_output_matches_reference(name, reference, tmp_path, capsys):
+    command = COMMANDS[name]
     out = tmp_path / "out"
     assert main(list(command.argv) + ["--out", str(out)]) == 0
     assert checks.check(command, out.read_text(encoding="utf-8"), reference) is None
 
 
-def test_all_figure_commands_are_checked():
-    assert sorted(f"{c.argv[0]}-{c.ref_key}" for c in COMMANDS) == sorted(
+def test_all_benchmark_commands_are_checked():
+    assert list(workloads.BUILDERS) == ["figures", "oracle-check", "measure-sweep"]
+    assert sorted(COMMANDS) == sorted(
         [f"evolve-{p}" for p in workloads.PRESET_GRIDS]
         + [f"zeros-{p}/{t}" for p in workloads.PRESET_GRIDS for t in workloads.ZERO_THRESHOLDS]
+        + ["verify-oracle-check"]
+        + [f"verify-measure-sweep/{seed}" for seed in (1, 2, 3)]
     )

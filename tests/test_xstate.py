@@ -42,6 +42,29 @@ class TestValidate:
         with pytest.raises(InvalidStateError, match="outer block"):
             require_valid(bad)
 
+    def test_small_block_with_negative_eigenvalue_rejected(self):
+        # p1*p4 = 1e-14 is within 1e-12 of r14^2 = 9.1e-13, but the outer
+        # block's smaller eigenvalue is -8.5e-7
+        bad = XState(1e-7, 0.5, 0.4999998, 1e-7, r14=9.539392014169456e-07)
+        with pytest.raises(InvalidStateError, match="outer block has an eigenvalue below -1e-12"):
+            require_valid(bad)
+        with pytest.raises(InvalidStateError, match="row 0 of 1 "):
+            require_valid(XColumns.from_states([bad]))
+
+    @pytest.mark.parametrize("scale", [1e-7, 1e-3, 0.25])
+    @pytest.mark.parametrize("block", ["outer", "inner"])
+    def test_block_check_is_an_eigenvalue_bound(self, scale, block):
+        # a block [[s, r], [r, s]] has the smaller eigenvalue s - r, so
+        # r = s + 2e-12 is refused at every scale s and r = s + 0.5e-12 passes
+        def state(r):
+            if block == "outer":
+                return XState(scale, 0.5 - scale, 0.5 - scale, scale, r14=r)
+            return XState(0.5 - scale, scale, scale, 0.5 - scale, r23=r)
+
+        require_valid(state(scale + 0.5e-12))
+        with pytest.raises(InvalidStateError, match=f"{block} block has an eigenvalue"):
+            require_valid(state(scale + 2e-12))
+
     def test_trace_violation(self):
         with pytest.raises(InvalidStateError, match="trace"):
             require_valid(XState(0.5, 0.5, 0.5, 0.5))
@@ -114,7 +137,8 @@ class TestEntropyBits:
         assert_allclose(entropy_bits([0.25, 0.75]), 0.8112781244591328, atol=1e-15)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        # the message shows a plain float, not np.float64(...)
+        with pytest.raises(ValueError, match=r"^negative probability -0\.2 beyond tolerance"):
             entropy_bits([-0.2, 1.2])
 
     @pytest.mark.parametrize(
