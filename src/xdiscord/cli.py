@@ -12,42 +12,45 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .discord import discord, minimize_numeric, nullity_check
-from .dynamics import TCParams, find_zeros, steady_coherence, steady_coherence_as_printed, trajectory
+from .dynamics import find_zeros, steady_coherence, steady_coherence_as_printed, trajectory
 from .oracle import TAIL_BOUND, compare, poisson_tail
 from .presets import (
     MAX_SAMPLES,
     PRESETS,
     ConfigError,
     RunConfig,
-    apply_overrides,
+    config_from_dict,
     config_from_json,
     preset_config,
-    state_from_dict,
     state_to_dict,
 )
 from .sampling import random_xstate
 from .xstate import InvalidStateError
 
-CSV_COLUMNS = (
-    "lambda_t",
-    "rho11",
-    "rho22",
-    "rho33",
-    "rho44",
-    "abs_rho14",
-    "abs_rho23",
-    "mutual_info",
-    "c_m1",
-    "c_m2",
-    "classical_corr",
-    "discord",
-    "concurrence",
-)
+#: Each `evolve` CSV column, in order, and the Trajectory attribute it prints.
+CSV_SOURCES = {
+    "lambda_t": "times",
+    "rho11": "states.p1",
+    "rho22": "states.p2",
+    "rho33": "states.p3",
+    "rho44": "states.p4",
+    "abs_rho14": "states.r14",
+    "abs_rho23": "states.r23",
+    "mutual_info": "breakdowns.mutual_info",
+    "c_m1": "breakdowns.c_m1",
+    "c_m2": "breakdowns.c_m2",
+    "classical_corr": "breakdowns.classical_corr",
+    "discord": "breakdowns.discord",
+    "concurrence": "breakdowns.concurrence",
+}
+CSV_COLUMNS = tuple(CSV_SOURCES)
 
 PROPAGATOR_TOL = 1e-3
 TRACE_TOL = 1e-8
@@ -115,16 +118,13 @@ def _resolve_config(args) -> tuple[RunConfig, str | None]:
             data = json.loads(state_json)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid state JSON: {exc}") from exc
-        state = state_from_dict(data)
-        config = RunConfig(initial=state, params=TCParams(), t_max=30.0, n_samples=3001)
+        config = config_from_dict({"initial": data})
     else:
         raise ConfigError("one of --preset, --config, --state is required")
-    config = apply_overrides(
-        config,
-        t_max=getattr(args, "t_max", None),
-        n_samples=getattr(args, "samples", None),
-        zero_threshold=getattr(args, "zero_threshold", None),
-    )
+    # {RunConfig field: argparse dest of the flag that overrides it}
+    flags = {"t_max": "t_max", "n_samples": "samples", "zero_threshold": "zero_threshold"}
+    overrides = {field: getattr(args, dest, None) for field, dest in flags.items()}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     return config, preset_name
 
 
@@ -171,24 +171,7 @@ def _csv_rows(table: np.ndarray) -> list[str]:
 def cmd_evolve(args) -> int:
     config, _ = _resolve_config(args)
     traj = trajectory(config.initial, config.params, config.t_max, config.n_samples)
-    s, br = traj.states, traj.breakdowns
-    table = np.column_stack(
-        [
-            traj.times,
-            s.p1,
-            s.p2,
-            s.p3,
-            s.p4,
-            s.r14,
-            s.r23,
-            br.mutual_info,
-            br.c_m1,
-            br.c_m2,
-            br.classical_corr,
-            br.discord,
-            br.concurrence,
-        ]
-    )
+    table = np.column_stack(operator.attrgetter(*CSV_SOURCES.values())(traj))
     lines = [",".join(CSV_COLUMNS)] + _csv_rows(table)
     _write_out("\n".join(lines) + "\n", args.out)
     if args.show_eq13_as_printed:
@@ -252,7 +235,7 @@ def _verify_propagator(config: RunConfig, t_max: float, n_max: int) -> dict:
         and report.p1_drift <= CONSTANTS_TOL
         and report.p4_drift <= CONSTANTS_TOL
     )
-    out.update(report.as_dict())
+    out.update((name, value) for name, value in vars(report).items() if name != "times")
     return out
 
 
@@ -416,17 +399,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except InvalidStateError as exc:
         print(f"invalid state: {exc}", file=sys.stderr)
         return 2

@@ -326,9 +326,11 @@ def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> l
     is refined by golden-section search on discord(evolve(.)) to a time
     resolution of 1e-6, all events together, LOOKAHEAD steps per kernel call
     (see _golden_min). Kinds: an event whose excursion
-    reaches t_max is `asymptotic`; events recurring with near-constant spacing
-    (at least three of them, spacing within 25% of their median) are
-    `periodic-member`; anything else is `discrete`.
+    reaches t_max is `asymptotic`. If at least three events are not, each of
+    them whose gap to the previous or the next such event is within 25% of
+    the median of those gaps is `periodic-member`, so one regular gap labels
+    both events beside it (fig2 at 5e-3: the dips at 2.29 and 4.14, not 0.93
+    or 7.40); ROADMAP item 8 holds the pending fix. The rest are `discrete`.
 
     An event marks an excursion, not a zero: its min_discord may lie anywhere
     below the threshold, so at the default 5e-3 shallow dips of depth ~1e-4

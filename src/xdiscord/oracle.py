@@ -365,16 +365,6 @@ class CompareReport:
     p4_drift: float
     min_eigenvalue: float
 
-    def as_dict(self) -> dict:
-        return {
-            "max_deviation": self.max_deviation,
-            "t_at_max": self.t_at_max,
-            "max_trace_drift": self.max_trace_drift,
-            "p1_drift": self.p1_drift,
-            "p4_drift": self.p4_drift,
-            "min_eigenvalue": self.min_eigenvalue,
-        }
-
 
 def _components(c: XColumns) -> np.ndarray:
     """Real components of each state, shape (n, 8): populations, then the

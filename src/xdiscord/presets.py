@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dynamics import DEFAULT_ZERO_THRESHOLD, TCParams
 from .xstate import XState
@@ -18,6 +18,13 @@ from .xstate import XState
 #: Largest time grid a run may ask for, from --samples, a config's n_samples
 #: or verify's oracle grid; a larger one is refused before it is allocated.
 MAX_SAMPLES = 10**6
+
+#: JSON key of each TCParams field, in the order a config lists them.
+PARAM_KEYS = {"lambda": "lam", "kappa": "kappa", "alpha_sq": "alpha_sq"}
+
+#: The XState coherence fields a state's JSON object may give; an omitted one
+#: takes XState's default of 0.
+COHERENCE_KEYS = ("r14", "phi1", "r23", "phi2")
 
 
 class ConfigError(ValueError):
@@ -44,11 +51,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {
             "initial": state_to_dict(self.initial),
-            "params": {
-                "lambda": self.params.lam,
-                "kappa": self.params.kappa,
-                "alpha_sq": self.params.alpha_sq,
-            },
+            "params": {key: getattr(self.params, attr) for key, attr in PARAM_KEYS.items()},
             "grid": {"t_max": self.t_max, "n_samples": self.n_samples},
             "zero_threshold": self.zero_threshold,
         }
@@ -78,26 +81,21 @@ def _number(value, name: str) -> float:
 
 
 def state_to_dict(state: XState) -> dict:
-    return {
-        "populations": list(state.populations),
-        "r14": state.r14,
-        "phi1": state.phi1,
-        "r23": state.r23,
-        "phi2": state.phi2,
-    }
+    coherences = {key: getattr(state, key) for key in COHERENCE_KEYS}
+    return {"populations": list(state.populations), **coherences}
 
 
 def state_from_dict(d) -> XState:
     if not isinstance(d, dict):
         raise ConfigError("state must be a JSON object")
-    _known_keys(d, ("populations", "r14", "phi1", "r23", "phi2"), "state")
+    _known_keys(d, ("populations",) + COHERENCE_KEYS, "state")
     pops = _require(d, "populations", "state")
     if not isinstance(pops, (list, tuple)) or len(pops) != 4:
         raise ConfigError("state populations must be a list of four numbers")
     try:
         return XState(
             *(_number(p, "population") for p in pops),
-            **{key: _number(d.get(key, 0.0), key) for key in ("r14", "phi1", "r23", "phi2")},
+            **{key: _number(d[key], key) for key in COHERENCE_KEYS if key in d},
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad state value: {exc}") from exc
@@ -111,12 +109,10 @@ def config_from_dict(d) -> RunConfig:
     pd = d.get("params", {})
     if not isinstance(pd, dict):
         raise ConfigError("params must be a JSON object")
-    _known_keys(pd, ("lambda", "kappa", "alpha_sq"), "params")
+    _known_keys(pd, PARAM_KEYS, "params")
     try:
         params = TCParams(
-            lam=_number(pd.get("lambda", 1.0), "lambda"),
-            kappa=_number(pd.get("kappa", 0.0), "kappa"),
-            alpha_sq=_number(pd.get("alpha_sq", 0.0), "alpha_sq"),
+            **{attr: _number(pd[key], key) for key, attr in PARAM_KEYS.items() if key in pd}
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params value: {exc}") from exc
@@ -129,9 +125,12 @@ def config_from_dict(d) -> RunConfig:
         n_samples = _number(gd.get("n_samples", 3001), "n_samples")
         if not n_samples.is_integer():
             raise ValueError(f"n_samples = {n_samples!r} is not an integer")
-        threshold = _number(d.get("zero_threshold", DEFAULT_ZERO_THRESHOLD), "zero_threshold")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid value: {exc}") from exc
+    try:
+        threshold = _number(d.get("zero_threshold", DEFAULT_ZERO_THRESHOLD), "zero_threshold")
+    except ValueError as exc:
+        raise ConfigError(f"bad zero_threshold value: {exc}") from exc
     return RunConfig(
         initial=initial,
         params=params,
@@ -192,15 +191,3 @@ def preset_config(name: str) -> RunConfig:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
-
-
-def apply_overrides(config: RunConfig, t_max=None, n_samples=None, zero_threshold=None) -> RunConfig:
-    """Flag-level overrides on top of a preset or config file."""
-    updates = {}
-    if t_max is not None:
-        updates["t_max"] = float(t_max)
-    if n_samples is not None:
-        updates["n_samples"] = int(n_samples)
-    if zero_threshold is not None:
-        updates["zero_threshold"] = float(zero_threshold)
-    return replace(config, **updates) if updates else config

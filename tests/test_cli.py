@@ -13,7 +13,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from xdiscord import PRESETS, discord, minimize_numeric, nullity_check, random_xstate
-from xdiscord.cli import CSV_COLUMNS, MAX_N_MAX, MAX_SWEEP_STATES, _csv_rows, _write_json, main
+from xdiscord.cli import (
+    CSV_COLUMNS,
+    FLAGS,
+    MAX_N_MAX,
+    MAX_SWEEP_STATES,
+    SUBCOMMANDS,
+    _csv_rows,
+    _write_json,
+    main,
+)
 from xdiscord.oracle import poisson_tail
 from xdiscord.presets import (
     MAX_SAMPLES,
@@ -28,6 +37,9 @@ EQ9_STATE_JSON = json.dumps(
     {"populations": [0.3, 0.3, 0.2, 0.2], "r14": 0.1, "r23": 0.1}
 )
 INVALID_STATE_JSON = json.dumps({"populations": [0.25, 0.25, 0.25, 0.25], "r14": 0.3})
+
+#: The keys that open every `verify` propagator object, before its verdict.
+PROPAGATOR_KEYS = ["t_max", "dt", "n_max", "tolerance", "trace_tolerance", "constants_tolerance"]
 
 #: The flags that a subcommand does not read, with a value for each.
 UNREAD_FLAGS = [
@@ -354,7 +366,9 @@ class TestPresetCommand:
     def test_boolean_number_refused(self, section, key):
         config = PRESETS["fig1"].to_dict()
         (config[section] if section else config)[key] = False
-        with pytest.raises(ConfigError, match=f"{key} = False is not a number"):
+        # the message names the section that holds the key
+        word = {"initial": "state", None: key}.get(section, section)
+        with pytest.raises(ConfigError, match=f"^bad {word} value: {key} = False is not a number$"):
             config_from_json(json.dumps(config))
 
     @pytest.mark.parametrize("section", [None, "initial", "params", "grid", "state"])
@@ -391,6 +405,10 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads(out)
         assert report["pass"] is True
+        assert list(report["propagator"]) == PROPAGATOR_KEYS + [
+            "pass", "max_deviation", "t_at_max", "max_trace_drift", "p1_drift", "p4_drift",
+            "min_eigenvalue",
+        ]
         assert report["propagator"]["max_deviation"] <= 1e-3
         assert report["measurement_sweep"]["max_gap"] <= 1e-2
         assert "long_time_limit" in report["steady_coherence"]
@@ -405,6 +423,7 @@ class TestVerifyCommand:
             )
             assert code == 4
             report = json.loads(out)
+            assert list(report["propagator"]) == PROPAGATOR_KEYS + ["error", "pass"]
             assert report["propagator"]["pass"] is False
             assert "need n_max" in report["propagator"]["error"]
 
@@ -507,7 +526,9 @@ class TestVerifyCommand:
              "--sweep-states", "0"], capsys
         )
         assert code == 4
-        error = json.loads(out)["propagator"]["error"]
+        propagator = json.loads(out)["propagator"]
+        assert list(propagator) == PROPAGATOR_KEYS + ["error", "pass"]
+        error = propagator["error"]
         assert f"tail of 1.000e+00 > 1.000e-12 even at n_max = {MAX_N_MAX}" in error
         assert "beyond what verify can check" in error and "1230" not in error
         assert "propagator: FAIL" in err
@@ -728,9 +749,35 @@ class TestCsvFormatting:
         assert _csv_rows(table) == plain
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_csv_columns_match_evolve():
+    (columns,) = re.findall(r"`evolve` emits the columns\s+`([^`]*)`", README.read_text())
+    assert " ".join(columns.split()) == ", ".join(CSV_COLUMNS)
+
+
+def test_readme_flag_table_matches_parser():
+    # each row lists the subcommand's flags in order, with the default of each
+    # flag that has one; the positional `action` of `preset` reads `list`
+    text = README.read_text()
+    table = text[text.index("| subcommand | flags |") :].split("\n\n")[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", table, flags=re.MULTILINE)
+    entry = re.compile(r"`([^`]+)`(?: \(default (\S+)\))?")
+    documented = {name: entry.findall(cell) for name, cell in rows}
+    expected = {
+        name: [
+            (flag if flag.startswith("--") else "list", str(FLAGS[flag].get("default", "")))
+            for flag in flags.split()
+        ]
+        for name, _, _, flags in SUBCOMMANDS
+    }
+    assert documented == expected
+
+
 def test_readme_library_example_runs(capsys):
     # the README's one python block, so that it stays in step with the API
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = README.read_text()
     (code,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
     namespace = {}
     exec(code, namespace)
