@@ -59,7 +59,7 @@ SWEEP_GAP_TOL = 1e-2
 SWEEP_LOG_LEVEL = 1e-4
 NUMERIC_EXCESS_TOL = 1e-6
 STEADY_TOL = 5e-4
-#: Sample spacing of the master-equation check, about 0.1 up to --t-max.
+#: Sample spacing of the master-equation check, about 0.1 up to the run's t_max.
 VERIFY_SPACING = 0.1
 #: Largest measurement sweep. The search works in fixed chunks, so peak memory
 #: grows ~0.15 MB per 1,000 states beyond the first chunk, to ~67 MB in all.
@@ -154,26 +154,15 @@ def cmd_discord(args) -> int:
     return 0
 
 
-def _csv_rows(table: np.ndarray) -> list[str]:
-    """The rows of a float table as comma-joined "%.17g" fields. A column
-    whose values all share one bit pattern (so 0.0 and -0.0 stay apart) is
-    formatted once, into the row template; only the others are formatted per
-    row."""
-    table = np.ascontiguousarray(table, dtype=float)
-    bits = table.view(np.int64)
-    constant = (bits == bits[:1]).all(axis=0)
-    row = ",".join(
-        "%.17g" % value if same else "%.17g" for value, same in zip(table[0].tolist(), constant)
-    )
-    return [row % tuple(values) for values in table[:, ~constant].tolist()]
-
-
 def cmd_evolve(args) -> int:
+    # Imported on use: compiling it and building its tables takes a few ms
+    # that no other command needs.
+    from ._csvtext import csv_rows
+
     config, _ = _resolve_config(args)
     traj = trajectory(config.initial, config.params, config.t_max, config.n_samples)
     table = np.column_stack(operator.attrgetter(*CSV_SOURCES.values())(traj))
-    lines = [",".join(CSV_COLUMNS)] + _csv_rows(table)
-    _write_out("\n".join(lines) + "\n", args.out)
+    _write_out(",".join(CSV_COLUMNS) + "\n" + csv_rows(table), args.out)
     if args.show_eq13_as_printed:
         _eq13_note(config)
     return 0
@@ -189,7 +178,8 @@ def cmd_zeros(args) -> int:
     return 0
 
 
-def _verify_propagator(config: RunConfig, t_max: float, n_max: int) -> dict:
+def _verify_propagator(config: RunConfig, n_max: int) -> dict:
+    t_max = config.t_max
     if t_max < 0.0:
         raise ConfigError(f"t_max = {t_max!r} must be nonnegative")
     if n_max < 0:
@@ -290,14 +280,13 @@ def _verify_steady(config: RunConfig, preset_name) -> dict:
 
 def cmd_verify(args) -> int:
     config, preset_name = _resolve_config(args)
-    t_max = args.t_max if args.t_max is not None else 20.0
     if args.sweep_states < 0:
         raise ConfigError(f"sweep_states = {args.sweep_states} must be nonnegative")
     if args.sweep_states > MAX_SWEEP_STATES:
         raise ConfigError(f"sweep_states = {args.sweep_states} exceeds {MAX_SWEEP_STATES}")
     if args.seed < 0:
         raise ConfigError(f"seed = {args.seed} must be nonnegative")
-    propagator = _verify_propagator(config, t_max, args.n_max)
+    propagator = _verify_propagator(config, args.n_max)
     sweep = _verify_sweep(args.sweep_states, args.seed)
     steady = _verify_steady(config, preset_name)
     overall = propagator["pass"] and sweep["pass"] and steady["pass"]

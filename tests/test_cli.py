@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -10,19 +11,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from xdiscord import PRESETS, discord, minimize_numeric, nullity_check, random_xstate
 from xdiscord.cli import (
     CSV_COLUMNS,
+    CSV_SOURCES,
     FLAGS,
     MAX_N_MAX,
     MAX_SWEEP_STATES,
     SUBCOMMANDS,
-    _csv_rows,
     _write_json,
     main,
 )
+from xdiscord._csvtext import csv_rows
+from xdiscord.dynamics import trajectory
 from xdiscord.oracle import poisson_tail
 from xdiscord.presets import (
     MAX_SAMPLES,
@@ -441,6 +446,23 @@ class TestVerifyCommand:
         assert (code, out) == (3, "")
         assert "t_max = -5.0 must be nonnegative" in err
 
+    def test_horizon_is_the_config_t_max(self, capsys, tmp_path):
+        config = PRESETS["fig1"].to_dict()
+        config["grid"]["t_max"] = 2.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli(["verify", "--config", str(path), "--sweep-states", "0"], capsys)
+        assert code == 0
+        assert json.loads(out)["propagator"]["t_max"] == 2.0
+
+    def test_preset_checks_its_whole_horizon(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "--preset", "fig3-separable", "--sweep-states", "0"], capsys
+        )
+        propagator = json.loads(out)["propagator"]
+        assert code == 0
+        assert (propagator["t_max"], propagator["pass"]) == (300.0, True)
+
     @pytest.mark.parametrize("n_max", ["-1", "-5"])
     @pytest.mark.parametrize("alpha_sq", [0.5922, 0.0])
     def test_negative_n_max_exit_3(self, n_max, alpha_sq, capsys, tmp_path):
@@ -742,11 +764,60 @@ class TestCsvFormatting:
             ),
             np.array([[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0]]),  # 0.0 and -0.0 are not merged
             np.array([[0.1, -0.0, 5e-324], [0.1, -0.0, 5e-324]]),  # every column constant
+            np.array([[-2.5, 3e-7], [-1 / 3, -4.25e-12]]),  # negative and exponent-form values
+            np.array([[-0.0, 1.5], [-0.0, 2.5], [-0.0, 3.5]]),  # a constant -0.0 column
         ],
     )
     def test_rows_match_plain_formatting(self, table):
-        plain = [",".join("%.17g" % v for v in row) for row in table.tolist()]
-        assert _csv_rows(table) == plain
+        plain = "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+        assert csv_rows(table) == plain
+
+    @staticmethod
+    def assert_column_matches(values):
+        values = np.asarray(values, dtype=float)
+        assert csv_rows(values[:, None]) == "".join("%.17g\n" % v for v in values.tolist())
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+    def test_arbitrary_bit_patterns_match_plain_formatting(self, patterns):
+        self.assert_column_matches(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(1e-30, 1e18), min_size=1, max_size=200))
+    def test_values_in_the_array_range_match_plain_formatting(self, values):
+        # the range that the array arithmetic formats, and a margin on each side
+        self.assert_column_matches(values)
+
+    def test_edge_values_match_plain_formatting(self):
+        powers = 10.0 ** np.arange(-40, 26)
+        tiny = np.finfo(float).tiny
+        edges = [
+            *powers, *np.nextafter(powers, 0.0), *np.nextafter(powers, np.inf),
+            0.0, -0.0, 5e-324, tiny, np.nextafter(tiny, 0.0),
+            1e-4, np.nextafter(1e-4, 0.0), 1e17, np.nextafter(1e17, 0.0),  # `g` switches form
+            1e-29, np.nextafter(1e-29, 1.0), 1.5e-120, 1.7976931348623157e308,  # exponents
+            1e14 + 0.125, 1e14 + 0.375, 0.5, 1 / 3, 123456789.0, 0.1, 0.3,  # ties, decimals
+            np.nan, np.inf, -np.inf,  # through the fallback
+        ]
+        self.assert_column_matches(edges)
+        self.assert_column_matches(np.negative(edges))
+
+    @pytest.mark.parametrize(
+        "preset, t_max, n_samples",
+        [("fig1", 30.0, 3001), ("fig2", 30.0, 3001), ("fig3-separable", 300.0, 3001),
+         ("fig3-entangled", 50.0, 2001)],
+    )
+    def test_benchmark_grids_match_plain_formatting(self, preset, t_max, n_samples, capsys):
+        code, out, _ = run_cli(
+            ["evolve", "--preset", preset, "--t-max", str(t_max), "--samples", str(n_samples)],
+            capsys,
+        )
+        config = PRESETS[preset]
+        traj = trajectory(config.initial, config.params, t_max, n_samples)
+        columns = operator.attrgetter(*CSV_SOURCES.values())(traj)
+        rows = (",".join("%.17g" % v for v in row) for row in np.column_stack(columns).tolist())
+        assert code == 0
+        assert out == "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
 
 
 README = Path(__file__).parents[1] / "README.md"
