@@ -20,7 +20,7 @@ import numpy as np
 
 from .discord import discord, minimize_numeric, nullity_check
 from .dynamics import find_zeros, steady_coherence, steady_coherence_as_printed, trajectory
-from .oracle import TAIL_BOUND, compare, poisson_tail
+from .oracle import MAX_N_MAX, compare
 from .presets import (
     MAX_SAMPLES,
     PRESETS,
@@ -64,14 +64,6 @@ VERIFY_SPACING = 0.1
 #: Largest measurement sweep. The search works in fixed chunks, so peak memory
 #: grows ~0.15 MB per 1,000 states beyond the first chunk, to ~67 MB in all.
 MAX_SWEEP_STATES = 100_000
-#: Largest Fock cutoff of the master-equation check, enough for a field of
-#: mean photon number ~115. With L = n_max + 1 levels the oracle holds one
-#: L x L table of binomial weights (8*L^2 bytes) and, per chunk of samples,
-#: arrays of L x 8 elements a sample; it forms no L x L exponential. A
-#: `verify --t-max 0.3` process peaks at ~34 MB and takes ~0.16 s at the
-#: bound, most of it the import (~32 MB at n_max = 25), on a 2-CPU Xeon, one
-#: thread.
-MAX_N_MAX = 200
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,18 +192,6 @@ def _verify_propagator(config: RunConfig, n_max: int) -> dict:
         "trace_tolerance": TRACE_TOL,
         "constants_tolerance": CONSTANTS_TOL,
     }
-    alpha_sq = config.params.alpha_sq
-    tail = poisson_tail(alpha_sq, MAX_N_MAX)
-    if tail > TAIL_BOUND:
-        # Refused before the oracle runs, whose refusal would name a cutoff
-        # above MAX_N_MAX, the largest that verify accepts.
-        out.update({
-            "error": f"alpha_sq = {alpha_sq:g} leaves a coherent tail of {tail:.3e} > "
-            f"{TAIL_BOUND:.3e} even at n_max = {MAX_N_MAX}, the largest cutoff verify "
-            "accepts: the field is beyond what verify can check",
-            "pass": False,
-        })
-        return out
     try:
         report = compare(config.initial, config.params, np.linspace(0.0, t_max, n_grid), n_max)
     except ValueError as exc:

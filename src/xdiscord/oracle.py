@@ -4,11 +4,12 @@ The two-atom + cavity density matrix starts as rho_atoms (x) |alpha><alpha|
 on Fock levels 0..n_max and is propagated exactly; the field is traced out
 and the reduced atomic state is compared element-wise against the analytic
 propagator. The field enters only through the Poisson photon-number weights
-of |alpha> (photon_weights), and a cutoff n_max whose Poisson tail exceeds
-TAIL_BOUND is refused. The dissipator is the standard cavity-decay form
-kappa*(a rho a+ - {a+a, rho}/2), under which the field amplitude decays at
-kappa/2 and the photon number at kappa; this is the convention the analytic
-solution and the steady coherence value correspond to.
+of |alpha> (photon_weights); a cutoff n_max above MAX_N_MAX, and one whose
+Poisson tail exceeds TAIL_BOUND, are refused. The dissipator is the standard
+cavity-decay form kappa*(a rho a+ - {a+a, rho}/2), under which the field
+amplitude decays at kappa/2 and the photon number at kappa; this is the
+convention the analytic solution and the steady coherence value correspond
+to.
 
 The Liouvillian -i[H, .] + kappa*D[a] is built from H and D alone, never from
 the analytic solution. It splits an X state into independent sectors, one per
@@ -48,6 +49,14 @@ EXCITED_COUNT = np.array([0.0, 1.0, 1.0, 2.0])
 #: Largest coherent-state weight a Fock truncation may leave beyond n_max.
 TAIL_BOUND = 1e-12
 
+#: Largest Fock cutoff; it holds a field of mean photon number up to ~116.8. With
+#: L = n_max + 1 levels integrate holds one L x L table of binomial weights
+#: (8*L^2 bytes) and, per chunk of samples, arrays of L x 8 elements a
+#: sample; it forms no L x L exponential. A `verify --t-max 0.3` process
+#: peaks at ~34 MB and takes ~0.16 s at the bound, most of it the import
+#: (~32 MB at n_max = 25), on a 2-CPU Xeon, one thread.
+MAX_N_MAX = 200
+
 #: Samples whose Fock elements integrate holds at once before it reduces them
 #: to the X state and the block minimum; this bounds its memory on any grid.
 SAMPLE_CHUNK = 128
@@ -58,103 +67,40 @@ EPS = math.ulp(1.0)
 
 def photon_weights(alpha_sq: float, n_max: int) -> np.ndarray:
     """Photon-number weights of |alpha>: the Poisson terms alpha_sq^n/n! on
-    Fock levels 0..n_max, normalized. A cutoff that is not an integer, and one
-    whose Poisson tail exceeds TAIL_BOUND, are refused, the latter with the
-    smallest one that does not."""
+    Fock levels 0..n_max, normalized. A cutoff that is not an integer or is
+    above MAX_N_MAX is refused, and so is one whose Poisson tail exceeds
+    TAIL_BOUND: with the smallest cutoff that does not, or, for a field that
+    no cutoff up to MAX_N_MAX holds, with the tail at MAX_N_MAX."""
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
         raise ValueError(f"n_max = {n_max!r} must be an integer")
     if n_max < 0:
         raise ValueError(f"n_max = {n_max} must be nonnegative")
+    if n_max > MAX_N_MAX:
+        raise ValueError(f"n_max = {n_max} exceeds {MAX_N_MAX}")
     tail = poisson_tail(alpha_sq, n_max)
     if tail > TAIL_BOUND:
+        top = poisson_tail(alpha_sq, MAX_N_MAX)
+        if top > TAIL_BOUND:
+            raise ValueError(
+                f"alpha_sq = {alpha_sq:g} leaves a coherent tail of {top:.3e} > "
+                f"{TAIL_BOUND:.3e} even at n_max = {MAX_N_MAX}, the largest cutoff"
+            )
+        # Walking down from the limit, P(N > n - 1) = P(N > n) + P(N = n):
+        # tails[i] is the tail at MAX_N_MAX - 1 - i, and rises with i.
+        n = np.arange(MAX_N_MAX, 0, -1)
+        log_terms = -alpha_sq + n * math.log(alpha_sq) - [math.lgamma(k + 1) for k in n]
+        tails = top + np.cumsum(np.exp(log_terms))
         raise ValueError(
             f"n_max = {n_max} leaves a coherent tail of {tail:.3e} > {TAIL_BOUND:.3e}; "
-            f"need n_max >= {_min_cutoff(alpha_sq)}"
+            f"need n_max >= {MAX_N_MAX - np.count_nonzero(tails <= TAIL_BOUND)}"
         )
     n = np.arange(n_max + 1)
     if alpha_sq == 0.0:
         return (n == 0).astype(float)
-    # The amplitudes alpha^n/sqrt(n!) from logs, scaled down only where their
-    # squares would overflow (alpha_sq above ~600), normalized and squared.
+    # The amplitudes alpha^n/sqrt(n!) from logs, normalized and squared.
     log_fact = np.array([math.lgamma(k + 1) for k in n])
-    log_amps = n * math.log(math.sqrt(alpha_sq)) - 0.5 * log_fact
-    amps = np.exp(log_amps - max(log_amps.max() - 300.0, 0.0))
+    amps = np.exp(n * math.log(math.sqrt(alpha_sq)) - 0.5 * log_fact)
     return (amps / np.linalg.norm(amps)) ** 2
-
-
-def _min_cutoff(alpha_sq: float) -> int:
-    """Smallest n_max whose Poisson tail is at most TAIL_BOUND.
-
-    Above the mean a, the Chernoff bound P(N > n) <= e^-a (e a/(n+1))^(n+1)
-    falls as n grows. The least n where it reaches TAIL_BOUND, found by
-    doubling and bisection without summing, bounds the cutoff from above, and
-    only its tail is summed: each smaller cutoff adds one term,
-    P(N > n-1) = P(N > n) + P(N = n), until the tail exceeds TAIL_BOUND.
-    """
-    if alpha_sq == 0.0:
-        return 0
-    log_bound = math.log(TAIL_BOUND)
-
-    def chernoff_below(n):
-        m = n + 1
-        return m > alpha_sq and m * (1.0 + math.log(alpha_sq / m)) - alpha_sq <= log_bound
-
-    lo, hi = -1, 0  # the bound exceeds TAIL_BOUND at lo (or does not hold), not at hi
-    while not chernoff_below(hi):
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if chernoff_below(mid):
-            hi = mid
-        else:
-            lo = mid
-    tail, term = poisson_tail(alpha_sq, hi), math.exp(_log_term(alpha_sq, hi))
-    while hi > 0 and tail + term <= TAIL_BOUND:
-        tail += term
-        term *= hi / alpha_sq
-        hi -= 1
-    return hi
-
-
-def _log_term(alpha_sq: float, n: int) -> float:
-    """log P(N = n) for Poisson(alpha_sq), alpha_sq > 0, in Loader's
-    saddle-point form -deviance - stirling_error(n) - log(2*pi*n)/2 (Loader
-    2000, "Fast and accurate computation of binomial probabilities"). No term
-    is near alpha_sq*log(alpha_sq), whose rounding the direct form
-    -alpha_sq + n*log(alpha_sq) - lgamma(n + 1) carries: about 4e-3 at
-    alpha_sq = 1e12."""
-    if n == 0:
-        return -alpha_sq
-    return -_deviance(n, alpha_sq) - _stirling_error(n) - 0.5 * math.log(2.0 * math.pi * n)
-
-
-def _deviance(n: int, alpha_sq: float) -> float:
-    """n*log(n/alpha_sq) + alpha_sq - n, for n >= 1. Near the mean it is the
-    series (n - a)*v + 2n*(v^3/3 + v^5/5 + ...) in v = (n - a)/(n + a), summed
-    until it stops changing, with no cancellation."""
-    x = float(n)
-    if abs(x - alpha_sq) >= 0.1 * (x + alpha_sq):
-        return x * math.log(x / alpha_sq) + alpha_sq - x
-    v = (x - alpha_sq) / (x + alpha_sq)
-    total, term, v2 = (x - alpha_sq) * v, 2.0 * x * v, v * v
-    for j in range(3, 1000, 2):
-        term *= v2
-        new = total + term / j
-        if new == total:
-            break
-        total = new
-    return total
-
-
-def _stirling_error(n: int) -> float:
-    """log(n!) - log(sqrt(2*pi*n) * (n/e)**n), for n >= 1: up to n = 15 from
-    lgamma, whose cancelling terms are below 70 there, and above it by the
-    asymptotic series 1/(12n) - 1/(360n^3) + 1/(1260n^5) - 1/(1680n^7) +
-    1/(1188n^9), off by at most 1.1e-16."""
-    if n <= 15:
-        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2.0 * math.pi)
-    nn = float(n) * n
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
 
 
 def poisson_tail(alpha_sq: float, n_max: int) -> float:
@@ -168,7 +114,7 @@ def poisson_tail(alpha_sq: float, n_max: int) -> float:
     if alpha_sq == 0.0:
         return 0.0
     n = n_max + 1
-    term = math.exp(_log_term(alpha_sq, n))
+    term = math.exp(-alpha_sq + n * math.log(alpha_sq) - math.lgamma(n + 1))
     if term <= 1e-300 and n < alpha_sq:
         # Below the mode the terms rise, so the head P(n <= n_max) is below
         # (n_max + 1) * term and the tail is 1 to double precision.

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import operator
@@ -20,7 +21,6 @@ from xdiscord.cli import (
     CSV_COLUMNS,
     CSV_SOURCES,
     FLAGS,
-    MAX_N_MAX,
     MAX_SWEEP_STATES,
     SUBCOMMANDS,
     _write_json,
@@ -28,7 +28,7 @@ from xdiscord.cli import (
 )
 from xdiscord._csvtext import csv_rows
 from xdiscord.dynamics import trajectory
-from xdiscord.oracle import poisson_tail
+from xdiscord.oracle import MAX_N_MAX, poisson_tail
 from xdiscord.presets import (
     MAX_SAMPLES,
     ConfigError,
@@ -526,7 +526,6 @@ class TestVerifyCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("an oversized cutoff must be refused before any work")
 
-        monkeypatch.setattr("xdiscord.oracle._min_cutoff", refuse)
         monkeypatch.setattr("xdiscord.cli.compare", refuse)
         for n_max in (MAX_N_MAX + 1, 10**9):
             code, out, err = run_cli(
@@ -551,18 +550,15 @@ class TestVerifyCommand:
         propagator = json.loads(out)["propagator"]
         assert list(propagator) == PROPAGATOR_KEYS + ["error", "pass"]
         error = propagator["error"]
-        assert f"tail of 1.000e+00 > 1.000e-12 even at n_max = {MAX_N_MAX}" in error
-        assert "beyond what verify can check" in error and "1230" not in error
+        assert error.endswith(
+            f"tail of 1.000e+00 > 1.000e-12 even at n_max = {MAX_N_MAX}, the largest cutoff"
+        )
+        assert "1230" not in error
         assert "propagator: FAIL" in err
 
-    def test_huge_field_refused_without_searching_its_cutoff(self, capsys, tmp_path, monkeypatch):
-        # The smallest cutoff for alpha_sq = 1e12 takes minutes to find; the
-        # field is refused from the tail at MAX_N_MAX before the oracle runs.
-        def refuse(*args, **kwargs):
-            raise AssertionError("a field beyond MAX_N_MAX must be refused before any work")
-
-        monkeypatch.setattr("xdiscord.oracle._min_cutoff", refuse)
-        monkeypatch.setattr("xdiscord.cli.compare", refuse)
+    def test_huge_field_refused_without_searching_its_cutoff(self, capsys, tmp_path):
+        # The smallest cutoff for alpha_sq = 1e12 is near 10**12; the oracle
+        # refuses the field from its tail at MAX_N_MAX and searches no cutoff.
         config = PRESETS["fig1"].to_dict()
         config["params"]["alpha_sq"] = 1e12
         path = tmp_path / "config.json"
@@ -571,7 +567,10 @@ class TestVerifyCommand:
             ["verify", "--config", str(path), "--t-max", "0.3", "--sweep-states", "0"], capsys
         )
         assert code == 4
-        assert "beyond what verify can check" in json.loads(out)["propagator"]["error"]
+        assert json.loads(out)["propagator"]["error"] == (
+            "alpha_sq = 1e+12 leaves a coherent tail of 1.000e+00 > 1.000e-12 even at "
+            f"n_max = {MAX_N_MAX}, the largest cutoff"
+        )
 
     def test_huge_kappa_reports_steady_coherence(self, capsys, tmp_path):
         # kappa^2 overflows a float, which the steady values no longer square,
@@ -627,20 +626,19 @@ class TestVerifyCommand:
         )
         assert not propagator["pass"] and "propagator: FAIL" in err
 
-    def test_poisson_tail_summed_twice(self, capsys, monkeypatch):
-        # once for the MAX_N_MAX pre-check, once for the requested cutoff
+    def test_poisson_tail_summed_once(self, capsys, monkeypatch):
+        # once, for the requested cutoff: only the oracle reads the tail
         calls = []
 
         def spy(alpha_sq, n_max):
             calls.append(n_max)
             return poisson_tail(alpha_sq, n_max)
 
-        monkeypatch.setattr("xdiscord.cli.poisson_tail", spy)
         monkeypatch.setattr("xdiscord.oracle.poisson_tail", spy)
         code, _, _ = run_cli(
             ["verify", "--preset", "fig1", "--t-max", "0.3", "--sweep-states", "0"], capsys
         )
-        assert code == 0 and calls == [MAX_N_MAX, 25]
+        assert code == 0 and calls == [25]
 
     def test_largest_cutoff_passes(self, capsys):
         code, out, err = run_cli(
@@ -788,6 +786,24 @@ class TestCsvFormatting:
         # the range that the array arithmetic formats, and a margin on each side
         self.assert_column_matches(values)
 
+    @staticmethod
+    def near_ties():
+        """Values x = m * 2**-(j + s) whose digits x * 10**s = m * 5**s / 2**j
+        lie in [1e16, 1e17) with a fraction 1/2 + r / 2**j: within 1e-12 of a
+        rounding tie (j >= 42, 0 < |r| <= 3) but not on it. That needs
+        m = (2**(j-1) + r) * 5**-s modulo 2**j, 5**-s the inverse of 5**s
+        there; the first eight such m of each (s, j, r) in range and below
+        2**53, where x is exact."""
+        values = set()
+        for s, j, r in itertools.product(range(46), range(42, 54), (1, -1, 2, -2, 3, -3)):
+            step = 2**j
+            m = (step // 2 + r) * pow(5, -s, step) % step
+            low = -(-(10**16) * step // 5**s)  # ceil(1e16 * 2**j / 5**s)
+            m += max(0, -(-(low - m) // step)) * step  # the least such m >= low
+            top = min(-(-(10**17) * step // 5**s), 2**53)
+            values.update(math.ldexp(m, -(j + s)) for m in range(m, top, step)[:8])
+        return sorted(values)
+
     def test_edge_values_match_plain_formatting(self):
         powers = 10.0 ** np.arange(-40, 26)
         tiny = np.finfo(float).tiny
@@ -798,6 +814,7 @@ class TestCsvFormatting:
             1e-29, np.nextafter(1e-29, 1.0), 1.5e-120, 1.7976931348623157e308,  # exponents
             1e14 + 0.125, 1e14 + 0.375, 0.5, 1 / 3, 123456789.0, 0.1, 0.3,  # ties, decimals
             np.nan, np.inf, -np.inf,  # through the fallback
+            *self.near_ties(),  # the scaling's error must not cross a tie
         ]
         self.assert_column_matches(edges)
         self.assert_column_matches(np.negative(edges))

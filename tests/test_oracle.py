@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import time
@@ -6,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,16 +22,16 @@ from xdiscord import (
     random_xstate,
     steady_coherence,
 )
-from xdiscord.cli import MAX_N_MAX, PROPAGATOR_TOL, main
+from xdiscord.cli import PROPAGATOR_TOL, main
 from xdiscord.oracle import (
     EXCITED_COUNT,
+    MAX_N_MAX,
     SAMPLE_CHUNK,
+    TAIL_BOUND,
     _PAIR_J,
     _PAIR_K,
     _exchange,
-    _log_term,
     _make_sector,
-    _min_cutoff,
     _stark,
     photon_weights,
     poisson_tail,
@@ -174,12 +175,31 @@ def planted_outer_exchange(params):
     return e
 
 
+def min_cutoff(alpha_sq):
+    """Brute-force reference: the least n_max whose Poisson tail is at most
+    TAIL_BOUND."""
+    return next(n for n in itertools.count() if poisson_tail(alpha_sq, n) <= TAIL_BOUND)
+
+
+def cutoff_hint(alpha_sq):
+    """The cutoff that photon_weights names when it refuses n_max = 0, or 0
+    when it accepts it."""
+    try:
+        photon_weights(alpha_sq, 0)
+    except ValueError as exc:
+        return int(re.fullmatch(r".*; need n_max >= (\d+)", str(exc)).group(1))
+    return 0
+
+
+BEYOND_LIMIT = f"even at n_max = {MAX_N_MAX}, the largest cutoff$"
+
+
 class TestFockTruncation:
-    """The cutoff n_max: the Poisson tail it leaves and the smallest one that
-    TAIL_BOUND allows."""
+    """The cutoff n_max: the Poisson tail it leaves, the smallest one that
+    TAIL_BOUND allows, and the largest, MAX_N_MAX."""
 
     def test_vacuum_needs_single_level(self):
-        assert _min_cutoff(0.0) == 0
+        assert cutoff_hint(0.0) == 0
         assert poisson_tail(0.0, 0) == 0.0
 
     def test_tail_small_at_20_for_unit_field(self):
@@ -207,41 +227,48 @@ class TestFockTruncation:
         expected = math.exp(peak) * math.fsum(math.exp(x - peak) for x in logs)
         assert_allclose(poisson_tail(alpha_sq, n_max), expected, rtol=1e-9, atol=1e-290)
 
-    @pytest.mark.parametrize("alpha_sq", [0.5922, 115.0, 1e6, 1e12])
-    def test_log_term_matches_50_digits(self, alpha_sq):
-        # From the mode to 10 standard deviations above it. The direct form
-        # -a + n*log(a) - lgamma(n + 1) is off by up to 4e-3 at a = 1e12.
-        mpmath = pytest.importorskip("mpmath")
-        mode, top = math.floor(alpha_sq), math.floor(alpha_sq + 10.0 * math.sqrt(alpha_sq))
-        with mpmath.workdps(50):
-            a = mpmath.mpf(alpha_sq)
-            for n in sorted({mode + (top - mode) * k // 40 for k in range(41)}):
-                exact = -a + n * mpmath.log(a) - mpmath.loggamma(n + 1)
-                assert abs(_log_term(alpha_sq, n) - float(exact)) <= 1e-11, n
-
     def test_tail_below_an_underflowing_mode_is_one(self):
+        # without the early return the terms summed from n_max + 1 underflow
+        # to 0, and so would the tail
         assert poisson_tail(700.0, 0) == 1.0
         assert poisson_tail(900.0, 25) == 1.0
-        assert _min_cutoff(1000.0) == 1230
+        assert poisson_tail(1e12, 25) == 1.0
         assert poisson_tail(1000.0, 1230) <= 1e-12 < poisson_tail(1000.0, 1229)
 
     def test_automatic_cutoff_respects_bound(self):
         for alpha_sq in (0.3, 0.5922, 1.0, 1.2):
-            n_max = _min_cutoff(alpha_sq)
+            n_max = cutoff_hint(alpha_sq)
             assert 0 < n_max <= 25
             assert poisson_tail(alpha_sq, n_max) <= 1e-12 < poisson_tail(alpha_sq, n_max - 1)
 
+    @given(st.floats(0.0, 116.8))
+    @example(116.8)  # leaves a tail of 1.003e-12 at the limit
+    @example(116.7)
+    def test_hint_is_the_least_sufficient_cutoff(self, alpha_sq):
+        need = min_cutoff(alpha_sq)
+        if need > MAX_N_MAX:
+            with pytest.raises(ValueError, match=BEYOND_LIMIT):
+                photon_weights(alpha_sq, 0)
+        else:
+            assert cutoff_hint(alpha_sq) == need
+
+    def test_field_past_the_limit_refused(self):
+        assert min_cutoff(116.7) == MAX_N_MAX
+        with pytest.raises(ValueError, match=r"alpha_sq = 116.9 leaves a coherent tail of "
+                           r"1\.\d{3}e-12 > 1\.000e-12 " + BEYOND_LIMIT):
+            photon_weights(116.9, 25)
+
     def test_huge_field_refused_within_a_second(self):
-        # the cutoff hint used to sum Poisson terms near the mode for every
-        # doubled and bisected cutoff, and took over 5 s here; the Chernoff
-        # bound now brackets it without summing
+        # a field beyond the limit is refused from its tail there, with no
+        # cutoff searched: the search took over 5 s here without a bound
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"need n_max >= 10000070\d{5}$"):
+        with pytest.raises(ValueError, match="alpha_sq = 1e\\+12 leaves a coherent tail of "
+                           "1.000e\\+00 > 1.000e-12 " + BEYOND_LIMIT):
             photon_weights(1e12, 25)
         assert time.perf_counter() - start < 1.0
 
     def test_explicit_cutoff_too_small_rejected_with_hint(self):
-        with pytest.raises(ValueError, match=f"need n_max >= {_min_cutoff(1.0)}$"):
+        with pytest.raises(ValueError, match=f"need n_max >= {min_cutoff(1.0)}$"):
             photon_weights(1.0, 3)
 
     def test_negative_cutoff_rejected(self):
@@ -249,6 +276,21 @@ class TestFockTruncation:
         for n_max in (-1, -5):
             with pytest.raises(ValueError, match=f"n_max = {n_max} must be nonnegative"):
                 photon_weights(0.0, n_max)
+
+    @pytest.mark.parametrize("n_max", [MAX_N_MAX + 1, 10**6])
+    def test_oversized_cutoff_refused_before_allocating(self, n_max):
+        # at 10**6 the binomial table alone needed 7.28 TiB, and numpy raised
+        # MemoryError instead of the documented ValueError
+        cfg = preset_config("fig1")
+        start = time.perf_counter()
+        for run in (
+            lambda: integrate(cfg.initial, cfg.params, n_max, [0.1]),
+            lambda: compare(cfg.initial, cfg.params, [0.1], n_max),
+            lambda: photon_weights(0.0, n_max),
+        ):
+            with pytest.raises(ValueError, match=f"^n_max = {n_max} exceeds {MAX_N_MAX}$"):
+                run()
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCoherentVector:
@@ -260,7 +302,7 @@ class TestCoherentVector:
         assert photon_weights(0.0, 4).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_normalized(self):
-        for alpha_sq, n_max in ((1.0, 20), (0.5922, 25), (1000.0, 1230)):
+        for alpha_sq, n_max in ((1.0, 20), (0.5922, 25), (115.0, 200)):
             weights = photon_weights(alpha_sq, n_max)
             assert weights.shape == (n_max + 1,)
             assert_allclose(weights.sum(), 1.0, rtol=0, atol=1e-14)
@@ -273,7 +315,7 @@ class TestCoherentVector:
 
     def test_rejects_undersized_truncation(self):
         with pytest.raises(ValueError, match="need n_max"):
-            photon_weights(4.0, _min_cutoff(0.1))
+            photon_weights(4.0, min_cutoff(0.1))
 
     @pytest.mark.parametrize(
         "alpha_sq, n_max, text",
@@ -455,7 +497,7 @@ class TestIntegrate:
 
     def test_trace_preserved(self):
         params = TCParams(lam=1.0, kappa=0.2, alpha_sq=0.8)
-        n_max = _min_cutoff(0.8)
+        n_max = min_cutoff(0.8)
         initial = XState(0.25, 3 / 16, 5 / 16, 0.25, r14=0.25, r23=0.05)
         result = integrate(initial, params, n_max, 2.0)
         assert result.max_trace_drift <= 1e-8
@@ -465,7 +507,7 @@ class TestIntegrate:
         # oracle: all 2*n_max+1 sectors propagated and assembled into the
         # joint state, which integrate never forms
         params = TCParams(lam=1.0, kappa=0.2, alpha_sq=0.8)
-        n_max = _min_cutoff(0.8)  # n_max = 13
+        n_max = min_cutoff(0.8)  # n_max = 13
         initial = random_xstate(np.random.default_rng(46))
         times = [0.0, 0.7, 2.0]
         joint = joint_states(initial, params, n_max, times)
@@ -485,7 +527,7 @@ class TestIntegrate:
         # non-uniform, unsorted, with a repeat: the result is sorted by time and
         # each sample matches a propagation straight to that time
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        n_max = _min_cutoff(0.8)
+        n_max = min_cutoff(0.8)
         initial = random_xstate(np.random.default_rng(45))
         times = [2.5, 0.0, 0.31, 1.7, 0.31, 4.0]
         result = integrate(initial, params, n_max, times)
@@ -512,7 +554,7 @@ class TestIntegrate:
         # the terms X (x) I and blockdiag(D_p) do not commute: refused
         monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        n_max = _min_cutoff(0.8)
+        n_max = min_cutoff(0.8)
         initial = random_xstate(np.random.default_rng(47))
         with pytest.raises(ValueError, match="coupled atomic pairs have different Fock blocks"):
             integrate(initial, params, n_max, [0.0, 0.4, 1.3, 2.0])
@@ -522,7 +564,7 @@ class TestIntegrate:
         # so nothing is propagated as a fallback
         monkeypatch.setattr("xdiscord.oracle._exchange", planted_outer_exchange)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        n_max = _min_cutoff(0.8)
+        n_max = min_cutoff(0.8)
         with pytest.raises(ValueError, match="coupled atomic pairs have different Fock blocks"):
             integrate(random_xstate(np.random.default_rng(48)), params, n_max, [0.4])
         assert work["eigh"] == work["expm1"] == []
@@ -539,7 +581,7 @@ class TestIntegrate:
 
         monkeypatch.setattr("xdiscord.oracle._stark", shifted)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        n_max = _min_cutoff(0.8)
+        n_max = min_cutoff(0.8)
         initial = random_xstate(np.random.default_rng(49))
         with pytest.raises(ValueError, match="coupled atomic pairs have different Fock blocks"):
             integrate(initial, params, n_max, [0.0, 0.4, 1.3, 2.0])
@@ -584,7 +626,7 @@ class TestIntegrate:
     def test_factored_matches_unsplit_exponential(self, seed, params, times):
         # alpha_sq = 0 keeps one Fock level, so the field factor is 1 x 1
         initial = random_xstate(np.random.default_rng(seed))
-        n_max = _min_cutoff(params.alpha_sq)
+        n_max = min_cutoff(params.alpha_sq)
         result = integrate(initial, params, n_max, times)
         want = unsplit_reduced(initial, params, n_max, result.times)
         for i in range(len(times)):
@@ -603,7 +645,7 @@ class TestIntegrate:
         # its limit kappa t = 0, on a field with more than one Fock level
         params = TCParams(lam=lam, kappa=0.0, alpha_sq=alpha_sq)
         initial = random_xstate(np.random.default_rng(seed))
-        n_max = _min_cutoff(alpha_sq)
+        n_max = min_cutoff(alpha_sq)
         result = integrate(initial, params, n_max, times)
         want = unsplit_reduced(initial, params, n_max, result.times)
         for i in range(len(times)):
@@ -721,7 +763,7 @@ class TestPlantedErrors:
 class TestCompare:
     def test_zero_time_grid(self):
         params = TCParams(lam=1.0, kappa=0.05, alpha_sq=0.5922)
-        n_max = _min_cutoff(0.5922)
+        n_max = min_cutoff(0.5922)
         initial = XState(0.25, 3 / 16, 5 / 16, 0.25, r14=0.25, r23=0.05)
         report = compare(initial, params, [0.0], n_max)
         assert report.max_deviation <= 1e-14
@@ -738,7 +780,7 @@ class TestCompare:
         rng = np.random.default_rng(44)
         initial = random_xstate(rng)
         params = TCParams(lam=1.0, kappa=0.17, alpha_sq=0.8)
-        n_max = _min_cutoff(0.8)
+        n_max = min_cutoff(0.8)
         report = compare(initial, params, np.linspace(0.0, 2.0, 5), n_max)
         assert report.max_deviation <= 1e-9
         assert report.p1_drift <= 1e-9
@@ -757,7 +799,7 @@ class TestCompare:
     )
     def test_oracle_matches_evolve(self, seed, params, times):
         initial = random_xstate(np.random.default_rng(seed))
-        n_max = _min_cutoff(params.alpha_sq)
+        n_max = min_cutoff(params.alpha_sq)
         report = compare(initial, params, times, n_max)
         assert report.max_deviation <= 1e-9
 
@@ -775,7 +817,7 @@ class TestCompare:
         # |rho14| reaches the stationary value and the analytic propagator
         # holds to roundoff over 300/lambda
         cfg = preset_config("fig3-separable")
-        n_max = _min_cutoff(cfg.params.alpha_sq)
+        n_max = min_cutoff(cfg.params.alpha_sq)
         assert n_max == 14
         times = [0.0, 100.0, 200.0, 300.0]
         report = compare(cfg.initial, cfg.params, times, n_max)
