@@ -161,24 +161,17 @@ def _frames(x: np.ndarray) -> np.ndarray:
 
 def csv_rows(table) -> str:
     """The rows of a 2-D float table, fields joined by "," and each row ended
-    by a newline, each field the "%.17g" of its value. A column whose values
-    all share one bit pattern (so 0.0 and -0.0 stay apart) is formatted
-    once."""
+    by a newline, each field the "%.17g" of its value. The rows are formatted
+    in chunks of about _CHUNK_CELLS values."""
     table = np.ascontiguousarray(table, dtype=float)
-    n_rows, n_cols = table.shape
-    bits = table.view(np.int64)
-    constant = (bits == bits[:1]).all(axis=0)
-    varying = table[:, ~constant]
+    n_cols = table.shape[1]
     rows = max(1, _CHUNK_CELLS // n_cols)
-    frames = np.empty((min(rows, n_rows), n_cols, _WIDTH), np.uint8)
-    frames[:, constant] = _frames(table[0, constant])
     separators = np.full(n_cols, ord(","), np.uint8)
     separators[-1] = ord("\n")
     parts = []
-    for start in range(0, n_rows, rows):
-        chunk = varying[start : start + rows]
-        block = frames[: len(chunk)]
-        block[:, ~constant] = _frames(chunk.ravel()).reshape(len(chunk), -1, _WIDTH)
+    for start in range(0, len(table), rows):
+        chunk = table[start : start + rows]
+        block = _frames(chunk.ravel()).reshape(len(chunk), n_cols, _WIDTH)
         block[:, :, -1] = separators
         parts.append(block.tobytes().translate(None, b"\0"))
     return b"".join(parts).decode("ascii")

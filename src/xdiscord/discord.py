@@ -139,9 +139,10 @@ def _breakdown(state) -> BreakdownColumns:
     state or batch, elementwise, as columns (one row for an XState).
 
     S(AB) from the spectrum; S(A), S(B) from the marginals (p1+p2, p3+p4)
-    and (p1+p3, p2+p4), one entropy_bits call for both. The spectrum and the
-    marginals are stored entry by entry, so that each entropy's sum runs
-    along the rows, in the order of a row-by-row sum and with its bits.
+    and (p1+p3, p2+p4) through one _xlog2x call, with entropy_bits' bits but
+    not its -1e-12 check, which a sum of two tolerated negatives can fail.
+    The spectrum and the marginals are stored entry by entry, so that each
+    entropy's sum runs along the rows, in the order of a row-by-row sum.
     C_m1 and C_m2 come from one _cond_entropy_grid call at s2 = 0 and 1/2
     with the phase-matched coh = r14 + r23; the other fields are as in
     DiscordBreakdown.
@@ -154,7 +155,8 @@ def _breakdown(state) -> BreakdownColumns:
     np.add(p3, p4, out=marginals[1, 0])
     np.add(p1, p3, out=marginals[0, 1])
     np.add(p2, p4, out=marginals[1, 1])
-    s_a, s_b = entropy_bits(marginals.transpose(1, 2, 0))
+    x = _xlog2x(marginals, np.empty_like(marginals))
+    s_a, s_b = 0.0 - (x[0] + x[1])
     s_ab = entropy_bits(spectrum)
     coh = states.r14 + states.r23
     cm1, cm2 = _cond_entropy_grid(states, np.array([[0.0], [0.5]]), coh)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,112 +225,88 @@ LOOKAHEAD = 4
 _CHILDREN = np.array([[0, 3, 4, 2, 4], [2, 1, 3, 5, 5]])
 
 
-def _lookahead(a, b, c, d):
-    """Every bracket the next LOOKAHEAD steps could reach from each of the n
-    brackets, as one array of shape (n*(2 + 4 + ... + 2**LOOKAHEAD), 5): the
-    a, b, c, d of a node and the point the step to it evaluates. Step k's
-    nodes follow those of step k - 1, bracket by bracket, 2**(k+1) per
-    bracket: node 2*j holds the left and node 2*j + 1 the right step from
-    node j of step k - 1."""
-    level = np.stack([a, b, c, d], axis=-1)[:, None]
-    steps = []
-    for _ in range(LOOKAHEAD):
-        a, b, c, d = (level[..., q] for q in range(4))
-        left = d - (d - a) / GOLDEN
-        right = c + (b - c) / GOLDEN
-        parent = np.concatenate([level, left[..., None], right[..., None]], axis=-1)
-        step = parent[..., _CHILDREN].reshape(len(a), -1, 5)
-        level = step[..., :4]
-        steps.append(step.reshape(-1, 5))
-    return np.concatenate(steps)
+def _steps(node):
+    """The children of an (n, k, 5) array of nodes (a, b, c, d, point), as an
+    (n, 2k, 5) array: node j's left step at 2j, its right step at 2j + 1."""
+    a, b, c, d = (node[..., q, None] for q in range(4))
+    parent = np.concatenate([node[..., :4], d - (d - a) / GOLDEN, c + (b - c) / GOLDEN], axis=-1)
+    return parent[..., _CHILDREN].reshape(-1, 2 * node.shape[1], 5)
 
 
 def _golden_min(fn, a: np.ndarray, b: np.ndarray, tol: float):
     """Golden-section minima of fn on the brackets [a_i, b_i], to within tol
     in the argument, all in lockstep: fn maps an array of arguments to an
-    array of values. Each call evaluates, for every bracket still narrowing,
-    all 2 + 4 + 8 + 16 points its next LOOKAHEAD steps could visit, and the
-    midpoint of every node of that tree where a walk can stop: a node within
-    tol whose parent is wider. The first call also evaluates the initial c
-    and d, and the midpoints of the brackets within tol from the start. The
-    steps then walk that tree: each reads its bracket, its value and whether
-    the bracket is still wider than tol at the node its comparison picks, and
-    a walk that stops reads its midpoint and fn there at its last node. Each
+    array of values. Each call evaluates, for every bracket still wider than
+    tol, the tree of all 2 + 4 + 8 + 16 points its next LOOKAHEAD steps could
+    visit (_steps), and the midpoint of every tree node where a walk can
+    stop: a node within tol whose parent is wider. The first call also
+    evaluates the initial c and d of those brackets, and the midpoints of the
+    brackets within tol from the start. The steps then walk the tree: each
+    reads its bracket, its value and whether it is still wider than tol at
+    the node its comparison picks, and a walk that stops reads its midpoint
+    and fn there at its last node, so no call follows the last walk. Each
     bracket makes the comparisons and visits the points, bit for bit, that a
     search on it alone with one evaluation per step would. Returns the
     bracket midpoints and fn there."""
-    a, b = a.copy(), b.copy()
     c = b - (b - a) / GOLDEN
     d = a + (b - a) / GOLDEN
+    node = np.stack([a, b, c, d, c], axis=-1)
+    live = np.abs(c - d) > tol
     fc, fd, fm = np.empty_like(a), np.empty_like(a), np.empty_like(a)
-    active = np.abs(c - d) > tol
-    if not active.any():
-        m = 0.5 * (a + b)
-        return m, fn(m)
-    idle = ~active
-    head = [c[active], d[active], 0.5 * (a[idle] + b[idle])]
-    n_head = len(a) + head[0].size
-    while active.any():
-        i = np.flatnonzero(active)
-        tree = _lookahead(a[i], b[i], c[i], d[i])
+    head = [c[live], d[live], 0.5 * (a + b)[~live]]
+    while head or live.any():
+        i = np.flatnonzero(live)
+        level, tree = node[i, None], []
+        for _ in range(LOOKAHEAD):
+            level = _steps(level)
+            tree.append(level.reshape(-1, 5))
+        tree = np.concatenate(tree)
         wide = np.abs(tree[:, 2] - tree[:, 3]) > tol
-        points = head + [tree[:, 4]]
-        if not wide.all():
-            # A walk stops at its first node within tol, whose parent is
-            # wider: the parents of tree rows 2q and 2q + 1 are entry q of
-            # the brackets (all wider than tol) followed by the tree rows.
-            parent_wide = np.concatenate([np.ones(i.size, dtype=bool), wide])
-            stop = ~wide & np.repeat(parent_wide, 2)[: len(tree)]
-            points.append(0.5 * (tree[stop, 0] + tree[stop, 1]))
-        f = fn(np.concatenate(points))
+        # A walk stops at its first node within tol, whose parent is wider:
+        # the parents of tree rows 2q and 2q + 1 are entry q of the brackets
+        # (all wider than tol) followed by the tree rows.
+        stop = ~wide & np.repeat(np.concatenate([live[i], wide]), 2)[: len(tree)]
+        points = [tree[:, 4], 0.5 * (tree[stop, 0] + tree[stop, 1])]
+        f = fn(np.concatenate(head + points))
         if head:
-            fc[i], fd[i], fm[idle] = f[: i.size], f[i.size : 2 * i.size], f[2 * i.size : n_head]
-            f, head = f[n_head:], []
-        # The walk, on these brackets alone: `node` numbers a bracket's node
+            fc[i], fd[i], fm[~live] = np.split(f[: len(a) + i.size], [i.size, 2 * i.size])
+            f, head = f[len(a) + i.size :], []
+        # The walk, on these brackets alone: `pos` numbers a bracket's node
         # within its step over all brackets, and `at` is the tree row of its
         # last step taken while wider than tol. A bracket within tol walks
         # on, but nothing it reaches is read.
         fci, fdi = fc[i], fd[i]
-        node = np.arange(i.size)
-        at, live = np.zeros(i.size, dtype=int), np.ones(i.size, dtype=bool)
+        pos, at, walking = np.arange(i.size), np.zeros(i.size, dtype=int), live[i]
         for k in range(1, LOOKAHEAD + 1):
             left = fci < fdi
-            node += node
-            node += ~left
-            pos = node + i.size * (2**k - 2)  # tree rows of the steps before
-            f_new = f[pos]
-            fci, fdi = np.where(left, f_new, fdi), np.where(left, fci, f_new)
-            at = np.where(live, pos, at)
-            live &= wide[pos]
-        done = ~live
-        if done.any():  # then some node is within tol, and `stop` is set
-            f_node = np.empty(len(tree))
-            f_node[stop] = f[len(tree) :]
-            fm[i[done]] = f_node[at[done]]
-        a[i], b[i], c[i], d[i] = tree[at, :4].T
-        fc[i], fd[i], active[i] = fci, fdi, live
-    return 0.5 * (a + b), fm
-
-
-def _crossing(t0, t1, d0, d1, threshold):
-    """Linear interpolation of the time where the discord crosses threshold."""
-    if d1 == d0:
-        return t0
-    return t0 + (threshold - d0) * (t1 - t0) / (d1 - d0)
+            pos += pos
+            pos += ~left
+            row = pos + i.size * (2**k - 2)  # tree rows of the steps before
+            fci, fdi = np.where(left, f[row], fdi), np.where(left, fci, f[row])
+            at = np.where(walking, row, at)
+            walking &= wide[row]
+        f_node = np.empty(len(tree))
+        f_node[stop] = f[len(tree) :]
+        fm[i[~walking]] = f_node[at[~walking]]
+        node[i] = tree[at]
+        fc[i], fd[i], live[i] = fci, fdi, walking
+    return 0.5 * (node[:, 0] + node[:, 1]), fm
 
 
 def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> list[ZeroEvent]:
     """Locate and classify the below-threshold excursions of the discord.
 
-    Each maximal run of below-threshold samples becomes one event; its minimum
+    Each maximal run of below-threshold samples becomes one event, and the
+    events are built together, as arrays over the runs. The minimum of each
     is refined by golden-section search on discord(evolve(.)) to a time
-    resolution of 1e-6, all events together, LOOKAHEAD steps per kernel call
-    (see _golden_min). Kinds: an event whose excursion
-    reaches t_max is `asymptotic`. If at least three events are not, each of
-    them whose gap to the previous or the next such event is within 25% of
-    the median of those gaps is `periodic-member`, so one regular gap labels
-    both events beside it (fig2 at 5e-3: the dips at 2.29 and 4.14, not 0.93
-    or 7.40); ROADMAP item 8 holds the pending fix. The rest are `discrete`.
+    resolution of 1e-6, LOOKAHEAD steps per kernel call (see _golden_min),
+    and clamped to [t_enter, t_exit], the linearly interpolated crossings.
+    Kinds: an event whose excursion reaches t_max is `asymptotic`. If at
+    least three events are not and the median of their gaps is positive,
+    each of them whose gap to the previous or the next such event is within
+    25% of that median is `periodic-member`, so one regular gap labels both
+    events beside it (fig2 at 5e-3: the dips at 2.29 and 4.14, not 0.93 or
+    7.40); ROADMAP item 8 holds the pending fix. The rest are `discrete`.
 
     An event marks an excursion, not a zero: its min_discord may lie anywhere
     below the threshold, so at the default 5e-3 shallow dips of depth ~1e-4
@@ -364,39 +340,23 @@ def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> l
     if wide.any():
         t_center[wide], refined[wide] = _golden_min(fn, lo[wide], hi[wide], REFINE_TIME_TOL)
 
-    events = []
-    for j, (start, stop) in enumerate(zip(starts, stops)):
-        if start == 0:
-            t_enter = float(times[0])
-        else:
-            t_enter = _crossing(times[start - 1], times[start], disc[start - 1], disc[start], threshold)
-        reaches_end = stop == n - 1
-        if reaches_end:
-            t_exit = float(times[-1])
-        else:
-            t_exit = _crossing(times[stop], times[stop + 1], disc[stop], disc[stop + 1], threshold)
-        min_discord = min(float(refined[j]), float(disc[ks[j]]))
-        center = min(max(float(t_center[j]), t_enter), t_exit)
-        kind = ASYMPTOTIC if reaches_end else DISCRETE
-        events.append(ZeroEvent(center, float(t_enter), float(t_exit), min_discord, kind))
-
-    _mark_periodic(events)
-    return events
-
-
-def _mark_periodic(events: list[ZeroEvent]) -> None:
-    """Upgrade `discrete` events that recur with near-constant spacing."""
-    idx = [i for i, e in enumerate(events) if e.kind == DISCRETE]
-    if len(idx) < 3:
-        return
-    centers = np.array([events[i].t_center for i in idx])
-    gaps = np.diff(centers)
-    period = float(np.median(gaps))
-    if period <= 0.0:
-        return
-    regular = np.abs(gaps - period) <= 0.25 * period
-    for j, i in enumerate(idx):
-        left_ok = j > 0 and regular[j - 1]
-        right_ok = j < len(gaps) and regular[j]
-        if left_ok or right_ok:
-            events[i] = replace(events[i], kind=PERIODIC_MEMBER)
+    # The threshold crossings between samples i0 and i1: row 0 enters each
+    # run, row 1 leaves it. At an end of the trajectory i0 == i1, and the
+    # interpolation's 0/0 gives way to the time there.
+    i0 = np.array([np.maximum(starts - 1, 0), stops])
+    i1 = np.array([starts, np.minimum(stops + 1, n - 1)])
+    with np.errstate(invalid="ignore"):
+        cross = times[i0] + (threshold - disc[i0]) * (times[i1] - times[i0]) / (disc[i1] - disc[i0])
+    t_enter, t_exit = np.where(i0 == i1, times[i0], cross)
+    center = np.minimum(np.maximum(t_center, t_enter), t_exit)
+    reaches_end = stops == n - 1
+    kind = 2 * reaches_end  # 0 discrete, 1 periodic-member, 2 asymptotic
+    inner = np.flatnonzero(~reaches_end)
+    if inner.size >= 3:
+        gaps = np.diff(center[inner])
+        period = np.median(gaps)
+        regular = (period > 0.0) & (np.abs(gaps - period) <= 0.25 * period)
+        kind[inner] = np.r_[False, regular] | np.r_[regular, False]
+    kinds = np.array([DISCRETE, PERIODIC_MEMBER, ASYMPTOTIC], dtype=object)[kind]
+    columns = (center, t_enter, t_exit, np.minimum(refined, disc[ks]))
+    return [ZeroEvent(*row) for row in zip(*(c.tolist() for c in columns), kinds)]

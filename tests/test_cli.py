@@ -33,6 +33,7 @@ from xdiscord.presets import (
     MAX_SAMPLES,
     ConfigError,
     config_from_json,
+    preset_config,
     state_from_dict,
     state_to_dict,
 )
@@ -42,6 +43,7 @@ EQ9_STATE_JSON = json.dumps(
     {"populations": [0.3, 0.3, 0.2, 0.2], "r14": 0.1, "r23": 0.1}
 )
 INVALID_STATE_JSON = json.dumps({"populations": [0.25, 0.25, 0.25, 0.25], "r14": 0.3})
+FIG1_CONFIG = PRESETS["fig1"].to_dict()
 
 #: The keys that open every `verify` propagator object, before its verdict.
 PROPAGATOR_KEYS = ["t_max", "dt", "n_max", "tolerance", "trace_tolerance", "constants_tolerance"]
@@ -96,6 +98,16 @@ class TestDiscordCommand:
         code, out, err = run_cli(["discord", "--state", state], capsys)
         assert (code, out) == (2, "")
         assert "invalid state: outer block has an eigenvalue below -1e-12" in err
+
+    def test_marginal_of_two_tolerated_negatives_exit_0(self, capsys):
+        # p1 and p2 each count as 0 (above -1e-12), so their marginal
+        # p1 + p2 = -1.8e-12 does too: not an entropy error (exit 3)
+        state = '{"populations": [-0.9e-12, -0.9e-12, 0.5000000000009, 0.5000000000009]}'
+        code, out, err = run_cli(["discord", "--state", state], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["nullity"]["kind"] == "coherence-free"
+        assert abs(payload["discord"]) <= 1e-9
 
     @pytest.mark.parametrize(
         "state",
@@ -340,6 +352,39 @@ class TestPresetCommand:
     def test_unknown_preset_name(self, capsys):
         code, _, _ = run_cli(["evolve", "--preset", "fig9"], capsys)
         assert code == 3
+
+    def test_preset_config_unknown_name(self):
+        available = "fig1, fig2, fig3-entangled, fig3-separable"
+        with pytest.raises(ConfigError, match=f"^unknown preset 'nope'; available: {available}$"):
+            preset_config("nope")
+
+    # A --config source is the text of the file; None leaves the file unwritten.
+    @pytest.mark.parametrize(
+        "flag, source, message",
+        [
+            ("--state", "[1,2]", "state must be a JSON object"),
+            ("--state", '{"r14": 0.1}', "missing key 'populations' in state"),
+            ("--state", '{"populations": [1, 0, 0]}', "state populations must be a list of four"),
+            ("--config", "[1]", "config must be a JSON object"),
+            ("--config", json.dumps({**FIG1_CONFIG, "params": []}), "params must be a JSON object"),
+            ("--config", json.dumps({**FIG1_CONFIG, "grid": 3}), "grid must be a JSON object"),
+            ("--config", json.dumps(FIG1_CONFIG)[:-5], "invalid JSON: "),
+            ("--config", None, "cannot read config file: "),
+        ],
+        ids=[
+            "state-list", "state-no-populations", "three-populations", "config-list",
+            "params-list", "grid-number", "truncated-json", "unreadable-config",
+        ],
+    )
+    def test_malformed_source_exit_3(self, flag, source, message, capsys, tmp_path):
+        if flag == "--config":
+            path = tmp_path / "config.json"
+            if source is not None:
+                path.write_text(source)
+            source = str(path)
+        code, out, err = run_cli(["discord", flag, source], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {message}")
 
     def test_nan_kappa_config_exit_3(self, capsys, tmp_path):
         config = PRESETS["fig1"].to_dict()
@@ -874,10 +919,11 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_cli_import_loads_only_stdlib_and_numpy():
-    # Import time counts in every CLI run; a new third-party import fails here.
+    # Import time counts in every CLI run; a new third-party import fails here,
+    # and so does loading the CSV formatter, whose tables only `evolve` needs.
     code = (
         "import sys; before = set(sys.modules); import xdiscord.cli; "
-        "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))"
+        "print(*sorted(set(sys.modules) - before))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -885,5 +931,7 @@ def test_cli_import_loads_only_stdlib_and_numpy():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     loaded = proc.stdout.split()
-    assert "xdiscord" in loaded
-    assert [m for m in loaded if m not in sys.stdlib_module_names | {"numpy", "xdiscord"}] == []
+    assert "xdiscord.cli" in loaded
+    assert "xdiscord._csvtext" not in loaded
+    allowed = sys.stdlib_module_names | {"numpy", "xdiscord"}
+    assert [m for m in loaded if m.partition(".")[0] not in allowed] == []

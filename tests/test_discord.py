@@ -435,6 +435,19 @@ class TestDiscord:
             s_a = entropy_bits([s.p1 + s.p2, s.p3 + s.p4])
             assert_allclose(br.classical_corr, s_a - min(br.c_m1, br.c_m2), atol=1e-12)
 
+    def test_marginal_of_two_tolerated_negatives_accepted(self):
+        # p1 and p2 pass validation, but the marginal p1 + p2 = -1.8e-12 lies
+        # beyond entropy_bits' tolerance: it counts as 0, like each of them
+        state = XState(-0.9e-12, -0.9e-12, 0.5000000000009, 0.5000000000009)
+        require_valid(state)
+        with pytest.raises(ValueError, match="negative probability"):
+            entropy_bits([state.p1 + state.p2, state.p3 + state.p4])
+        br = discord(state)
+        s_a = entropy_bits([0.0, state.p3 + state.p4])
+        s_b = entropy_bits([state.p1 + state.p3, state.p2 + state.p4])
+        assert br.mutual_info == s_a + s_b - entropy_bits(eigenvalues(state))
+        assert abs(br.discord) <= 1e-9
+
     def test_phase_invariance(self):
         rng = np.random.default_rng(18)
         for _ in range(50):
