@@ -212,17 +212,19 @@ def _verify_propagator(config: RunConfig, n_max: int) -> dict:
 def _verify_sweep(n_states: int, seed: int) -> dict:
     gaps = np.zeros(0)
     discrepancies = []
+    interior = 0
     if n_states:  # an empty sweep draws nothing and runs neither kernel
         batch = random_xstate(np.random.default_rng(seed), n_states)
         br = discord(batch)
-        _, _, exact = minimize_numeric(batch)
+        theta, _, exact = minimize_numeric(batch)
+        interior = int(np.count_nonzero((theta > 0.0) & (theta < np.pi / 4)))
         gaps = np.minimum(br.c_m1, br.c_m2) - exact
         discrepancies = [
             {"state": state_to_dict(batch.row(i)), "gap": float(gaps[i])}
             for i in np.flatnonzero(gaps > SWEEP_LOG_LEVEL)
         ]
     max_gap = float(np.max(gaps, initial=0.0))
-    max_excess = float(np.max(-gaps, initial=0.0))
+    max_excess = 0.0 - float(np.min(gaps, initial=0.0))  # never -0.0
     ok = max_gap <= SWEEP_GAP_TOL and max_excess <= NUMERIC_EXCESS_TOL
     return {
         "n_states": n_states,
@@ -230,6 +232,7 @@ def _verify_sweep(n_states: int, seed: int) -> dict:
         "max_gap": max_gap,
         "gap_tolerance": SWEEP_GAP_TOL,
         "numeric_above_closed_by": max_excess,
+        "interior_optima": interior,
         "fraction_within_1e-4": (n_states - len(discrepancies)) / n_states if n_states else 1.0,
         "discrepancies": discrepancies,
         "pass": ok,

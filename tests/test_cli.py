@@ -537,6 +537,7 @@ class TestVerifyCommand:
             "max_gap": 0.0,
             "gap_tolerance": 0.01,
             "numeric_above_closed_by": 0.0,
+            "interior_optima": 0,
             "fraction_within_1e-4": 1.0,
             "discrepancies": [],
             "pass": True,
@@ -743,6 +744,27 @@ class TestVerifyCommand:
         assert len(sweep["discrepancies"]) == n_discrepancies
         assert sweep["fraction_within_1e-4"] == fraction
         assert abs(sweep["max_gap"] - max_gap) <= 1e-15
+
+    @pytest.mark.parametrize("n_states, seed, interior", [(300, 577090037, 1), (10_000, 1, 6)])
+    def test_sweep_counts_interior_optima(self, capsys, n_states, seed, interior):
+        code, out, _ = run_cli(
+            ["verify", "--preset", "fig3-separable", "--n-max", "14", "--t-max", "0.1",
+             "--sweep-states", str(n_states), "--seed", str(seed)], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["measurement_sweep"]["interior_optima"] == interior
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_numeric_above_closed_by_is_never_negative_zero(self, capsys, seed):
+        # a one-state sweep whose gap is 0 or positive
+        code, out, _ = run_cli(
+            ["verify", "--preset", "fig1", "--t-max", "0.1", "--n-max", "14",
+             "--sweep-states", "1", "--seed", str(seed)], capsys
+        )
+        assert code == 0
+        excess = json.loads(out)["measurement_sweep"]["numeric_above_closed_by"]
+        assert math.copysign(1.0, excess) == 1.0
+        assert "-0.0" not in out
 
     def test_sweep_gap_is_closed_form_minus_exact_minimum(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,3 @@
-import importlib
 import math
 import tracemalloc
 
@@ -12,6 +11,7 @@ from xdiscord import (
     COHERENCE_FREE,
     DEGENERATE_BALANCED,
     NOT_NULL,
+    PRESETS,
     InvalidStateError,
     XColumns,
     XState,
@@ -26,7 +26,13 @@ from xdiscord import (
     require_valid,
     trajectory,
 )
-from xdiscord.discord import SEARCH_CHUNK, SHRINK_ROUNDS, THETA_GRID, _cond_entropy_grid
+from xdiscord.discord import (
+    SEARCH_CHUNK,
+    SHRINK_ROUNDS,
+    THETA_GRID,
+    _ROUND_OFFSETS,
+    _cond_entropy_grid,
+)
 from xdiscord.xstate import DEFAULT_TOL, FIELDS, entropy_bits
 
 from samplers import random_degenerate_balanced
@@ -526,38 +532,47 @@ class TestMinimizeNumeric:
             assert -1e-9 <= value <= 1e-6
 
 
-@pytest.fixture
-def grid_points(monkeypatch):
-    """The number of (row, theta) points of each kernel call that
-    minimize_numeric makes, in call order."""
-    module = importlib.import_module("xdiscord.discord")
-    kernel = module._cond_entropy_grid
-    points = []
+def expected_calls(n, live):
+    """The kernel calls' sizes of a one-chunk search of n rows with `live`
+    rows whose grid minimum is interior: the grid, then the rounds if any."""
+    return [n * THETA_GRID] + ([live * 8] * SHRINK_ROUNDS if live else [])
 
-    def spy(states, s2, coh):
-        values = kernel(states, s2, coh)
-        points.append(values.size)
-        return values
 
-    monkeypatch.setattr(module, "_cond_entropy_grid", spy)
-    return points
+def n_interior(theta):
+    return int(np.count_nonzero((theta > 0.0) & (theta < math.pi / 4)))
 
 
 class TestSearchWork:
-    """The search evaluates each row at 65 + 12*8 = 161 angles, one kernel
-    call per round for a whole chunk, and its memory is bounded by the chunk."""
+    """The search evaluates every row on the 65-point grid, and only the
+    rows whose grid minimum is interior at 12*8 = 96 more angles: one kernel
+    call for the grid and one per round for a whole chunk, and none for the
+    rounds of a chunk without such a row. Its memory is bounded by the
+    chunk."""
+
+    def test_chunk_without_live_row_makes_one_call(self, grid_points):
+        # the measure-sweep benchmark's sweep at workload seed 0
+        theta = minimize_numeric(random_xstate(np.random.default_rng(1654615998), 300))[0]
+        assert n_interior(theta) == 0
+        assert grid_points == [300 * THETA_GRID]
+
+    def test_live_rows_make_the_rounds(self, grid_points):
+        # the measure-sweep benchmark's sweep at workload seed 1
+        theta = minimize_numeric(random_xstate(np.random.default_rng(577090037), 300))[0]
+        assert n_interior(theta) == 1
+        assert grid_points == expected_calls(300, 1)
+        assert (len(grid_points), sum(grid_points)) == (13, 300 * THETA_GRID + 96)
 
     @pytest.mark.parametrize("n", [1, 300, SEARCH_CHUNK])
-    def test_one_chunk_makes_13_calls(self, grid_points, n):
-        minimize_numeric(random_xstate(np.random.default_rng(41), n))
-        assert len(grid_points) == 1 + SHRINK_ROUNDS == 13
-        assert sum(grid_points) == n * (THETA_GRID + SHRINK_ROUNDS * 8) == n * 161
+    def test_one_chunk_refines_only_its_live_rows(self, grid_points, n):
+        theta = minimize_numeric(random_xstate(np.random.default_rng(41), n))[0]
+        assert grid_points == expected_calls(n, n_interior(theta))
 
-    def test_chunks_repeat_the_calls(self, grid_points):
+    def test_each_chunk_makes_its_own_calls(self, grid_points):
         n = SEARCH_CHUNK + 3
-        minimize_numeric(random_xstate(np.random.default_rng(42), n))
-        assert len(grid_points) == 2 * 13
-        assert sum(grid_points) == n * 161
+        theta = minimize_numeric(random_xstate(np.random.default_rng(42), n))[0]
+        live = [n_interior(theta[:SEARCH_CHUNK]), n_interior(theta[SEARCH_CHUNK:])]
+        assert live[0] > 0 and live[1] == 0  # one chunk of each kind
+        assert grid_points == expected_calls(SEARCH_CHUNK, live[0]) + expected_calls(3, 0)
 
     def test_batch_equals_its_chunks_one_at_a_time(self):
         batch = random_xstate(np.random.default_rng(43), 2 * SEARCH_CHUNK + 5)
@@ -604,6 +619,76 @@ def full_interval_search(c):
         value = np.where(lower, values[k, rows], value)
         span /= 4.0
     return value
+
+
+def ungated_search(c):
+    """The theta search of minimize_numeric with the shrink rounds run on
+    every row, whatever its grid minimum. Returns arrays (theta, value)."""
+    coh = c.r14 + c.r23
+    rows = np.arange(len(c))
+    thetas = np.linspace(0.0, math.pi / 4, THETA_GRID)
+    values = _cond_entropy_grid(c, np.sin(thetas[:, None]) ** 2, coh)
+    k = np.argmin(values, axis=0)
+    theta, value = thetas[k], values[k, rows]
+    span = thetas[1]
+    for _ in range(SHRINK_ROUNDS):
+        local = np.clip(theta + span * _ROUND_OFFSETS, 0.0, math.pi / 4)
+        values = _cond_entropy_grid(c, np.sin(local) ** 2, coh)
+        k = np.argmin(values, axis=0)
+        best = values[k, rows]
+        lower = best < value
+        theta = np.where(lower, local[k, rows], theta)
+        value = np.where(lower, best, value)
+        span /= 4.0
+    return theta, value
+
+
+def assert_gated_like_ungated(c):
+    """Rows whose grid minimum is interior are refined exactly as by
+    ungated_search; every other row keeps its grid endpoint, 0 or pi/4, and
+    its grid value, which the rounds could lower by rounding noise only.
+    Returns the mask of interior rows."""
+    theta, _, value = minimize_numeric(c)
+    ref_theta, ref_value = ungated_search(c)
+    thetas = np.linspace(0.0, math.pi / 4, THETA_GRID)
+    grid = _cond_entropy_grid(c, np.sin(thetas[:, None]) ** 2, c.r14 + c.r23)
+    k = np.argmin(grid, axis=0)
+    live = (k > 0) & (k < THETA_GRID - 1)
+    assert_array_equal((theta > 0.0) & (theta < math.pi / 4), live)
+    assert np.array_equal(theta[live], ref_theta[live])
+    assert np.array_equal(value[live], ref_value[live])
+    end = np.flatnonzero(~live)
+    assert np.array_equal(theta[end], thetas[k[end]])
+    assert np.array_equal(value[end], grid[k[end], end])
+    excess = value[end] - ref_value[end]
+    assert np.all((excess >= 0.0) & (excess <= 2e-15))
+    return live
+
+
+class TestEndpointGate:
+    """Only rows whose grid minimum is interior go on to the shrink rounds:
+    at theta = 0 the entropy's slope is 0, and it is symmetric about pi/4,
+    so an endpoint minimum is flat and the rounds find only rounding noise."""
+
+    @pytest.mark.parametrize("boundary_fraction", [0.0, 0.1, 1.0])
+    def test_matches_ungated_search(self, boundary_fraction):
+        rng = np.random.default_rng(33)
+        live = assert_gated_like_ungated(
+            random_xstate(rng, 20_000, boundary_fraction=boundary_fraction)
+        )
+        assert 0 < np.count_nonzero(live) < 100
+
+    def test_matches_ungated_search_on_fixed_states(self):
+        rng = np.random.default_rng(34)
+        states = [BELL, MIXED, INTERIOR, FIG1, FIG3_SEP, FIG3_ENT, EQ9]
+        states += [preset_config(name).initial for name in PRESETS]
+        states += [random_degenerate_balanced(rng) for _ in range(200)]
+        live = assert_gated_like_ungated(XColumns.from_states(states))
+        assert live[2]  # INTERIOR
+
+    @given(state=x_states)
+    def test_matches_ungated_search_on_one_row(self, state):
+        assert_gated_like_ungated(XColumns.from_states([state]))
 
 
 class TestHalfInterval:

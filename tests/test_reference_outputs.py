@@ -6,11 +6,13 @@ The benchmark's commands run through cli.main: the `figures` commands
 (the seed picks its sweep seed). perfbench/checks.py judges each output with
 the benchmark's own tolerances: CSV fields within 1e-12, event times within
 1e-6 and min_discord within 1e-9 of perfbench/reference/, and a `verify`
-report by its verdict, propagator deviation and sweep size. The benchmark's
+report by its verdict, propagator deviation and sweep size. Each
+`measure-sweep` command's search work is pinned too. The benchmark's
 modules are only imported, under names of their own.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -49,6 +51,18 @@ def test_output_matches_reference(name, reference, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(list(command.argv) + ["--out", str(out)]) == 0
     assert checks.check(command, out.read_text(encoding="utf-8"), reference) is None
+
+
+@pytest.mark.parametrize("seed, live", [(1, 1), (2, 0), (3, 0)])
+def test_measure_sweep_refines_only_interior_rows(seed, live, grid_points, tmp_path):
+    # discord's C_m1 and C_m2 of the 300 states, then the search: the 65-point
+    # grid, and 12 rounds of 8 points for each state whose grid minimum is
+    # interior
+    out = tmp_path / "out"
+    assert main(list(COMMANDS[f"verify-measure-sweep/{seed}"].argv) + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["measurement_sweep"]["interior_optima"] == live
+    assert grid_points[0] == 2 * 300
+    assert sum(grid_points[1:]) == 19_500 + 96 * live
 
 
 def test_all_benchmark_commands_are_checked():
