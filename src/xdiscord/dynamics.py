@@ -213,7 +213,9 @@ def trajectory(initial: XState, params: TCParams, t_max: float, n_samples: int) 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 #: Golden-section steps taken per call of the refined function: each call
-#: evaluates every point the next LOOKAHEAD steps could visit.
+#: evaluates every point the next LOOKAHEAD steps can reach, 2 + 4 + 8 + 16
+#: below a bracket's initial c and d in the first call, and 1 + 2 + 4 + 8
+#: in each later one, whose first step is already decided.
 LOOKAHEAD = 4
 
 
@@ -226,71 +228,86 @@ _CHILDREN = np.array([[0, 3, 4, 2, 4], [2, 1, 3, 5, 5]])
 
 
 def _steps(node):
-    """The children of an (n, k, 5) array of nodes (a, b, c, d, point), as an
-    (n, 2k, 5) array: node j's left step at 2j, its right step at 2j + 1."""
-    a, b, c, d = (node[..., q, None] for q in range(4))
-    parent = np.concatenate([node[..., :4], d - (d - a) / GOLDEN, c + (b - c) / GOLDEN], axis=-1)
-    return parent[..., _CHILDREN].reshape(-1, 2 * node.shape[1], 5)
+    """The children of an (m, 5, k) array of nodes, m per bracket with fields
+    (a, b, c, d, point) along axis 1, as a (2m, 5, k) array: node j's left
+    step at 2j, its right step at 2j + 1."""
+    # (d, c) - ((d, c) - (a, b))/GOLDEN: c - (c - b)/GOLDEN has the bits of
+    # c + (b - c)/GOLDEN, as negation is exact.
+    dc = node[:, 3:1:-1]
+    parent = np.concatenate([node[:, :4], dc - (dc - node[:, :2]) / GOLDEN], axis=1)
+    return parent.take(_CHILDREN.ravel(), axis=1).reshape(2 * len(node), 5, node.shape[2])
 
 
 def _golden_min(fn, a: np.ndarray, b: np.ndarray, tol: float):
     """Golden-section minima of fn on the brackets [a_i, b_i], to within tol
     in the argument, all in lockstep: fn maps an array of arguments to an
     array of values. Each call evaluates, for every bracket still wider than
-    tol, the tree of all 2 + 4 + 8 + 16 points its next LOOKAHEAD steps could
-    visit (_steps), and the midpoint of every tree node where a walk can
-    stop: a node within tol whose parent is wider. The first call also
-    evaluates the initial c and d of those brackets, and the midpoints of the
-    brackets within tol from the start. The steps then walk the tree: each
-    reads its bracket, its value and whether it is still wider than tol at
-    the node its comparison picks, and a walk that stops reads its midpoint
-    and fn there at its last node, so no call follows the last walk. Each
-    bracket makes the comparisons and visits the points, bit for bit, that a
-    search on it alone with one evaluation per step would. Returns the
-    bracket midpoints and fn there."""
+    tol, the points its next LOOKAHEAD steps can reach, and the midpoint of
+    every reachable node where a walk can stop: a node within tol whose
+    parent is wider. The first call evaluates the initial c and d of those
+    brackets and all 2 + 4 + 8 + 16 points of the tree below them, and the
+    midpoints of the brackets within tol from the start. Each later call
+    starts with the step that the last comparison of the previous walk
+    picked, and evaluates its point and the 2 + 4 + 8 points below it: 15
+    per bracket, not the 30 its first step could choose between. The steps
+    then walk the tree: each reads its value at the node its comparison
+    picks, and a walk ends at its first node within tol and reads fn at that
+    node's midpoint, so no call follows the last walk. Each bracket makes
+    the comparisons and visits the points, bit for bit, that a search on it
+    alone with one evaluation per step would. Returns the bracket midpoints
+    and fn there."""
     c = b - (b - a) / GOLDEN
     d = a + (b - a) / GOLDEN
-    node = np.stack([a, b, c, d, c], axis=-1)
+    node = np.stack([a, b, c, d, c])
     live = np.abs(c - d) > tol
     fc, fd, fm = np.empty_like(a), np.empty_like(a), np.empty_like(a)
-    head = [c[live], d[live], 0.5 * (a + b)[~live]]
+    head = [d[live], 0.5 * (a + b)[~live]]
     while head or live.any():
         i = np.flatnonzero(live)
-        level, tree = node[i, None], []
-        for _ in range(LOOKAHEAD):
-            level = _steps(level)
-            tree.append(level.reshape(-1, 5))
+        k, ar = i.size, np.arange(i.size)
+        fci, fdi = fc[i], fd[i]
+        # The tree is a heap: row r's left step is row 2r + 1, its right
+        # step 2r + 2. Its root is the bracket in the first call, with c as
+        # its point, and then the step that the last comparison picked.
+        tree = [node[None, :, i]]
+        if not head:
+            left = fci < fdi
+            step = _steps(tree[0])
+            tree[0] = np.where(left, step[0], step[1])[None]
+        depth = LOOKAHEAD if head else LOOKAHEAD - 1
+        for _ in range(depth):
+            tree.append(_steps(tree[-1]))
         tree = np.concatenate(tree)
         wide = np.abs(tree[:, 2] - tree[:, 3]) > tol
-        # A walk stops at its first node within tol, whose parent is wider:
-        # the parents of tree rows 2q and 2q + 1 are entry q of the brackets
-        # (all wider than tol) followed by the tree rows.
-        stop = ~wide & np.repeat(np.concatenate([live[i], wide]), 2)[: len(tree)]
-        points = [tree[:, 4], 0.5 * (tree[stop, 0] + tree[stop, 1])]
-        f = fn(np.concatenate(head + points))
+        # A walk ends at its first node within tol, whose parent is wider.
+        stop = ~wide
+        stop[1:] &= np.repeat(wide[: len(tree) // 2], 2, axis=0)
+        f = fn(np.concatenate(head + [tree[:, 4].ravel(), 0.5 * (tree[:, 0] + tree[:, 1])[stop]]))
         if head:
-            fc[i], fd[i], fm[~live] = np.split(f[: len(a) + i.size], [i.size, 2 * i.size])
-            f, head = f[len(a) + i.size :], []
-        # The walk, on these brackets alone: `pos` numbers a bracket's node
-        # within its step over all brackets, and `at` is the tree row of its
-        # last step taken while wider than tol. A bracket within tol walks
-        # on, but nothing it reaches is read.
-        fci, fdi = fc[i], fd[i]
-        pos, at, walking = np.arange(i.size), np.zeros(i.size, dtype=int), live[i]
-        for k in range(1, LOOKAHEAD + 1):
+            # fn at each live bracket's d and at each other's midpoint; the
+            # tree's first row holds fn at the live brackets' c.
+            fdi, fm[~live] = np.split(f[: len(a)], [k])
+            f, head = f[len(a) :], []
+            fci = f[:k]
+        else:
+            fci, fdi = np.where(left, f[:k], fdi), np.where(left, fci, f[:k])
+        f_tree = f[: len(tree) * k].reshape(len(tree), k)
+        f_stop = np.full(wide.shape, np.nan)
+        f_stop[stop] = f[f_tree.size :]
+        # The walk: a step goes to row 2r + 1 or 2r + 2, and a walk stays at
+        # its first node within tol, where nothing it compares is used.
+        at = np.zeros(k, dtype=int)
+        for _ in range(depth):
             left = fci < fdi
-            pos += pos
-            pos += ~left
-            row = pos + i.size * (2**k - 2)  # tree rows of the steps before
-            fci, fdi = np.where(left, f[row], fdi), np.where(left, fci, f[row])
-            at = np.where(walking, row, at)
-            walking &= wide[row]
-        f_node = np.empty(len(tree))
-        f_node[stop] = f[len(tree) :]
-        fm[i[~walking]] = f_node[at[~walking]]
-        node[i] = tree[at]
-        fc[i], fd[i], live[i] = fci, fdi, walking
-    return 0.5 * (node[:, 0] + node[:, 1]), fm
+            at = np.where(wide[at, ar], 2 * at + 2 - left, at)
+            v = f_tree[at, ar]
+            fci, fdi = np.where(left, v, fdi), np.where(left, fci, v)
+        # A walk that goes on reads NaN here, and overwrites it in the call
+        # where it ends.
+        fm[i] = f_stop[at, ar]
+        node[:, i] = tree[at, :, ar].T
+        fc[i], fd[i], live[i] = fci, fdi, wide[at, ar]
+    return 0.5 * (node[0] + node[1]), fm
 
 
 def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> list[ZeroEvent]:
@@ -299,8 +316,9 @@ def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> l
     Each maximal run of below-threshold samples becomes one event, and the
     events are built together, as arrays over the runs. The minimum of each
     is refined by golden-section search on discord(evolve(.)) to a time
-    resolution of 1e-6, LOOKAHEAD steps per kernel call (see _golden_min),
-    and clamped to [t_enter, t_exit], the linearly interpolated crossings.
+    resolution of 1e-6, LOOKAHEAD steps per kernel call, each call
+    evaluating only the points those steps can reach (see _golden_min), and
+    clamped to [t_enter, t_exit], the linearly interpolated crossings.
     Kinds: an event whose excursion reaches t_max is `asymptotic`. If at
     least three events are not and the median of their gaps is positive,
     each of them whose gap to the previous or the next such event is within

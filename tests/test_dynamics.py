@@ -13,6 +13,7 @@ from xdiscord import (
     DispersiveRegimeWarning,
     TCParams,
     XState,
+    discord,
     evolve,
     find_zeros,
     lambda_from_g_delta,
@@ -310,17 +311,19 @@ class TestFindZeros:
 def sequential_golden_min(fn, a, b, tol):
     """Reference lockstep golden-section search with one fn call per step,
     which the lookahead search must match bit for bit. Returns the midpoints,
-    fn there and the number of steps taken."""
+    fn there, each bracket's number of steps and its (a, b, c, d) after
+    every step: a (steps + 1, 4, len(a)) array, frozen once it stops."""
     gr = (1.0 + math.sqrt(5.0)) / 2.0
     a, b = a.copy(), b.copy()
     c = b - (b - a) / gr
     d = a + (b - a) / gr
     fc, fd = np.split(fn(np.concatenate([c, d])), 2)
     active = np.abs(c - d) > tol
-    steps = 0
+    steps = np.zeros(len(a), dtype=int)
+    nodes = [np.stack([a, b, c, d])]
     while active.any():
-        steps += 1
         i = np.flatnonzero(active)
+        steps[i] += 1
         left = fc[i] < fd[i]
         lo, hi = i[left], i[~left]
         b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
@@ -330,8 +333,23 @@ def sequential_golden_min(fn, a, b, tol):
         f = fn(np.concatenate([c[lo], d[hi]]))
         fc[lo], fd[hi] = f[: lo.size], f[lo.size :]
         active[i] = np.abs(c[i] - d[i]) > tol
+        nodes.append(np.stack([a, b, c, d]))
     m = 0.5 * (a + b)
-    return m, fn(m), steps
+    return m, fn(m), steps, np.array(nodes)
+
+
+def stop_nodes(node, levels, tol, parent_wide=True):
+    """The nodes where a walk can stop, within tol with a parent wider, in
+    the tree of a node (a, b, c, d) and its steps `levels` deep: a scalar
+    model of the midpoints a lookahead call evaluates besides its points."""
+    a, b, c, d = node
+    wide = abs(c - d) > tol
+    count = int(parent_wide and not wide)
+    if levels:
+        gr = (1.0 + math.sqrt(5.0)) / 2.0
+        for child in ((a, d, d - (d - a) / gr, c), (c, b, d, c + (b - c) / gr)):
+            count += stop_nodes(child, levels - 1, tol, wide)
+    return count
 
 
 #: Elementwise test functions of (x, x0): a smooth bowl, a staircase of
@@ -350,6 +368,24 @@ SHAPES = {
 WIDTHS = st.one_of(st.sampled_from([0.0, 1e-9, 2e-6, 4.2e-6]), st.floats(1e-6, 10.0))
 
 
+def refined_brackets(monkeypatch, preset, thresholds):
+    """The (a, b, tol) of every search find_zeros makes on the preset's
+    figure grid at each threshold, and the trajectory."""
+    cfg = preset_config(preset)
+    traj = trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples)
+    searches = []
+
+    def spy(fn, a, b, tol):
+        searches.append((a.copy(), b.copy(), tol))
+        return _golden_min(fn, a, b, tol)
+
+    monkeypatch.setattr(dynamics, "_golden_min", spy)
+    for threshold in thresholds:
+        find_zeros(traj, threshold)
+    monkeypatch.undo()
+    return searches, traj
+
+
 class TestGoldenLookahead:
     @given(
         st.lists(st.tuples(st.floats(-10.0, 10.0), WIDTHS), min_size=1, max_size=40),
@@ -366,18 +402,51 @@ class TestGoldenLookahead:
             calls.append(x.size)
             return SHAPES[shape](x, x0)
 
-        m_ref, f_ref, steps = sequential_golden_min(fn, a, b, tol)
+        m_ref, f_ref, steps, nodes = sequential_golden_min(fn, a, b, tol)
         calls.clear()
         m, f = _golden_min(fn, a, b, tol)
         assert m.view(np.int64).tolist() == m_ref.view(np.int64).tolist()
         assert f.view(np.int64).tolist() == f_ref.view(np.int64).tolist()
-        assert len(calls) <= math.ceil(steps / LOOKAHEAD) + 2
+        assert len(calls) == max(1, -(-steps.max() // LOOKAHEAD))
+        # The first call evaluates c and d and the 30-point tree below them
+        # for every bracket wider than tol, and the midpoint of every other.
+        # Each later call evaluates, for every bracket still walking, the
+        # step its last comparison picked and the 2 + 4 + 8 points below
+        # it, 15 in all; besides them, in every call, the midpoints of the
+        # nodes where a walk can stop.
+        live = steps > 0
+        stops = sum(stop_nodes(nodes[0, :, j], LOOKAHEAD, tol) for j in np.flatnonzero(live))
+        assert calls[0] == 32 * live.sum() + (~live).sum() + stops
+        for k, size in enumerate(calls[1:], start=1):
+            live = np.flatnonzero(steps > k * LOOKAHEAD)
+            roots = nodes[k * LOOKAHEAD + 1][:, live].T
+            assert size == 15 * live.size + sum(stop_nodes(r, LOOKAHEAD - 1, tol) for r in roots)
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3-separable", "fig3-entangled"])
+    def test_real_objective_matches_sequential_search_bit_for_bit(self, monkeypatch, preset):
+        # The kernel's bits must not depend on the size or layout of its
+        # batch: the lookahead search evaluates the points in other calls
+        # and orders than the sequential one does.
+        searches, traj = refined_brackets(monkeypatch, preset, (5e-3, 1e-4, 1e-5))
+        assert bool(searches) == (preset != "fig3-entangled")
+
+        def fn(t):
+            return discord(evolve(traj.initial, traj.params, t)).discord
+
+        for a, b, tol in searches:
+            m_ref, f_ref, _, _ = sequential_golden_min(fn, a, b, tol)
+            m, f = _golden_min(fn, a, b, tol)
+            assert m.view(np.int64).tolist() == m_ref.view(np.int64).tolist()
+            assert f.view(np.int64).tolist() == f_ref.view(np.int64).tolist()
 
     def test_fig3_separable_refines_in_six_calls(self, monkeypatch):
         # 33 events at 1e-4, each bracket two samples (0.2) wide, need 23
         # steps: six lookahead rounds, where one call per step made 25. The
-        # last round stops at its third step, so it also evaluates the
-        # midpoints of the 8 third-step nodes per bracket, and no closing
+        # first call evaluates c and d and the 30 points of the 4 steps
+        # below them. Each later call starts with the step the last
+        # comparison picked and evaluates its point and the 14 below it.
+        # The last round stops at its third step, so it also evaluates the
+        # midpoints of the 4 third-step nodes per bracket, and no closing
         # call is made.
         cfg = preset_config("fig3-separable")
         traj = trajectory(cfg.initial, cfg.params, 300.0, 3001)
@@ -389,7 +458,7 @@ class TestGoldenLookahead:
 
         monkeypatch.setattr(dynamics, "evolve", counted)
         assert len(find_zeros(traj, 1e-4)) == 33
-        assert calls == [33 * 32] + [33 * 30] * 4 + [33 * 38]
+        assert calls == [33 * 32] + [33 * 15] * 4 + [33 * 19]
 
 
 class TestParams:

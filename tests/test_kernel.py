@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -21,7 +21,9 @@ from xdiscord import (
     require_valid,
     trajectory,
 )
-from xdiscord.xstate import FIELDS
+from xdiscord.xstate import FIELDS, _batch_passes, _predicates
+
+from samplers import edge_xstates
 
 TWO_PI = 2.0 * math.pi
 BREAKDOWN_FIELDS = (
@@ -99,8 +101,9 @@ shifts = st.one_of(st.just(0.0), st.floats(-0.2, 0.2), st.sampled_from([math.nan
 perturbed = st.tuples(xstates(), st.sampled_from(FIELDS), shifts)
 
 
-def scalar_message(state):
-    """require_valid's message for one XState, or None when it is valid."""
+def refusal(state):
+    """require_valid's message for an XState or an XColumns batch, or None
+    when it is valid."""
     try:
         require_valid(state)
     except InvalidStateError as exc:
@@ -115,7 +118,7 @@ def test_require_valid_batch_agrees_with_rows(rows):
         values = {f: getattr(state, f) for f in FIELDS}
         values[field] += shift
         states.append(XState(**values))
-    messages = [scalar_message(s) for s in states]
+    messages = [refusal(s) for s in states]
     bad = [i for i, m in enumerate(messages) if m is not None]
     if not bad:
         require_valid(XColumns.from_states(states))
@@ -124,29 +127,6 @@ def test_require_valid_batch_agrees_with_rows(rows):
         require_valid(XColumns.from_states(states))
     i = bad[0]
     assert str(info.value) == f"row {i} of {len(states)} ({len(bad)} invalid): {messages[i]}"
-
-
-# Rows at the edges of validity: an X state with, maybe, both coherence
-# blocks on their bounds, then up to three fields shifted or set at the 1e-12
-# scale of DEFAULT_TOL (a zero population set slightly negative, say), to
-# exactly -DEFAULT_TOL, or to NaN or an infinity.
-edge_values = st.one_of(
-    st.floats(-3e-12, 3e-12), st.sampled_from([-1e-12, math.nan, math.inf, -math.inf])
-)
-
-
-@st.composite
-def edge_states(draw):
-    state = draw(xstates())
-    values = {f: getattr(state, f) for f in FIELDS}
-    if draw(st.booleans()):
-        values["r14"] = math.sqrt(state.p1 * state.p4)
-        values["r23"] = math.sqrt(state.p2 * state.p3)
-    for field, add, x in draw(
-        st.lists(st.tuples(st.sampled_from(FIELDS), st.booleans(), edge_values), max_size=3)
-    ):
-        values[field] = values[field] + x if add else x
-    return XState(**values)
 
 
 def mask_messages(c):
@@ -181,21 +161,19 @@ def mask_messages(c):
     return messages
 
 
-@given(st.lists(edge_states(), min_size=1, max_size=30))
+@given(st.lists(edge_xstates(), min_size=1, max_size=30))
 def test_require_valid_agrees_with_per_check_masks(states):
     # The check on one XState's floats and on a batch's arrays accepts and
-    # rejects what the per-check masks do, with their messages.
-    batch = XColumns.from_states(states)
-    want = mask_messages(batch)
-    assert [scalar_message(s) for s in states] == want
+    # rejects what the per-check masks do, with their messages: the whole
+    # batch, and each state alone as a batch of one.
+    want = mask_messages(XColumns.from_states(states))
+    assert [refusal(s) for s in states] == want
+    for state, message in zip(states, want):
+        one = None if message is None else f"row 0 of 1 (1 invalid): {message}"
+        assert refusal(XColumns.from_states([state])) == one
     bad = [i for i, m in enumerate(want) if m is not None]
-    if not bad:
-        require_valid(batch)
-        return
-    with pytest.raises(InvalidStateError) as info:
-        require_valid(batch)
-    i = bad[0]
-    assert str(info.value) == f"row {i} of {len(states)} ({len(bad)} invalid): {want[i]}"
+    whole = f"row {bad[0]} of {len(states)} ({len(bad)} invalid): {want[bad[0]]}" if bad else None
+    assert refusal(XColumns.from_states(states)) == whole
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig3-separable"])
@@ -224,3 +202,24 @@ def test_refined_minima_match_dense_scan(name):
             assert abs(e.t_center - scan[j]) <= 1e-6 + (scan[1] - scan[0])
         else:
             assert not e.t_enter <= scan[j] <= e.t_exit
+
+
+#: Phases no XState holds (it wraps finite phases to [0, 2*pi)), whose sums
+#: overflow or cancel in the finiteness check.
+raw_phases = st.sampled_from([0.0, 1e308, -1e308, 1.7976931348623157e308, 2.0**970, 1e17, math.nan])
+
+
+@given(st.lists(st.tuples(edge_xstates(), raw_phases, raw_phases), min_size=1, max_size=30))
+@example([(XState(-1e-12, 0.55, 0.55 + 1e-12, -0.1), 0.0, 0.0)])
+def test_batch_conjunction_equals_the_per_check_conjunction(rows):
+    # Also on XColumns rows with raw phases, the conjunction in fewer
+    # passes passes exactly the rows that pass every check of _predicates.
+    # The example: p1 at exactly -1e-12 makes its block's product 0, so
+    # only the population check refuses p4 = -0.1.
+    batch = XColumns.from_states([state for state, _, _ in rows])
+    fields = [getattr(batch, f).copy() for f in FIELDS]
+    fields[5][:] = [phi1 for _, phi1, _ in rows]
+    fields[7][:] = [phi2 for _, _, phi2 in rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.logical_and.reduce(_predicates(*fields))
+        assert_array_equal(_batch_passes(*fields), want)
