@@ -20,8 +20,10 @@ from .xstate import (
     TWO_PI,
     XColumns,
     XState,
-    eigenvalues,
+    _entropy,
+    _spectrum,
     _xlog2x,
+    eigenvalues,
     entropy_bits,
     require_valid,
 )
@@ -134,21 +136,18 @@ def _cond_entropy_grid(states: XColumns, s2, coh: np.ndarray) -> np.ndarray:
     return total
 
 
-def _breakdown(state) -> BreakdownColumns:
-    """The closed-form kernel: every correlation quantity of a validated
-    state or batch, elementwise, as columns (one row for an XState).
+def _correlations(states: XColumns, s_ab) -> tuple:
+    """The entropies that both kernel entries compute alike, as columns
+    (mutual_info, c_m1, c_m2, classical_corr), given S(AB).
 
-    S(AB) from the spectrum; S(A), S(B) from the marginals (p1+p2, p3+p4)
-    and (p1+p3, p2+p4) through one _xlog2x call, with entropy_bits' bits but
-    not its -1e-12 check, which a sum of two tolerated negatives can fail.
-    The spectrum and the marginals are stored entry by entry, so that each
-    entropy's sum runs along the rows, in the order of a row-by-row sum.
-    C_m1 and C_m2 come from one _cond_entropy_grid call at s2 = 0 and 1/2
-    with the phase-matched coh = r14 + r23; the other fields are as in
-    DiscordBreakdown.
+    S(A), S(B) come from the marginals (p1+p2, p3+p4) and (p1+p3, p2+p4)
+    through one _xlog2x call, with entropy_bits' bits but not its -1e-12
+    check, which a sum of two tolerated negatives can fail. The marginals
+    are stored entry by entry, so that each entropy's sum runs along the
+    rows, in the order of a row-by-row sum. C_m1 and C_m2 come from one
+    _cond_entropy_grid call at s2 = 0 and 1/2 with the phase-matched
+    coh = r14 + r23; the rest is as in DiscordBreakdown.
     """
-    spectrum = eigenvalues(state)  # validates the input
-    states = state if isinstance(state, XColumns) else XColumns.from_states([state])
     p1, p2, p3, p4 = states.p1, states.p2, states.p3, states.p4
     marginals = np.empty((2, 2, len(states)))  # entry, subsystem, row
     np.add(p1, p2, out=marginals[0, 0])
@@ -157,12 +156,24 @@ def _breakdown(state) -> BreakdownColumns:
     np.add(p2, p4, out=marginals[1, 1])
     x = _xlog2x(marginals, np.empty_like(marginals))
     s_a, s_b = 0.0 - (x[0] + x[1])
-    s_ab = entropy_bits(spectrum)
-    coh = states.r14 + states.r23
-    cm1, cm2 = _cond_entropy_grid(states, np.array([[0.0], [0.5]]), coh)
-    ups = np.hypot(p1 + p2 - p3 - p4, 2.0 * coh)
-    mutual = s_a + s_b - s_ab
-    classical = s_a - np.minimum(cm1, cm2)
+    cm1, cm2 = _cond_entropy_grid(states, np.array([[0.0], [0.5]]), states.r14 + states.r23)
+    return s_a + s_b - s_ab, cm1, cm2, s_a - np.minimum(cm1, cm2)
+
+
+def _breakdown(state) -> BreakdownColumns:
+    """The closed-form kernel behind discord(): every correlation quantity
+    of a state or batch, elementwise, as columns (one row for an XState).
+    The `evolve` command prints these columns.
+
+    The input is validated, and S(AB) is taken from its spectrum through
+    the public eigenvalues and entropy_bits; _correlations gives the other
+    entropies, and upsilon and the concurrence are as in DiscordBreakdown.
+    """
+    spectrum = eigenvalues(state)  # validates the input
+    states = state if isinstance(state, XColumns) else XColumns.from_states([state])
+    p1, p2, p3, p4 = states.p1, states.p2, states.p3, states.p4
+    mutual, cm1, cm2, classical = _correlations(states, entropy_bits(spectrum))
+    ups = np.hypot(p1 + p2 - p3 - p4, 2.0 * (states.r14 + states.r23))
     conc = 2.0 * np.maximum(
         0.0,
         np.maximum(
@@ -171,6 +182,18 @@ def _breakdown(state) -> BreakdownColumns:
         ),
     )
     return BreakdownColumns(mutual, cm1, cm2, ups, classical, mutual - classical, conc)
+
+
+def _discord_column(states: XColumns) -> np.ndarray:
+    """The discord column of _breakdown, bit for bit, on a batch that
+    require_valid accepts: the same spectrum, entropy and _correlations
+    code, without the validation, the entropy_bits copy and checks, or the
+    fields that only discord() returns. find_zeros, and so the `zeros`
+    command, calls it on validated trajectory samples and on rows that
+    evolve built from a validated state, which stay within 2*DEFAULT_TOL
+    of every check; there the clamped spectrum keeps it finite."""
+    mutual, _, _, classical = _correlations(states, _entropy(_spectrum(states)))
+    return mutual - classical
 
 
 def discord(state):

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .discord import BreakdownColumns, discord
+from .discord import BreakdownColumns, _discord_column, discord
 from .xstate import XColumns, XState, require_valid
 
 # Zero-event kinds.
@@ -80,15 +81,21 @@ class ZeroEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled evolution with the correlation breakdown of every
-    sample, as columns: `states.r14`, `breakdowns.discord` and so on are
-    arrays over `times`."""
+    """Uniformly sampled evolution, as columns: `states.r14` and so on are
+    arrays over `times`, and so are the fields of `breakdowns`, the
+    correlation breakdown of every sample."""
 
     times: np.ndarray
     states: XColumns
-    breakdowns: BreakdownColumns
     initial: XState
     params: TCParams
+
+    @cached_property
+    def breakdowns(self) -> BreakdownColumns:
+        """discord(states), computed on first use: the `evolve` command
+        prints it, while find_zeros reads only the discord, from
+        _discord_column."""
+        return discord(self.states)
 
 
 def lambda_from_g_delta(g: float, delta: float) -> float:
@@ -194,9 +201,13 @@ def steady_coherence_as_printed(initial_r14: float, params: TCParams) -> float:
 
 
 def trajectory(initial: XState, params: TCParams, t_max: float, n_samples: int) -> Trajectory:
-    """Sample the evolution and its correlation breakdown on a uniform grid of
-    n_samples times over [0, t_max]. Zero events are found from the samples
-    by find_zeros."""
+    """Sample the evolution on a uniform grid of n_samples times over
+    [0, t_max], and validate the samples once. At the edges of validity a
+    sample can miss require_valid, by rounding or by p3 absorbing the
+    initial trace's distance from 1, and then trajectory raises
+    InvalidStateError for every command alike. The correlation breakdown is
+    computed on first use of `breakdowns`; zero events are found from the
+    samples by find_zeros."""
     require_valid(initial)
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples!r} must be at least 2")
@@ -204,9 +215,8 @@ def trajectory(initial: XState, params: TCParams, t_max: float, n_samples: int) 
         raise ValueError(f"t_max = {t_max!r} must be finite and positive")
     times = np.linspace(0.0, t_max, n_samples)
     states = evolve(initial, params, times)
-    return Trajectory(
-        times=times, states=states, breakdowns=discord(states), initial=initial, params=params
-    )
+    require_valid(states)
+    return Trajectory(times=times, states=states, initial=initial, params=params)
 
 
 #: The golden ratio, by which each golden-section step shrinks its bracket.
@@ -314,11 +324,16 @@ def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> l
     """Locate and classify the below-threshold excursions of the discord.
 
     Each maximal run of below-threshold samples becomes one event, and the
-    events are built together, as arrays over the runs. The minimum of each
-    is refined by golden-section search on discord(evolve(.)) to a time
-    resolution of 1e-6, LOOKAHEAD steps per kernel call, each call
-    evaluating only the points those steps can reach (see _golden_min), and
-    clamped to [t_enter, t_exit], the linearly interpolated crossings.
+    events are built together, as arrays over the runs. The discord of the
+    samples and of the refinement comes from _discord_column, which equals
+    discord().discord bit for bit without its checks: trajectory() validated
+    the samples, and evolve builds the refinement's rows from the same
+    validated initial state. traj.breakdowns is not computed. The minimum
+    of each event is refined by golden-section search on
+    _discord_column(evolve(.)) to a time resolution of 1e-6, LOOKAHEAD steps
+    per kernel call, each call evaluating only the points those steps can
+    reach (see _golden_min), and clamped to [t_enter, t_exit], the linearly
+    interpolated crossings.
     Kinds: an event whose excursion reaches t_max is `asymptotic`. If at
     least three events are not and the median of their gaps is positive,
     each of them whose gap to the previous or the next such event is within
@@ -335,7 +350,7 @@ def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> l
     if len(traj.times) == 0:
         raise ValueError("trajectory is empty")
     times = np.asarray(traj.times, dtype=float)
-    disc = np.asarray(traj.breakdowns.discord, dtype=float)
+    disc = _discord_column(traj.states)
     n = len(times)
     # Runs of below-threshold samples: [start, stop] inclusive.
     edges = np.diff(np.concatenate([[0], (disc < threshold).astype(np.int8), [0]]))
@@ -352,7 +367,7 @@ def find_zeros(traj: Trajectory, threshold: float = DEFAULT_ZERO_THRESHOLD) -> l
     refined = disc[ks]
 
     def fn(t):
-        return discord(evolve(traj.initial, traj.params, t)).discord
+        return _discord_column(evolve(traj.initial, traj.params, t))
 
     wide = hi > lo
     if wide.any():

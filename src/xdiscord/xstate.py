@@ -226,14 +226,22 @@ def eigenvalues(state) -> np.ndarray:
 
     Each block contributes (mean of its populations) +- the block radius, a
     pair already in order, so the four values are ordered by merging the two
-    pairs. Negatives within DEFAULT_TOL (boundary states, roundoff) are
-    clamped to 0. An XState gives 4 values; an XColumns batch gives shape
-    (n, 4), one validated spectrum per row. The batch is stored column by
+    pairs. The state is validated first, and every negative value is then
+    clamped to 0: a validated block's smaller eigenvalue can still round to
+    just below -DEFAULT_TOL. An XState gives 4 values; an XColumns batch
+    gives shape (n, 4), one spectrum per row. The batch is stored column by
     column, so a reduction over each spectrum (entropy_bits) runs along the
     rows, in the order a row-by-row sum takes.
     """
     require_valid(state)
     c = state if isinstance(state, XColumns) else XColumns.from_states([state])
+    vals = _spectrum(c)
+    return vals if isinstance(state, XColumns) else vals[0]
+
+
+def _spectrum(c: XColumns) -> np.ndarray:
+    """eigenvalues of a batch without its validation: the (n, 4) spectra,
+    stored column by column, negatives clamped to 0."""
     outer_mid = 0.5 * (c.p1 + c.p4)
     outer_rad = np.hypot(0.5 * (c.p1 - c.p4), c.r14)
     inner_mid = 0.5 * (c.p2 + c.p3)
@@ -247,9 +255,8 @@ def eigenvalues(state) -> np.ndarray:
     np.maximum(top, bottom, out=columns[1])
     np.minimum(top, bottom, out=columns[2])
     np.minimum(outer_lo, inner_lo, out=columns[3])
-    vals = columns.T
-    vals[(vals < 0.0) & (vals > -DEFAULT_TOL)] = 0.0
-    return vals if isinstance(state, XColumns) else vals[0]
+    np.maximum(columns, 0.0, out=columns)
+    return columns.T
 
 
 #: The smallest positive normal double. Adding it keeps log2 finite at 0 and
@@ -279,8 +286,13 @@ def entropy_bits(probabilities):
     p = np.array(probabilities, dtype=float)  # a copy, which _xlog2x clamps
     if p.size and p.min() < -DEFAULT_TOL:
         raise ValueError(f"negative probability {float(p.min())!r} beyond tolerance {DEFAULT_TOL}")
-    # 0 - sum, not -sum: an entropy of 0 reads +0.0, not -0.0
-    h = 0.0 - _xlog2x(p, np.empty_like(p)).sum(axis=-1)
+    h = _entropy(p)
     if not np.isfinite(h).all():
         raise ValueError("probabilities must be finite")
     return float(h) if h.ndim == 0 else h
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """entropy_bits without its checks, clamping p in place."""
+    # 0 - sum, not -sum: an entropy of 0 reads +0.0, not -0.0
+    return 0.0 - _xlog2x(p, np.empty_like(p)).sum(axis=-1)

@@ -1,3 +1,6 @@
+import contextlib
+import importlib
+import io
 import itertools
 import json
 import math
@@ -12,11 +15,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from xdiscord import PRESETS, discord, minimize_numeric, nullity_check, random_xstate
+from xdiscord import (
+    PRESETS,
+    InvalidStateError,
+    XState,
+    discord,
+    minimize_numeric,
+    nullity_check,
+    random_xstate,
+    require_valid,
+)
 from xdiscord.cli import (
     CSV_COLUMNS,
     CSV_SOURCES,
@@ -37,6 +49,8 @@ from xdiscord.presets import (
     state_from_dict,
     state_to_dict,
 )
+
+from samplers import family_edge_xstates
 
 BELL_STATE_JSON = json.dumps({"populations": [0.5, 0.0, 0.0, 0.5], "r14": 0.5})
 EQ9_STATE_JSON = json.dumps(
@@ -130,6 +144,22 @@ class TestDiscordCommand:
         code, out, err = run_cli(["discord", "--state", state], capsys)
         assert (code, out) == (3, "")
         assert f"population = {shown} is not a number" in err
+
+    @given(family_edge_xstates())
+    @example(XState(0.25, 0.1, 0.4, 0.25, r23=0.20000000000125))
+    def test_edge_state_exits_0_when_valid_else_2(self, state):
+        # A state that require_valid accepts gets its breakdown, however
+        # close to -1e-12 its spectrum rounds (the example's inner block
+        # rounds to -1.00003e-12); any other is an invalid state. Neither is
+        # an entropy error (exit 3).
+        try:
+            require_valid(state)
+            want = 0
+        except InvalidStateError:
+            want = 2
+        argv = ["discord", "--state", json.dumps(state_to_dict(state))]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(argv) == want, err.getvalue()
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_payload_is_breakdown_then_nullity(self, name, capsys):
@@ -310,6 +340,22 @@ class TestZerosCommand:
         assert events
         assert events[-1]["kind"] == "asymptotic"
         assert events[-1]["t_exit"] == 300.0
+
+    @pytest.mark.parametrize("command", ["evolve", "zeros"])
+    def test_samples_past_the_tolerance_refused_by_both_commands(self, command, capsys, tmp_path):
+        # A valid initial state whose inner block sits on its tolerant
+        # bound: the rotation rounds some samples past it. zeros reads no
+        # breakdown, yet refuses them as evolve does, from trajectory.
+        config = {
+            "initial": {"populations": [0.0, 0.0, 0.5, 0.5], "r23": 7.071067811872544e-07},
+            "params": {"lambda": 1.375, "kappa": 0.0, "alpha_sq": 0.0},
+            "grid": {"t_max": 10.0, "n_samples": 101},
+        }
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert "invalid state: row 1 of 101 (38 invalid): inner block" in err
 
 
 class TestPresetCommand:
@@ -957,3 +1003,55 @@ def test_cli_import_loads_only_stdlib_and_numpy():
     assert "xdiscord._csvtext" not in loaded
     allowed = sys.stdlib_module_names | {"numpy", "xdiscord"}
     assert [m for m in loaded if m.partition(".")[0] not in allowed] == []
+
+
+#: Functions whose calls the benchmark counts per layer in its `figures`
+#: workload (perfbench's EXERCISED), as `<module>.<function>`.
+COUNTED = (
+    "dynamics.evolve", "dynamics.find_zeros", "discord.discord",
+    "xstate.eigenvalues", "xstate.entropy_bits",
+)
+
+
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """(function, innermost counted caller or None) of each call of a COUNTED
+    function, spied on at every xdiscord module attribute bound to it, as
+    the benchmark's tracer wraps them."""
+    calls, stack = [], []
+    modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "xdiscord" and m]
+
+    def spy(qualname, fn):
+        def spied(*args, **kwargs):
+            calls.append((qualname, stack[-1] if stack else None))
+            stack.append(qualname)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        return spied
+
+    for qualname in COUNTED:
+        module_name, attr = qualname.rsplit(".", 1)
+        original = getattr(importlib.import_module(f"xdiscord.{module_name}"), attr)
+        wrapper = spy(qualname, original)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+def test_figure_commands_keep_the_benchmark_call_structure(counted_calls, tmp_path):
+    # The benchmark counts refinement evaluations as evolve calls under
+    # find_zeros, and expects the evolve command to reach the public discord
+    # and spectrum entries; zeros computes its discord without them.
+    grid = ["--preset", "fig1", "--t-max", "30", "--samples", "3001", "--out", str(tmp_path / "o")]
+    assert main(["zeros", *grid]) == 0
+    zeros_calls = set(counted_calls)
+    assert ("dynamics.evolve", "dynamics.find_zeros") in zeros_calls
+    assert {name for name, _ in zeros_calls}.isdisjoint(COUNTED[2:])
+    counted_calls.clear()
+    assert main(["evolve", *grid]) == 0
+    assert {name for name, _ in counted_calls} >= set(COUNTED[2:]) | {"dynamics.evolve"}

@@ -238,15 +238,14 @@ EDGE_STATES = [
 
 def sorted_spectrum(c):
     """The X spectrum as eigenvalues first formed it: each block's mean +-
-    its radius, negatives within DEFAULT_TOL clamped to 0, then np.sort per
-    row, descending."""
+    its radius, negatives clamped to 0, then np.sort per row, descending."""
     outer_mid, inner_mid = 0.5 * (c.p1 + c.p4), 0.5 * (c.p2 + c.p3)
     outer_rad = np.hypot(0.5 * (c.p1 - c.p4), c.r14)
     inner_rad = np.hypot(0.5 * (c.p2 - c.p3), c.r23)
     outer = [outer_mid + outer_rad, outer_mid - outer_rad]
     inner = [inner_mid + inner_rad, inner_mid - inner_rad]
     vals = np.stack(outer + inner, axis=-1)
-    vals[(vals < 0.0) & (vals > -DEFAULT_TOL)] = 0.0
+    np.maximum(vals, 0.0, out=vals)
     return np.sort(vals, axis=-1)[:, ::-1]
 
 

@@ -301,7 +301,7 @@ class TestFindZeros:
         cfg = preset_config("fig1")
         traj = trajectory(cfg.initial, cfg.params, 5.0, 11)
         pruned = traj.__class__(
-            times=np.array([]), states=(), breakdowns=(),
+            times=np.array([]), states=(),
             initial=traj.initial, params=traj.params,
         )
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -18,12 +18,14 @@ from xdiscord import (
     evolve,
     find_zeros,
     preset_config,
+    random_xstate,
     require_valid,
     trajectory,
 )
-from xdiscord.xstate import FIELDS, _batch_passes, _predicates
+from xdiscord.discord import _discord_column
+from xdiscord.xstate import DEFAULT_TOL, FIELDS, _batch_passes, _predicates
 
-from samplers import edge_xstates
+from samplers import edge_xstates, family_edge_xstates
 
 TWO_PI = 2.0 * math.pi
 BREAKDOWN_FIELDS = (
@@ -93,6 +95,69 @@ def test_evolve_over_times_equals_evolve_at_each_time(state, par, times):
         row, alone = cols.row(i), evolve(state, par, t)
         assert_allclose(row.populations, alone.populations, rtol=0, atol=1e-15)
         assert_allclose([row.rho14, row.rho23], [alone.rho14, alone.rho23], rtol=0, atol=1e-15)
+
+
+def assert_discord_column_exact(c):
+    """find_zeros' discord column has the bits of the public discord's."""
+    assert_array_equal(_discord_column(c).view(np.int64), discord(c).discord.view(np.int64))
+
+
+times_lists = st.lists(st.floats(0.0, 1e3), min_size=1, max_size=12)
+
+
+@given(xstates(), params, times_lists)
+def test_evolve_from_a_valid_state_builds_valid_rows(state, par, times):
+    # find_zeros computes the discord of the rows evolve builds with
+    # _discord_column, which skips require_valid.
+    rows = evolve(state, par, np.array(times))
+    require_valid(rows)
+    assert_discord_column_exact(rows)
+
+
+def passes_within(c, tol):
+    """Each row of the batch passes require_valid's checks at tolerance tol
+    in place of DEFAULT_TOL, its fields being finite."""
+    q1, q2, q3, q4 = (getattr(c, f) + tol for f in FIELDS[:4])
+    ok = np.abs(c.p1 + c.p2 + c.p3 + c.p4 - 1.0) <= tol
+    ok &= np.minimum(np.minimum(q1, q2), np.minimum(q3, q4)) >= 0.0
+    return ok & (q1 * q4 >= c.r14 * c.r14) & (q2 * q3 >= c.r23 * c.r23)
+
+
+@given(family_edge_xstates().filter(lambda s: refusal(s) is None), params, times_lists)
+@example(XState(0.0, 0.0, 0.5, 0.5, r23=7.071067811872544e-07), TCParams(lam=1.375), [2.0])
+@example(XState(-5e-13, -5e-13, 5e-13, 1.0000000000015), TCParams(), [0.0])
+def test_evolve_from_a_valid_edge_state_stays_within_twice_the_tolerance(state, par, times):
+    # At the edges, evolve's rows can fail require_valid: p3 closes the
+    # trace and so absorbs the initial trace's distance from 1, up to
+    # DEFAULT_TOL (the second example: p3 = -1.2e-12 at t = 0), and the
+    # rotation of a block on its tolerant bound rounds past it (the first:
+    # r23^2 exceeds (p2 + 1e-12)*(p3 + 1e-12) by 1 ulp). trajectory refuses
+    # such samples. Nothing worse: every row passes the checks at twice
+    # DEFAULT_TOL plus 8 units of rounding, the discord column is finite,
+    # and it is exact on the rows that pass.
+    rows = evolve(state, par, np.array(times))
+    assert passes_within(rows, 2.0 * DEFAULT_TOL + 8.0 * np.finfo(float).eps).all()
+    assert np.isfinite(_discord_column(rows)).all()
+    ok = _batch_passes(*(getattr(rows, f) for f in FIELDS))
+    assert_discord_column_exact(XColumns(*(getattr(rows, f)[ok] for f in FIELDS)))
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3-separable", "fig3-entangled"])
+def test_discord_column_exact_on_preset_grids(name):
+    cfg = preset_config(name)
+    assert_discord_column_exact(trajectory(cfg.initial, cfg.params, cfg.t_max, cfg.n_samples).states)
+
+
+@given(st.lists(family_edge_xstates(), min_size=1, max_size=30))
+def test_discord_column_exact_on_edge_rows(states):
+    valid = [s for s in states if refusal(s) is None]
+    assume(valid)
+    assert_discord_column_exact(XColumns.from_states(valid))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 500))
+def test_discord_column_exact_on_random_batches(seed, n):
+    assert_discord_column_exact(random_xstate(np.random.default_rng(seed), n))
 
 
 # A valid state with one field shifted: often still valid, otherwise failing

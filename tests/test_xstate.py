@@ -124,6 +124,15 @@ class TestEigenvalues:
         with pytest.raises(InvalidStateError):
             eigenvalues(XState(0.25, 0.25, 0.25, 0.25, r14=0.3))
 
+    def test_valid_state_spectrum_clamped_to_zero(self):
+        # require_valid accepts the state, and its inner block's smaller
+        # eigenvalue rounds to -1.00003e-12, beyond DEFAULT_TOL
+        s = XState(0.25, 0.1, 0.4, 0.25, r23=0.20000000000125)
+        require_valid(s)
+        vals = eigenvalues(s)
+        assert vals.min() == 0.0
+        assert entropy_bits(vals) == pytest.approx(1.5, abs=1e-10)
+
 
 class TestEntropyBits:
     def test_pure(self):
