@@ -11,6 +11,7 @@ exact minimum over all projective bases is a batched search over theta in
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -43,7 +44,8 @@ class DiscordBreakdown:
     the theta = 0 (or pi/2) measurement, a populations-only expression. c_m2
     is the conditional entropy for the theta = pi/4, phi = (phi1-phi2)/2
     measurement, the binary entropy of (1 + upsilon)/2, where upsilon =
-    sqrt((p1+p2-p3-p4)^2 + 4*(r14+r23)^2) lies in [0, 1]. classical_corr =
+    sqrt((p1+p2-p3-p4)^2 + 4*(r14+r23)^2) lies in [0, 1] (clamped at 1,
+    which a trace within tolerance of 1 can pass). classical_corr =
     S(A) - min(c_m1, c_m2); discord = mutual_info - classical_corr.
     concurrence = 2*max(0, r14 - sqrt(p2*p3), r23 - sqrt(p1*p4)).
     """
@@ -93,12 +95,36 @@ class NullityVerdict:
     balance_residual: float
 
 
-def _cond_entropy_grid(states: XColumns, s2, coh: np.ndarray) -> np.ndarray:
+#: Each thread's work memory for _cond_entropy_grid: one flat float array
+#: that grows to the largest request and is then kept, so that a repeated
+#: search reuses the same pages rather than growing the heap and handing the
+#: pages back on every call. Per thread, because numpy releases the GIL
+#: inside a ufunc.
+_WORK = threading.local()
+#: The work arrays that _cond_entropy_grid takes from _work.
+_GRID_WORK = 5
+
+
+def _work(shape: tuple, count: int) -> np.ndarray:
+    """`count` float arrays of `shape`, stacked along a new first axis, from
+    this thread's work memory: a caller that needs an array beside the
+    kernel's own takes the last of _work(shape, _GRID_WORK + 1). Their
+    contents are arbitrary, and the next call overwrites them."""
+    size = count * math.prod(shape)
+    buf = getattr(_WORK, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _WORK.buf = np.empty(size)
+    return buf[:size].reshape((count, *shape))
+
+
+def _cond_entropy_grid(states: XColumns, s2, coh: np.ndarray, out=None) -> np.ndarray:
     """Measured conditional entropy sum_k p_k S(rho_k) of each state row at the
     polar angles theta given as s2 = sin(theta)^2, whose last axis broadcasts
     against the rows: shape (k, 1) puts the same k angles on every row,
     (k, rows) k angles per row. The result has the broadcast shape, (k, rows);
-    the rows are the last axis so that each array pass runs along them.
+    the rows are the last axis so that each array pass runs along them. It
+    is written to `out` if given (a float array of that shape, not one of
+    this thread's first _GRID_WORK work slots), else to a new array.
 
     The azimuth phi enters only through the per-row coherence magnitude
     coh = |r14*exp(i(phi1 - phi)) + r23*exp(i(phi2 + phi))|. Each outcome
@@ -110,24 +136,30 @@ def _cond_entropy_grid(states: XColumns, s2, coh: np.ndarray) -> np.ndarray:
     2*mid*log2(2*mid) - sum_e e*log2(e). rad is a plain sqrt: np.hypot
     makes one libm call per element, and every term is at most 1, so no
     square overflows and an underflowing one moves rad by at most 1e-154. A
-    zero eigenvalue raises no floating-point warning.
+    zero eigenvalue raises no floating-point warning. The full-size
+    intermediates live in this thread's work memory (_work).
     """
-    off2 = (s2 - s2 * s2) * (coh * coh)
-    total = np.zeros(off2.shape)
-    scratch = np.empty(off2.shape)
+    shape = np.shape(s2)[:-1] + coh.shape
+    off2, scratch, mid, rad, low = _work(shape, _GRID_WORK)
+    np.multiply(s2 - s2 * s2, coh * coh, out=off2)
+    if out is None:
+        total = np.zeros(shape)
+    else:
+        total = out
+        total.fill(0.0)
     p13, p24 = 0.5 * (states.p1 + states.p3), 0.5 * (states.p2 + states.p4)
     d13, d24 = 0.5 * (states.p1 - states.p3), 0.5 * (states.p2 - states.p4)
     # The outcome along |+> leaves [[s2*p1 + c2*p2, .], [., s2*p3 + c2*p4]]
     # with c2 = 1 - s2; the outcome along |-> swaps s2 and c2.
     for mid0, mid1, half0, half1 in ((p24, p13, d24, d13), (p13, p24, d13, d24)):
-        mid = s2 * (mid1 - mid0)
+        np.multiply(s2, mid1 - mid0, out=mid)
         mid += mid0
-        rad = s2 * (half1 - half0)
+        np.multiply(s2, half1 - half0, out=rad)
         rad += half0
         rad *= rad
         rad += off2
         np.sqrt(rad, out=rad)
-        low = mid - rad
+        np.subtract(mid, rad, out=low)
         rad += mid
         total -= _xlog2x(rad, scratch)
         total -= _xlog2x(low, scratch)
@@ -167,13 +199,14 @@ def _breakdown(state) -> BreakdownColumns:
 
     The input is validated, and S(AB) is taken from its spectrum through
     the public eigenvalues and entropy_bits; _correlations gives the other
-    entropies, and upsilon and the concurrence are as in DiscordBreakdown.
+    entropies, and upsilon (clamped at 1) and the concurrence are as in
+    DiscordBreakdown.
     """
     spectrum = eigenvalues(state)  # validates the input
     states = state if isinstance(state, XColumns) else XColumns.from_states([state])
     p1, p2, p3, p4 = states.p1, states.p2, states.p3, states.p4
     mutual, cm1, cm2, classical = _correlations(states, entropy_bits(spectrum))
-    ups = np.hypot(p1 + p2 - p3 - p4, 2.0 * (states.r14 + states.r23))
+    ups = np.minimum(np.hypot(p1 + p2 - p3 - p4, 2.0 * (states.r14 + states.r23)), 1.0)
     conc = 2.0 * np.maximum(
         0.0,
         np.maximum(
@@ -211,8 +244,10 @@ def discord(state):
 #: last.
 THETA_GRID = 65
 SHRINK_ROUNDS = 12
-#: Rows searched together. The search's arrays take about 3.7 kB per row, so
-#: a chunk bounds its memory at about 15 MB whatever the batch size.
+#: Rows searched together. The grid's six (65, rows) float arrays are this
+#: thread's kept work memory (_work), 3.1 kB per row: 12.8 MB for a full
+#: chunk, 0.94 MB for 300 rows. With np.argmin's copy, a chunk's search peaks
+#: at about 15 MB (tracemalloc) whatever the batch size.
 SEARCH_CHUNK = 4096
 #: A round's points, in units of the round's span; the incumbent itself is
 #: not evaluated again.
@@ -226,7 +261,9 @@ def _search_theta(c: XColumns):
     and its value."""
     coh = c.r14 + c.r23
     thetas = np.linspace(0.0, math.pi / 4, THETA_GRID)
-    values = _cond_entropy_grid(c, np.sin(thetas[:, None]) ** 2, coh)
+    values = _cond_entropy_grid(
+        c, np.sin(thetas[:, None]) ** 2, coh, out=_work((THETA_GRID, len(c)), _GRID_WORK + 1)[-1]
+    )
     k = np.argmin(values, axis=0)
     theta, value = thetas[k], values[k, np.arange(len(c))]
     live = np.flatnonzero((k > 0) & (k < THETA_GRID - 1))

@@ -123,6 +123,13 @@ class TestDiscordCommand:
         assert payload["nullity"]["kind"] == "coherence-free"
         assert abs(payload["discord"]) <= 1e-9
 
+    def test_upsilon_of_two_tolerated_negatives_is_1(self, capsys):
+        # p3 + p4 = 1 + 1.8e-12 made the Bloch length 1.0000000000036
+        state = '{"populations": [-0.9e-12, -0.9e-12, 0.5000000000009, 0.5000000000009]}'
+        code, out, _ = run_cli(["discord", "--state", state], capsys)
+        assert code == 0
+        assert json.loads(out)["upsilon"] == 1.0
+
     @pytest.mark.parametrize(
         "state",
         [

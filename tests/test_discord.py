@@ -1,9 +1,11 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -33,9 +35,9 @@ from xdiscord.discord import (
     _ROUND_OFFSETS,
     _cond_entropy_grid,
 )
-from xdiscord.xstate import DEFAULT_TOL, FIELDS, entropy_bits
+from xdiscord.xstate import DEFAULT_TOL, FIELDS, _xlog2x, entropy_bits
 
-from samplers import random_degenerate_balanced
+from samplers import family_edge_xstates, random_degenerate_balanced
 
 TWO_PI = 2.0 * math.pi
 
@@ -313,6 +315,147 @@ class TestCondEntropyGrid:
         assert_allclose(got[:, 1], 1.0, atol=2e-15)  # MIXED
 
 
+def allocating_cond_entropy_grid(states, s2, coh):
+    """_cond_entropy_grid as it was before it took its work arrays from
+    per-thread memory: the same steps in the same order, each into a new
+    array. The bit reference for the kernel."""
+    off2 = (s2 - s2 * s2) * (coh * coh)
+    total = np.zeros(off2.shape)
+    scratch = np.empty(off2.shape)
+    p13, p24 = 0.5 * (states.p1 + states.p3), 0.5 * (states.p2 + states.p4)
+    d13, d24 = 0.5 * (states.p1 - states.p3), 0.5 * (states.p2 - states.p4)
+    for mid0, mid1, half0, half1 in ((p24, p13, d24, d13), (p13, p24, d13, d24)):
+        mid = s2 * (mid1 - mid0)
+        mid += mid0
+        rad = s2 * (half1 - half0)
+        rad += half0
+        rad *= rad
+        rad += off2
+        np.sqrt(rad, out=rad)
+        low = mid - rad
+        rad += mid
+        total -= _xlog2x(rad, scratch)
+        total -= _xlog2x(low, scratch)
+        mid += mid
+        total += _xlog2x(mid, scratch)
+    return total
+
+
+#: The forms of s2 that _cond_entropy_grid takes: one angle for every row, k
+#: angles for every row, and k angles per row.
+S2_FORMS = ["scalar", "column", "per-row"]
+#: One kernel call: its rows, its number of angles, its form of s2, and
+#: whether it is given `out`.
+grid_calls = st.tuples(
+    st.lists(x_states, min_size=1, max_size=40),
+    st.integers(1, 70),
+    st.sampled_from(S2_FORMS),
+    st.booleans(),
+)
+
+
+def assert_grid_matches_allocating(states, k, form, with_out, seed=0):
+    """One _cond_entropy_grid call equals allocating_cond_entropy_grid bit
+    for bit, at k random angles in [0, pi/2] holding 0 and pi/4 (one angle
+    for the scalar form); with `with_out`, into a NaN-filled `out` that it
+    returns."""
+    c = XColumns.from_states(states)
+    rng = np.random.default_rng(seed)
+    shape = {"scalar": (), "column": (k, 1), "per-row": (k, len(c))}[form]
+    thetas = rng.uniform(0.0, math.pi / 2, shape)
+    if form != "scalar":
+        thetas[0, 0], thetas[-1, -1] = 0.0, math.pi / 4
+    s2 = np.sin(thetas) ** 2
+    if form == "scalar":
+        s2 = float(s2)
+    coh = rng.uniform(0.0, 1.0) * (c.r14 + c.r23)
+    want = allocating_cond_entropy_grid(c, s2, coh)
+    if with_out:
+        out = np.full(want.shape, np.nan)
+        got = _cond_entropy_grid(c, s2, coh, out=out)
+        assert got is out
+    else:
+        got = _cond_entropy_grid(c, s2, coh)
+    assert got.shape == want.shape
+    assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def search_in_thread(batch, want, rounds, matches):
+    """Run minimize_numeric on `batch` `rounds` times and append to `matches`
+    whether each result equals `want` bit for bit."""
+    for _ in range(rounds):
+        got = minimize_numeric(batch)
+        same = (np.array_equal(g.view(np.int64), w.view(np.int64)) for g, w in zip(got, want))
+        matches.append(all(same))
+
+
+class TestGridWorkMemory:
+    """_cond_entropy_grid computes in memory that each thread keeps between
+    calls. No result may depend on what an earlier call, or another thread,
+    left there."""
+
+    @given(call=grid_calls, seed=st.integers(0, 2**32 - 1))
+    def test_matches_allocating_kernel(self, call, seed):
+        assert_grid_matches_allocating(*call, seed=seed)
+
+    def test_calls_of_growing_and_shrinking_shapes(self):
+        states = [BELL, MIXED, FIG1, FIG3_SEP, FIG3_ENT, EQ9, INTERIOR] * 30
+        for rows, k in ((3, 2), (210, 65), (1, 1), (50, 8), (210, 70), (2, 65), (7, 3)):
+            for form in S2_FORMS:
+                for with_out in (False, True):
+                    assert_grid_matches_allocating(states[:rows], k, form, with_out)
+
+    def test_search_unchanged_by_a_larger_search(self):
+        small = XColumns.from_states([INTERIOR, FIG1, BELL, MIXED, EQ9])
+        large = random_xstate(np.random.default_rng(45), 2000)
+        before = minimize_numeric(small)
+        minimize_numeric(large)
+        after = minimize_numeric(small)
+        for got, want in zip(after, before):
+            assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_threads_get_their_sequential_results(self):
+        # numpy releases the GIL inside a ufunc, and a short switch interval
+        # interleaves the threads' kernel steps: memory shared between the
+        # threads would mix their intermediates
+        batches = [
+            random_xstate(np.random.default_rng(577090037), 300),  # one interior row
+            XColumns.from_states([INTERIOR, FIG1] * 200 + [BELL, MIXED] * 300),
+        ]
+        wants = [minimize_numeric(batch) for batch in batches]
+        matches = [[], []]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=search_in_thread, args=(batch, want, 30, got))
+                for batch, want, got in zip(batches, wants, matches)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert matches == [[True] * 30, [True] * 30]
+
+    def test_repeated_search_allocates_no_grid_arrays(self):
+        # the measure-sweep benchmark's sweep at workload seed 0: each
+        # (65, 300) float array takes 156 kB. Allocating each kernel step
+        # peaked at about 1,250 kB; what remains is np.argmin's copy
+        batch = random_xstate(np.random.default_rng(1654615998), 300)
+        minimize_numeric(batch)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                minimize_numeric(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * THETA_GRID * 300 * 8
+
+
 class TestClosedForms:
     def test_c_m1_bell(self):
         assert_allclose(discord(BELL).c_m1, 0.0, atol=1e-15)
@@ -339,6 +482,16 @@ class TestClosedForms:
         for _ in range(200):
             u = discord(random_xstate(rng)).upsilon
             assert -1e-12 <= u <= 1.0 + 1e-12
+
+    @given(family_edge_xstates())
+    @example(XState(-0.9e-12, -0.9e-12, 0.5000000000009, 0.5000000000009))
+    def test_upsilon_in_unit_interval_at_the_edges(self, state):
+        # the example's p3 + p4 = 1 + 1.8e-12 is its Bloch component
+        try:
+            require_valid(state)
+        except InvalidStateError:
+            assume(False)
+        assert 0.0 <= discord(state).upsilon <= 1.0
 
     def test_c_m2_bell(self):
         assert_allclose(discord(BELL).c_m2, 0.0, atol=1e-15)
