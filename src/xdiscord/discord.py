@@ -44,10 +44,17 @@ class DiscordBreakdown:
     the theta = 0 (or pi/2) measurement, a populations-only expression. c_m2
     is the conditional entropy for the theta = pi/4, phi = (phi1-phi2)/2
     measurement, the binary entropy of (1 + upsilon)/2, where upsilon =
-    sqrt((p1+p2-p3-p4)^2 + 4*(r14+r23)^2) lies in [0, 1] (clamped at 1,
-    which a trace within tolerance of 1 can pass). classical_corr =
+    sqrt((p1+p2-p3-p4)^2 + 4*(r14+r23)^2). classical_corr =
     S(A) - min(c_m1, c_m2); discord = mutual_info - classical_corr.
     concurrence = 2*max(0, r14 - sqrt(p2*p3), r23 - sqrt(p1*p4)).
+
+    Each field lies in its range: mutual_info, c_m1, c_m2 and the
+    concurrence >= 0, upsilon in [0, 1], classical_corr and so the discord
+    in [0, mutual_info]. A state within the validation tolerance, or
+    rounding, can carry a formula a little past it (mutual_info -1.8e-12
+    for two populations at -0.9e-12, a discord of -3e-16 on a zero-discord
+    state), so mutual_info, c_m1 and c_m2 are clamped at 0, upsilon at 1
+    and classical_corr into [0, mutual_info].
     """
 
     mutual_info: float
@@ -178,7 +185,8 @@ def _correlations(states: XColumns, s_ab) -> tuple:
     are stored entry by entry, so that each entropy's sum runs along the
     rows, in the order of a row-by-row sum. C_m1 and C_m2 come from one
     _cond_entropy_grid call at s2 = 0 and 1/2 with the phase-matched
-    coh = r14 + r23; the rest is as in DiscordBreakdown.
+    coh = r14 + r23; the rest is as in DiscordBreakdown, each column clamped
+    to its range in place.
     """
     p1, p2, p3, p4 = states.p1, states.p2, states.p3, states.p4
     marginals = np.empty((2, 2, len(states)))  # entry, subsystem, row
@@ -188,14 +196,21 @@ def _correlations(states: XColumns, s_ab) -> tuple:
     np.add(p2, p4, out=marginals[1, 1])
     x = _xlog2x(marginals, np.empty_like(marginals))
     s_a, s_b = 0.0 - (x[0] + x[1])
-    cm1, cm2 = _cond_entropy_grid(states, np.array([[0.0], [0.5]]), states.r14 + states.r23)
-    return s_a + s_b - s_ab, cm1, cm2, s_a - np.minimum(cm1, cm2)
+    cm = _cond_entropy_grid(states, np.array([[0.0], [0.5]]), states.r14 + states.r23)
+    mutual = s_a + s_b - s_ab
+    np.maximum(mutual, 0.0, out=mutual)
+    np.maximum(cm, 0.0, out=cm)
+    classical = s_a - np.minimum(cm[0], cm[1])
+    np.maximum(classical, 0.0, out=classical)
+    np.minimum(classical, mutual, out=classical)
+    return mutual, cm[0], cm[1], classical
 
 
-def _breakdown(state) -> BreakdownColumns:
-    """The closed-form kernel behind discord(): every correlation quantity
-    of a state or batch, elementwise, as columns (one row for an XState).
-    The `evolve` command prints these columns.
+def discord(state):
+    """Closed-form correlation breakdown: every correlation quantity of a
+    state, elementwise on a batch. An XState gives a DiscordBreakdown; an
+    XColumns batch gives BreakdownColumns, one entry per row, from one
+    kernel call. The `evolve` command prints these columns.
 
     The input is validated, and S(AB) is taken from its spectrum through
     the public eigenvalues and entropy_bits; _correlations gives the other
@@ -214,29 +229,20 @@ def _breakdown(state) -> BreakdownColumns:
             states.r23 - np.sqrt(np.maximum(p1 * p4, 0.0)),
         ),
     )
-    return BreakdownColumns(mutual, cm1, cm2, ups, classical, mutual - classical, conc)
+    columns = BreakdownColumns(mutual, cm1, cm2, ups, classical, mutual - classical, conc)
+    return columns if isinstance(state, XColumns) else columns.row(0)
 
 
 def _discord_column(states: XColumns) -> np.ndarray:
-    """The discord column of _breakdown, bit for bit, on a batch that
+    """The discord column of discord(), bit for bit, on a batch that
     require_valid accepts: the same spectrum, entropy and _correlations
     code, without the validation, the entropy_bits copy and checks, or the
     fields that only discord() returns. find_zeros, and so the `zeros`
     command, calls it on validated trajectory samples and on rows that
-    evolve built from a validated state, which stay within 2*DEFAULT_TOL
-    of every check; there the clamped spectrum keeps it finite."""
+    evolve built from a validated state, which stay within DEFAULT_TOL and
+    rounding of every check; there the clamped spectrum keeps it finite."""
     mutual, _, _, classical = _correlations(states, _entropy(_spectrum(states)))
     return mutual - classical
-
-
-def discord(state):
-    """Closed-form correlation breakdown.
-
-    An XState gives a DiscordBreakdown; an XColumns batch gives
-    BreakdownColumns, one entry per row. Either way it is one kernel call.
-    """
-    columns = _breakdown(state)
-    return columns if isinstance(state, XColumns) else columns.row(0)
 
 
 #: The theta search: a grid over [0, pi/4] holding 0 and pi/4 exactly, then

@@ -142,10 +142,11 @@ def evolve(initial: XState, params: TCParams, t):
     A scalar t gives an XState; an array of times gives XColumns, one row per
     time, from one vectorized evaluation.
 
-    p1 and p4 are held at their initial values; p3 closes the trace, so the
-    trace is exact by construction. The inner block is a rigid rotation of
-    its initial values c_plus/c_minus = (p2(0) +- p3(0))/2 and rho23(0) =
-    c1 + i*c2, so its positivity is preserved; the outer coherence rho41(0)
+    p1 and p4 are held at their initial values; p3 closes the initial
+    trace, which is kept to rounding also where it is not exactly 1. The
+    inner block is a rigid rotation of its initial values c_plus/c_minus =
+    (p2(0) +- p3(0))/2 and rho23(0) = c1 + i*c2, so its positivity is
+    preserved; the outer coherence rho41(0)
     is multiplied by exp(-i*lam*t - (2i*lam*|alpha|^2/z)*(1 - exp(-z*t)))
     with z = kappa + 2i*lam, so its magnitude only shrinks. A propagation that
     is not finite in double precision (a rate near the largest double) is
@@ -165,7 +166,7 @@ def evolve(initial: XState, params: TCParams, t):
         cos_lt = np.cos(lam * ts)
         sin_lt = np.sin(lam * ts)
         p2_t = c_plus + c_minus * cos_lt - c2 * sin_lt
-        p3_t = 1.0 - initial.p1 - p2_t - initial.p4
+        p3_t = sum(initial.populations) - initial.p1 - p2_t - initial.p4
         rho23_t = c1 + 1j * (c2 * cos_lt + c_minus * sin_lt)
         z = complex(params.kappa, 2.0 * lam)
         w = -1j * lam * ts - _cmul(2j * lam * asq / z, 1.0 - np.exp(-z * ts))
@@ -203,11 +204,11 @@ def steady_coherence_as_printed(initial_r14: float, params: TCParams) -> float:
 def trajectory(initial: XState, params: TCParams, t_max: float, n_samples: int) -> Trajectory:
     """Sample the evolution on a uniform grid of n_samples times over
     [0, t_max], and validate the samples once. At the edges of validity a
-    sample can miss require_valid, by rounding or by p3 absorbing the
-    initial trace's distance from 1, and then trajectory raises
-    InvalidStateError for every command alike. The correlation breakdown is
-    computed on first use of `breakdowns`; zero events are found from the
-    samples by find_zeros."""
+    sample can miss require_valid by rounding (a block on its tolerant
+    bound rotates past it), and then trajectory raises InvalidStateError
+    for every command alike. The correlation breakdown is computed on first
+    use of `breakdowns`; zero events are found from the samples by
+    find_zeros."""
     require_valid(initial)
     if n_samples < 2:
         raise ValueError(f"n_samples = {n_samples!r} must be at least 2")

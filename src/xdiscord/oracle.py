@@ -69,8 +69,9 @@ def photon_weights(alpha_sq: float, n_max: int) -> np.ndarray:
     """Photon-number weights of |alpha>: the Poisson terms alpha_sq^n/n! on
     Fock levels 0..n_max, normalized. A cutoff that is not an integer or is
     above MAX_N_MAX is refused, and so is one whose Poisson tail exceeds
-    TAIL_BOUND: with the smallest cutoff that does not, or, for a field that
-    no cutoff up to MAX_N_MAX holds, with the tail at MAX_N_MAX."""
+    TAIL_BOUND: with the smallest cutoff that does not, searched by
+    poisson_tail itself, or, for a field that no cutoff up to MAX_N_MAX
+    holds, with the tail at MAX_N_MAX."""
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
         raise ValueError(f"n_max = {n_max!r} must be an integer")
     if n_max < 0:
@@ -85,14 +86,13 @@ def photon_weights(alpha_sq: float, n_max: int) -> np.ndarray:
                 f"alpha_sq = {alpha_sq:g} leaves a coherent tail of {top:.3e} > "
                 f"{TAIL_BOUND:.3e} even at n_max = {MAX_N_MAX}, the largest cutoff"
             )
-        # Walking down from the limit, P(N > n - 1) = P(N > n) + P(N = n):
-        # tails[i] is the tail at MAX_N_MAX - 1 - i, and rises with i.
-        n = np.arange(MAX_N_MAX, 0, -1)
-        log_terms = -alpha_sq + n * math.log(alpha_sq) - [math.lgamma(k + 1) for k in n]
-        tails = top + np.cumsum(np.exp(log_terms))
+        # the tail at MAX_N_MAX is within the bound, so the search ends there
+        need = next(
+            n for n in range(n_max + 1, MAX_N_MAX + 1) if poisson_tail(alpha_sq, n) <= TAIL_BOUND
+        )
         raise ValueError(
             f"n_max = {n_max} leaves a coherent tail of {tail:.3e} > {TAIL_BOUND:.3e}; "
-            f"need n_max >= {MAX_N_MAX - np.count_nonzero(tails <= TAIL_BOUND)}"
+            f"need n_max >= {need}"
         )
     n = np.arange(n_max + 1)
     if alpha_sq == 0.0:

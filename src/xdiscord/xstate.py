@@ -159,25 +159,6 @@ def _predicates(p1, p2, p3, p4, r14, phi1, r23, phi2):
     )
 
 
-def _batch_passes(p1, p2, p3, p4, r14, phi1, r23, phi2):
-    """The conjunction of _predicates on a batch's arrays, in fewer passes.
-    A non-finite population fails the trace check. Once the trace and the
-    populations pass, a non-finite or overflowing magnitude fails its block
-    check, and the populations and magnitudes add at most about 3 to the
-    sum that checks finiteness, too little to change whether the phases'
-    sum overflows: so only the phases need a finiteness check of their own.
-    A population passes as p + DEFAULT_TOL >= 0, the factor of its block
-    check, which holds exactly when p >= -DEFAULT_TOL."""
-    q1, q2, q3, q4 = p1 + DEFAULT_TOL, p2 + DEFAULT_TOL, p3 + DEFAULT_TOL, p4 + DEFAULT_TOL
-    phases = phi1 + phi2
-    ok = abs(p1 + p2 + p3 + p4 - 1.0) <= DEFAULT_TOL
-    ok &= np.minimum(np.minimum(q1, q2), np.minimum(q3, q4)) >= 0.0
-    ok &= q1 * q4 >= r14 * r14
-    ok &= q2 * q3 >= r23 * r23
-    ok &= phases - phases == 0.0
-    return ok
-
-
 def _violations(row) -> str:
     """The failed checks of one invalid row of field floats, as a message:
     the finiteness check alone when a field is not finite."""
@@ -202,18 +183,18 @@ def _violations(row) -> str:
 def require_valid(state) -> None:
     """Raise InvalidStateError unless every field is finite and the trace,
     the populations and the outer (1,4) and inner (2,3) coherence blocks are
-    physical, each within DEFAULT_TOL. The checks run as one conjunction,
-    _predicates on an XState's floats or _batch_passes on an XColumns
-    batch's arrays; messages are formed only on failure. For an XState the
-    message lists its violations; for a batch it also names the first
-    failing row and the number that fail."""
+    physical, each within DEFAULT_TOL. The checks are one predicate,
+    _predicates, run on an XState's floats or on an XColumns batch's
+    arrays; messages are formed only on failure. For an XState the message
+    lists its violations; for a batch it also names the first failing row
+    and the number that fail."""
     fields = [getattr(state, f) for f in FIELDS]
     if not isinstance(state, XColumns):
         if not all(_predicates(*fields)):
             raise InvalidStateError(_violations(fields))
         return
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = _batch_passes(*fields)
+        ok = np.logical_and.reduce(_predicates(*fields))
     if not ok.all():
         i = int(np.argmin(ok))
         n_bad = len(state) - int(np.count_nonzero(ok))

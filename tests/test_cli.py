@@ -115,13 +115,16 @@ class TestDiscordCommand:
 
     def test_marginal_of_two_tolerated_negatives_exit_0(self, capsys):
         # p1 and p2 each count as 0 (above -1e-12), so their marginal
-        # p1 + p2 = -1.8e-12 does too: not an entropy error (exit 3)
+        # p1 + p2 = -1.8e-12 does too: not an entropy error (exit 3). The
+        # entropies read 0: mutual_info, c_m1 and c_m2 printed -1.8e-12,
+        # -8.0e-13 and -8.0e-13 before each was clamped at 0.
         state = '{"populations": [-0.9e-12, -0.9e-12, 0.5000000000009, 0.5000000000009]}'
         code, out, err = run_cli(["discord", "--state", state], capsys)
         assert (code, err) == (0, "")
         payload = json.loads(out)
         assert payload["nullity"]["kind"] == "coherence-free"
-        assert abs(payload["discord"]) <= 1e-9
+        fields = ("mutual_info", "c_m1", "c_m2", "classical_corr", "discord")
+        assert [payload[f] for f in fields] == [0.0] * len(fields)
 
     def test_upsilon_of_two_tolerated_negatives_is_1(self, capsys):
         # p3 + p4 = 1 + 1.8e-12 made the Bloch length 1.0000000000036
@@ -129,6 +132,17 @@ class TestDiscordCommand:
         code, out, _ = run_cli(["discord", "--state", state], capsys)
         assert code == 0
         assert json.loads(out)["upsilon"] == 1.0
+
+    def test_degenerate_balanced_edge_prints_zero_discord(self, capsys):
+        # classical_corr rounded 3e-16 above mutual_info, and the discord
+        # printed -3.0531133177191805e-16 with exit 0
+        state = '{"populations": [0.01, 0.01, 0.49, 0.49], "r14": 0.003, "r23": 0.003}'
+        code, out, _ = run_cli(["discord", "--state", state], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["nullity"]["kind"] == "degenerate-balanced"
+        assert payload["discord"] == 0.0
+        assert payload["classical_corr"] == payload["mutual_info"]
 
     @pytest.mark.parametrize(
         "state",
@@ -363,6 +377,20 @@ class TestZerosCommand:
         code, out, err = run_cli([command, "--config", str(path)], capsys)
         assert (code, out) == (2, "")
         assert "invalid state: row 1 of 101 (38 invalid): inner block" in err
+
+    @pytest.mark.parametrize("command", ["evolve", "zeros"])
+    def test_initial_trace_off_1_accepted_by_both_commands(self, command, capsys, tmp_path):
+        # p3(0) = -1e-12 with the trace at 1 + 9e-13: a state that `discord`
+        # accepts. When p3 closed the trace to 1 it read -1.9e-12, and both
+        # commands exited 2; p3 now closes the initial trace.
+        config = {
+            "initial": {"populations": [0.5, 0.0, -1e-12, 0.5000000000019]},
+            "grid": {"t_max": 1, "n_samples": 3},
+        }
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli([command, "--config", str(path)], capsys)
+        assert (code, err) == (0, "")
 
 
 class TestPresetCommand:

@@ -253,15 +253,17 @@ def sorted_spectrum(c):
 
 def assert_breakdown_composes(c):
     """discord(c) carries the bits of the composition it replaced: S(AB) from
-    the np.sort spectrum and S(A), S(B) from one entropy_bits call each. The
-    public spectrum equals the np.sort one."""
+    the np.sort spectrum and S(A), S(B) from one entropy_bits call each,
+    with each field clamped to its range: mutual_info at 0, and
+    classical_corr into [0, mutual_info]. The public spectrum equals the
+    np.sort one."""
     br = discord(c)
     assert_array_equal(eigenvalues(c), sorted_spectrum(c))
     s_ab = entropy_bits(sorted_spectrum(c))
     s_a = entropy_bits(np.stack([c.p1 + c.p2, c.p3 + c.p4], axis=-1))
     s_b = entropy_bits(np.stack([c.p1 + c.p3, c.p2 + c.p4], axis=-1))
-    mutual = s_a + s_b - s_ab
-    classical = s_a - np.minimum(br.c_m1, br.c_m2)
+    mutual = np.maximum(s_a + s_b - s_ab, 0.0)
+    classical = np.minimum(np.maximum(s_a - np.minimum(br.c_m1, br.c_m2), 0.0), mutual)
     for got, want in (
         (br.mutual_info, mutual), (br.classical_corr, classical), (br.discord, mutual - classical)
     ):
@@ -485,13 +487,21 @@ class TestClosedForms:
 
     @given(family_edge_xstates())
     @example(XState(-0.9e-12, -0.9e-12, 0.5000000000009, 0.5000000000009))
-    def test_upsilon_in_unit_interval_at_the_edges(self, state):
-        # the example's p3 + p4 = 1 + 1.8e-12 is its Bloch component
+    @example(XState(0.01, 0.01, 0.49, 0.49, r14=0.003, r23=0.003))
+    def test_fields_in_their_ranges_at_the_edges(self, state):
+        # Before each field was clamped to its range, the first example read
+        # mutual_info -1.8e-12, c_m1 -8.0e-13 and upsilon 1.0000000000036
+        # (its p3 + p4 = 1 + 1.8e-12 is its Bloch component), and the second
+        # a discord of -3.1e-16.
         try:
             require_valid(state)
         except InvalidStateError:
             assume(False)
-        assert 0.0 <= discord(state).upsilon <= 1.0
+        br = discord(state)
+        assert min(br.mutual_info, br.c_m1, br.c_m2, br.concurrence) >= 0.0
+        assert 0.0 <= br.upsilon <= 1.0
+        assert 0.0 <= br.classical_corr <= br.mutual_info
+        assert 0.0 <= br.discord <= br.mutual_info
 
     def test_c_m2_bell(self):
         assert_allclose(discord(BELL).c_m2, 0.0, atol=1e-15)
@@ -603,7 +613,10 @@ class TestDiscord:
         br = discord(state)
         s_a = entropy_bits([0.0, state.p3 + state.p4])
         s_b = entropy_bits([state.p1 + state.p3, state.p2 + state.p4])
-        assert br.mutual_info == s_a + s_b - entropy_bits(eigenvalues(state))
+        # S(A) + S(B) - S(AB) reads -1.8e-12, which mutual_info clamps at 0
+        mutual = s_a + s_b - entropy_bits(eigenvalues(state))
+        assert mutual < 0.0
+        assert br.mutual_info == max(mutual, 0.0)
         assert abs(br.discord) <= 1e-9
 
     def test_phase_invariance(self):

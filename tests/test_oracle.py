@@ -267,6 +267,14 @@ class TestFockTruncation:
             photon_weights(1e12, 25)
         assert time.perf_counter() - start < 1.0
 
+    def test_longest_hint_search_within_a_second(self):
+        # the hint searches poisson_tail cutoff by cutoff: from 1 up to the
+        # limit here, 200 calls
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"; need n_max >= {MAX_N_MAX}$"):
+            photon_weights(116.7, 0)
+        assert time.perf_counter() - start < 1.0
+
     def test_explicit_cutoff_too_small_rejected_with_hint(self):
         with pytest.raises(ValueError, match=f"need n_max >= {min_cutoff(1.0)}$"):
             photon_weights(1.0, 3)

@@ -1,8 +1,11 @@
+import ast
 import importlib
 import inspect
 import math
 import pkgutil
 import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +250,40 @@ def test_only_nullity_check_takes_a_tolerance():
                 if inspect.isfunction(fn) and "tol" in inspect.signature(fn).parameters:
                     with_tol.add(f"{fn.__module__}.{fn.__qualname__}")
     assert with_tol == {"xdiscord.discord.nullity_check"}
+
+
+def loads(node):
+    """The names read inside an AST node, as a Counter: a Name read and
+    the attribute of an Attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    )
+
+
+def test_every_private_name_is_used_in_the_package():
+    """Each module-level private name (_x) of the package is read somewhere
+    in the package outside its own definition, so that no private code
+    stays behind for the tests alone."""
+    trees = [ast.parse(path.read_text()) for path in Path(xdiscord.__file__).parent.glob("*.py")]
+    used = sum((loads(tree) for tree in trees), Counter())
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = loads(node)
+            unused += [
+                name for name in names
+                if name.startswith("_") and not name.startswith("__") and used[name] == own[name]
+            ]
+    assert unused == []
 
 
 def on_boundary(c):
