@@ -61,10 +61,10 @@ NUMERIC_EXCESS_TOL = 1e-6
 STEADY_TOL = 5e-4
 #: Sample spacing of the master-equation check, about 0.1 up to the run's t_max.
 VERIFY_SPACING = 0.1
-#: Largest measurement sweep. The search works in fixed chunks in kept work
-#: memory (at most 12.8 MB), so peak memory grows ~0.19 MB per 1,000 states
-#: beyond the first chunk (the states and the results): a whole `verify`
-#: process peaks at ~53 MB RSS for 4,096 states and ~71 MB for 100,000.
+#: Largest measurement sweep. The search works in fixed chunks, so the peak
+#: is in `discord` on the whole batch and grows ~0.33 MB per 1,000 states: a
+#: whole `verify` process peaks at ~40 MB RSS for 4,096 states and ~72 MB
+#: for 100,000 (`ru_maxrss`).
 MAX_SWEEP_STATES = 100_000
 
 

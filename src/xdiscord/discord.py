@@ -11,7 +11,6 @@ exact minimum over all projective bases is a batched search over theta in
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -102,36 +101,12 @@ class NullityVerdict:
     balance_residual: float
 
 
-#: Each thread's work memory for _cond_entropy_grid: one flat float array
-#: that grows to the largest request and is then kept, so that a repeated
-#: search reuses the same pages rather than growing the heap and handing the
-#: pages back on every call. Per thread, because numpy releases the GIL
-#: inside a ufunc.
-_WORK = threading.local()
-#: The work arrays that _cond_entropy_grid takes from _work.
-_GRID_WORK = 5
-
-
-def _work(shape: tuple, count: int) -> np.ndarray:
-    """`count` float arrays of `shape`, stacked along a new first axis, from
-    this thread's work memory: a caller that needs an array beside the
-    kernel's own takes the last of _work(shape, _GRID_WORK + 1). Their
-    contents are arbitrary, and the next call overwrites them."""
-    size = count * math.prod(shape)
-    buf = getattr(_WORK, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _WORK.buf = np.empty(size)
-    return buf[:size].reshape((count, *shape))
-
-
-def _cond_entropy_grid(states: XColumns, s2, coh: np.ndarray, out=None) -> np.ndarray:
+def _cond_entropy_grid(states: XColumns, s2, coh: np.ndarray) -> np.ndarray:
     """Measured conditional entropy sum_k p_k S(rho_k) of each state row at the
     polar angles theta given as s2 = sin(theta)^2, whose last axis broadcasts
     against the rows: shape (k, 1) puts the same k angles on every row,
     (k, rows) k angles per row. The result has the broadcast shape, (k, rows);
-    the rows are the last axis so that each array pass runs along them. It
-    is written to `out` if given (a float array of that shape, not one of
-    this thread's first _GRID_WORK work slots), else to a new array.
+    the rows are the last axis so that each array pass runs along them.
 
     The azimuth phi enters only through the per-row coherence magnitude
     coh = |r14*exp(i(phi1 - phi)) + r23*exp(i(phi2 + phi))|. Each outcome
@@ -143,17 +118,15 @@ def _cond_entropy_grid(states: XColumns, s2, coh: np.ndarray, out=None) -> np.nd
     2*mid*log2(2*mid) - sum_e e*log2(e). rad is a plain sqrt: np.hypot
     makes one libm call per element, and every term is at most 1, so no
     square overflows and an underflowing one moves rad by at most 1e-154. A
-    zero eigenvalue raises no floating-point warning. The full-size
-    intermediates live in this thread's work memory (_work).
+    zero eigenvalue raises no floating-point warning. Each element is
+    computed alone, so a point's value does not depend on the other points
+    or rows of the call. The kernel allocates its six full-size arrays
+    (off2, the total and four intermediates) on each call and reuses them
+    across both outcomes.
     """
-    shape = np.shape(s2)[:-1] + coh.shape
-    off2, scratch, mid, rad, low = _work(shape, _GRID_WORK)
-    np.multiply(s2 - s2 * s2, coh * coh, out=off2)
-    if out is None:
-        total = np.zeros(shape)
-    else:
-        total = out
-        total.fill(0.0)
+    off2 = (s2 - s2 * s2) * (coh * coh)
+    total = np.zeros(off2.shape)
+    scratch, mid, rad, low = np.empty((4, *off2.shape))
     p13, p24 = 0.5 * (states.p1 + states.p3), 0.5 * (states.p2 + states.p4)
     d13, d24 = 0.5 * (states.p1 - states.p3), 0.5 * (states.p2 - states.p4)
     # The outcome along |+> leaves [[s2*p1 + c2*p2, .], [., s2*p3 + c2*p4]]
@@ -250,45 +223,38 @@ def _discord_column(states: XColumns) -> np.ndarray:
 #: last.
 THETA_GRID = 65
 SHRINK_ROUNDS = 12
-#: Rows searched together. The grid's six (65, rows) float arrays are this
-#: thread's kept work memory (_work), 3.1 kB per row: 12.8 MB for a full
-#: chunk, 0.94 MB for 300 rows. With np.argmin's copy, a chunk's search peaks
-#: at about 15 MB (tracemalloc) whatever the batch size.
+#: Rows searched together. The kernel's six float arrays are (4, rows) for
+#: a chunk's probe, 0.79 MB for a full chunk, and (65, flagged) for its
+#: flagged rows' grid, 3.1 kB per flagged row: 12.8 MB if a full chunk is
+#: flagged. A search's memory is thus bounded by the chunk whatever the
+#: batch size.
 SEARCH_CHUNK = 4096
 #: A round's points, in units of the round's span; the incumbent itself is
 #: not evaluated again.
 _ROUND_OFFSETS = np.array([-1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0])[:, None]
+#: The grid's angles and their s2 = sin(theta)^2, one row per angle; the
+#: probe takes its four rows from these, so that their bits are the grid's.
+_THETAS = np.linspace(0.0, math.pi / 4, THETA_GRID)
+_GRID_S2 = np.sin(_THETAS[:, None]) ** 2
 
 
 def _search_theta(c: XColumns):
-    """The theta search of minimize_numeric on one chunk of rows: arrays
-    (theta, value). Only the live rows, whose grid minimum is interior, go
-    on to the shrink rounds; the others keep the grid's endpoint, 0 or pi/4,
-    and its value."""
-    coh = c.r14 + c.r23
-    thetas = np.linspace(0.0, math.pi / 4, THETA_GRID)
-    values = _cond_entropy_grid(
-        c, np.sin(thetas[:, None]) ** 2, coh, out=_work((THETA_GRID, len(c)), _GRID_WORK + 1)[-1]
-    )
+    """The grid and the shrink rounds of minimize_numeric on rows whose grid
+    minimum is interior: arrays (theta, value)."""
+    coh, rows = c.r14 + c.r23, np.arange(len(c))
+    values = _cond_entropy_grid(c, _GRID_S2, coh)
     k = np.argmin(values, axis=0)
-    theta, value = thetas[k], values[k, np.arange(len(c))]
-    live = np.flatnonzero((k > 0) & (k < THETA_GRID - 1))
-    if not live.size:
-        return theta, value
-    sub = XColumns(*(getattr(c, name)[live] for name in FIELDS))
-    coh, rows = coh[live], np.arange(live.size)
-    best_theta, best_value = theta[live], value[live]
-    span = thetas[1]
+    theta, value = _THETAS[k], values[k, rows]
+    span = _THETAS[1]
     for _ in range(SHRINK_ROUNDS):
-        local = np.clip(best_theta + span * _ROUND_OFFSETS, 0.0, math.pi / 4)
-        values = _cond_entropy_grid(sub, np.sin(local) ** 2, coh)
+        local = np.clip(theta + span * _ROUND_OFFSETS, 0.0, math.pi / 4)
+        values = _cond_entropy_grid(c, np.sin(local) ** 2, coh)
         k = np.argmin(values, axis=0)
         best = values[k, rows]
-        lower = best < best_value
-        best_theta = np.where(lower, local[k, rows], best_theta)
-        best_value = np.where(lower, best, best_value)
+        lower = best < value
+        theta = np.where(lower, local[k, rows], theta)
+        value = np.where(lower, best, value)
         span /= 4.0
-    theta[live], value[live] = best_theta, best_value
     return theta, value
 
 
@@ -301,19 +267,36 @@ def minimize_numeric(state):
     entropies; coh peaks at r14 + r23 at the phase-matched azimuth
     phi* = (phi1 - phi2)/2, which is therefore optimal, and the search is over
     theta alone. theta and pi/2 - theta give the same two outcomes in swapped
-    order, so the entropy is symmetric about pi/4 and the search covers
-    [0, pi/4]: a THETA_GRID-point grid, then, for the rows whose grid
-    minimum is interior, SHRINK_ROUNDS rounds of the 8 points at +-1/4,
-    +-1/2, +-3/4 and +-1 span around the row's incumbent, clipped to
-    [0, pi/4]. The best of them replaces the incumbent only if strictly
-    lower, so the incumbent is never evaluated again: 65 points per row, and
-    12*8 = 96 more per interior row. A row whose grid minimum is 0 or pi/4
-    keeps it: dC/dtheta = C'(s2)*sin(2*theta) is 0 at theta = 0, and C is
-    symmetric about pi/4, so the rounds could lower that value by rounding
-    noise only (at most 1.3e-15 bits over 1,000,000 seeded rows). The rows
-    are searched in chunks of SEARCH_CHUNK, one array call per round for the
-    whole chunk's interior rows, which bounds the memory of a large batch;
-    each row's result does not depend on the others.
+    order, so the entropy C is symmetric about pi/4 and the search covers
+    [0, pi/4], on a THETA_GRID-point grid theta_0 = 0, ..., theta_64 = pi/4.
+
+    A probe evaluates every row at theta_0, theta_1, theta_63 and theta_64
+    only. A row with C(theta_1) < C(theta_0) and C(theta_63) <= C(theta_64)
+    is flagged: its grid minimum, the first on a tie as np.argmin takes it,
+    is interior. Only flagged rows are evaluated on the whole grid and then
+    in SHRINK_ROUNDS rounds of the 8 points at +-1/4, +-1/2, +-3/4 and +-1
+    span around the row's incumbent, clipped to [0, pi/4]. The best of them
+    replaces the incumbent only if strictly lower, so the incumbent is never
+    evaluated again: 4 points per row, and 65 + 12*8 = 161 more per flagged
+    row. Every other row keeps theta_64 and its value if C(theta_64) <
+    C(theta_0), else theta_0 and its value.
+
+    That is the grid's own minimum on the assumption that C falls and then
+    rises along the grid, at most once each, on every row: a row whose grid
+    values rise from theta_0 or fall into theta_64 then has its grid minimum
+    at an endpoint. It is evidence, not proof: over 1,000,000 seeded
+    random_xstate rows the probe flagged exactly the 582 rows whose grid
+    minimum is interior. It fails where C is flat, so that rounding makes an
+    interior grid minimum, and where a population within the tolerance below
+    0 makes C rough at the 1e-12 scale; the endpoint kept there lay at most
+    5.6e-12 bits above the grid minimum over 16,020 such edge rows. An
+    endpoint minimum is kept as it is: dC/dtheta =
+    C'(s2)*sin(2*theta) is 0 at theta = 0, and C is symmetric about pi/4, so
+    the rounds could lower it by rounding noise only (at most 1.3e-15 bits
+    over the same rows). The rows are probed and searched in chunks of
+    SEARCH_CHUNK, one array call per step for the whole chunk, which bounds
+    the memory of a large batch; each row's result does not depend on the
+    others.
 
     Returns arrays (theta, phi, value), one entry per row of an XColumns
     batch, theta in [0, pi/4]; an XState is a batch of one.
@@ -321,11 +304,18 @@ def minimize_numeric(state):
     require_valid(state)
     c = state if isinstance(state, XColumns) else XColumns.from_states([state])
     theta, value = np.empty(len(c)), np.empty(len(c))
+    probe = _GRID_S2[[0, 1, -2, -1]]  # theta_0, theta_1, theta_63, theta_64
     for start in range(0, len(c), SEARCH_CHUNK):
         chunk = slice(start, start + SEARCH_CHUNK)
-        theta[chunk], value[chunk] = _search_theta(
-            XColumns(*(getattr(c, name)[chunk] for name in FIELDS))
-        )
+        part = XColumns(*(getattr(c, name)[chunk] for name in FIELDS))
+        c0, c1, c63, c64 = _cond_entropy_grid(part, probe, part.r14 + part.r23)
+        right = c64 < c0
+        theta[chunk], value[chunk] = np.where(right, _THETAS[-1], 0.0), np.where(right, c64, c0)
+        live = np.flatnonzero((c1 < c0) & (c63 <= c64))
+        if live.size:
+            theta[start + live], value[start + live] = _search_theta(
+                XColumns(*(getattr(part, name)[live] for name in FIELDS))
+            )
     return theta, np.mod(0.5 * (c.phi1 - c.phi2), TWO_PI), value
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .discord import BreakdownColumns, _discord_column, discord
-from .xstate import XColumns, XState, require_valid
+from .xstate import DEFAULT_TOL, XColumns, XState, require_valid
 
 # Zero-event kinds.
 DISCRETE = "discrete"
@@ -146,7 +146,8 @@ def evolve(initial: XState, params: TCParams, t):
     trace, which is kept to rounding also where it is not exactly 1. The
     inner block is a rigid rotation of its initial values c_plus/c_minus =
     (p2(0) +- p3(0))/2 and rho23(0) = c1 + i*c2, so its positivity is
-    preserved; the outer coherence rho41(0)
+    preserved, and where rounding carries r23 past the block's tolerant
+    bound it is put back just inside; the outer coherence rho41(0)
     is multiplied by exp(-i*lam*t - (2i*lam*|alpha|^2/z)*(1 - exp(-z*t)))
     with z = kappa + 2i*lam, so its magnitude only shrinks. A propagation that
     is not finite in double precision (a rate near the largest double) is
@@ -181,6 +182,12 @@ def evolve(initial: XState, params: TCParams, t):
         rho41_t.conjugate(),
         rho23_t,
     )
+    # A block on its tolerant bound can round r23^2 one ulp past the bound
+    # (p2 + tol)*(p3 + tol) that require_valid checks; only there, r23 is
+    # set one ulp below sqrt(bound), whose square the check accepts.
+    bound = (states.p2 + DEFAULT_TOL) * (states.p3 + DEFAULT_TOL)
+    past = states.r23 * states.r23 > bound
+    states.r23[past] = np.nextafter(np.sqrt(np.maximum(bound[past], 0.0)), 0.0)
     return states if times.ndim else states.row(0)
 
 

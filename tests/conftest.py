@@ -23,8 +23,8 @@ def grid_points(monkeypatch):
     kernel = module._cond_entropy_grid
     points = []
 
-    def spy(states, s2, coh, out=None):
-        values = kernel(states, s2, coh, out=out)
+    def spy(states, s2, coh):
+        values = kernel(states, s2, coh)
         points.append(values.size)
         return values
 

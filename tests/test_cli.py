@@ -365,8 +365,10 @@ class TestZerosCommand:
     @pytest.mark.parametrize("command", ["evolve", "zeros"])
     def test_samples_past_the_tolerance_refused_by_both_commands(self, command, capsys, tmp_path):
         # A valid initial state whose inner block sits on its tolerant
-        # bound: the rotation rounds some samples past it. zeros reads no
-        # breakdown, yet refuses them as evolve does, from trajectory.
+        # bound: the rotation rounded r23^2 of 38 of the 101 samples one ulp
+        # past it, and both commands exited 2 with "row 1 of 101 (38
+        # invalid)". evolve now sets r23 of such a sample just inside the
+        # bound, so no sample is refused and both commands accept the state.
         config = {
             "initial": {"populations": [0.0, 0.0, 0.5, 0.5], "r23": 7.071067811872544e-07},
             "params": {"lambda": 1.375, "kappa": 0.0, "alpha_sq": 0.0},
@@ -375,8 +377,8 @@ class TestZerosCommand:
         path = tmp_path / "edge.json"
         path.write_text(json.dumps(config))
         code, out, err = run_cli([command, "--config", str(path)], capsys)
-        assert (code, out) == (2, "")
-        assert "invalid state: row 1 of 101 (38 invalid): inner block" in err
+        assert (code, err) == (0, "")
+        assert out
 
     @pytest.mark.parametrize("command", ["evolve", "zeros"])
     def test_initial_trace_off_1_accepted_by_both_commands(self, command, capsys, tmp_path):

@@ -1,7 +1,9 @@
+import importlib
 import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +41,10 @@ from xdiscord.xstate import DEFAULT_TOL, FIELDS, _xlog2x, entropy_bits
 
 from samplers import family_edge_xstates, random_degenerate_balanced
 
+#: The module xdiscord.discord; the package attribute of that name is the
+#: function discord.
+DISCORD = importlib.import_module("xdiscord.discord")
+
 TWO_PI = 2.0 * math.pi
 
 BELL = XState(0.5, 0.0, 0.0, 0.5, r14=0.5)
@@ -53,6 +59,14 @@ INTERIOR = XState(
     p4=0.00030297333193714975, r14=0.0025302925359784964, phi1=2.979637906773482,
     r23=0.20630937565720242, phi2=5.592793518703005,
 )
+#: Qubit B is pure, so every measurement leaves the same entropy; rounding
+#: puts the 65-point grid minimum at theta_46, 1.1e-16 below the lower
+#: endpoint, theta_64.
+FLAT_NOISY = XState(0.694623558293964, 0.0, 0.3053764417060359, 0.0)
+#: p1 within the tolerance below 0: the grid values fall from theta_0 to a
+#: minimum at theta_1, 5.6e-12 below the lower endpoint, and fall again into
+#: theta_64.
+EDGE_ROUGH = XState(-1e-12, 1.0000000000005, 5e-13, 0.0)
 
 
 def plogp(p) -> np.ndarray:
@@ -119,7 +133,7 @@ def reference_cond_entropy_grid(states, thetas, coh):
 
 
 def take_rows(c, rows):
-    """The rows `rows` (a slice) of an XColumns batch."""
+    """The rows `rows` (a slice, a mask or indices) of an XColumns batch."""
     return XColumns(*(getattr(c, name)[rows] for name in FIELDS))
 
 
@@ -318,9 +332,9 @@ class TestCondEntropyGrid:
 
 
 def allocating_cond_entropy_grid(states, s2, coh):
-    """_cond_entropy_grid as it was before it took its work arrays from
-    per-thread memory: the same steps in the same order, each into a new
-    array. The bit reference for the kernel."""
+    """_cond_entropy_grid written out step by step, each step into a new
+    array: the bit reference for the kernel, which must keep these steps
+    and their order."""
     off2 = (s2 - s2 * s2) * (coh * coh)
     total = np.zeros(off2.shape)
     scratch = np.empty(off2.shape)
@@ -346,21 +360,18 @@ def allocating_cond_entropy_grid(states, s2, coh):
 #: The forms of s2 that _cond_entropy_grid takes: one angle for every row, k
 #: angles for every row, and k angles per row.
 S2_FORMS = ["scalar", "column", "per-row"]
-#: One kernel call: its rows, its number of angles, its form of s2, and
-#: whether it is given `out`.
+#: One kernel call: its rows, its number of angles and its form of s2.
 grid_calls = st.tuples(
     st.lists(x_states, min_size=1, max_size=40),
     st.integers(1, 70),
     st.sampled_from(S2_FORMS),
-    st.booleans(),
 )
 
 
-def assert_grid_matches_allocating(states, k, form, with_out, seed=0):
+def assert_grid_matches_allocating(states, k, form, seed=0):
     """One _cond_entropy_grid call equals allocating_cond_entropy_grid bit
     for bit, at k random angles in [0, pi/2] holding 0 and pi/4 (one angle
-    for the scalar form); with `with_out`, into a NaN-filled `out` that it
-    returns."""
+    for the scalar form)."""
     c = XColumns.from_states(states)
     rng = np.random.default_rng(seed)
     shape = {"scalar": (), "column": (k, 1), "per-row": (k, len(c))}[form]
@@ -372,12 +383,7 @@ def assert_grid_matches_allocating(states, k, form, with_out, seed=0):
         s2 = float(s2)
     coh = rng.uniform(0.0, 1.0) * (c.r14 + c.r23)
     want = allocating_cond_entropy_grid(c, s2, coh)
-    if with_out:
-        out = np.full(want.shape, np.nan)
-        got = _cond_entropy_grid(c, s2, coh, out=out)
-        assert got is out
-    else:
-        got = _cond_entropy_grid(c, s2, coh)
+    got = _cond_entropy_grid(c, s2, coh)
     assert got.shape == want.shape
     assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -391,10 +397,10 @@ def search_in_thread(batch, want, rounds, matches):
         matches.append(all(same))
 
 
-class TestGridWorkMemory:
-    """_cond_entropy_grid computes in memory that each thread keeps between
-    calls. No result may depend on what an earlier call, or another thread,
-    left there."""
+class TestResultsIndependentOfOtherCalls:
+    """A kernel call's and a search's bits depend on their own input only:
+    not on the shapes of earlier calls, an earlier larger search or another
+    thread's search. A small search allocates little."""
 
     @given(call=grid_calls, seed=st.integers(0, 2**32 - 1))
     def test_matches_allocating_kernel(self, call, seed):
@@ -404,8 +410,7 @@ class TestGridWorkMemory:
         states = [BELL, MIXED, FIG1, FIG3_SEP, FIG3_ENT, EQ9, INTERIOR] * 30
         for rows, k in ((3, 2), (210, 65), (1, 1), (50, 8), (210, 70), (2, 65), (7, 3)):
             for form in S2_FORMS:
-                for with_out in (False, True):
-                    assert_grid_matches_allocating(states[:rows], k, form, with_out)
+                assert_grid_matches_allocating(states[:rows], k, form)
 
     def test_search_unchanged_by_a_larger_search(self):
         small = XColumns.from_states([INTERIOR, FIG1, BELL, MIXED, EQ9])
@@ -443,9 +448,10 @@ class TestGridWorkMemory:
         assert matches == [[True] * 30, [True] * 30]
 
     def test_repeated_search_allocates_no_grid_arrays(self):
-        # the measure-sweep benchmark's sweep at workload seed 0: each
-        # (65, 300) float array takes 156 kB. Allocating each kernel step
-        # peaked at about 1,250 kB; what remains is np.argmin's copy
+        # the measure-sweep benchmark's sweep at workload seed 0, none of
+        # whose rows the probe flags: its (4, 300) float arrays take 9.6 kB
+        # each, and the search peaks at about 110 kB, below one (65, 300)
+        # grid array (156 kB)
         batch = random_xstate(np.random.default_rng(1654615998), 300)
         minimize_numeric(batch)
         tracemalloc.start()
@@ -455,7 +461,7 @@ class TestGridWorkMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * THETA_GRID * 300 * 8
+        assert peak < THETA_GRID * 300 * 8
 
 
 class TestClosedForms:
@@ -699,8 +705,9 @@ class TestMinimizeNumeric:
 
 def expected_calls(n, live):
     """The kernel calls' sizes of a one-chunk search of n rows with `live`
-    rows whose grid minimum is interior: the grid, then the rounds if any."""
-    return [n * THETA_GRID] + ([live * 8] * SHRINK_ROUNDS if live else [])
+    rows whose grid minimum is interior: the probe, then the grid and the
+    rounds of those rows if any."""
+    return [n * 4] + ([live * THETA_GRID] + [live * 8] * SHRINK_ROUNDS if live else [])
 
 
 def n_interior(theta):
@@ -708,24 +715,24 @@ def n_interior(theta):
 
 
 class TestSearchWork:
-    """The search evaluates every row on the 65-point grid, and only the
-    rows whose grid minimum is interior at 12*8 = 96 more angles: one kernel
-    call for the grid and one per round for a whole chunk, and none for the
-    rounds of a chunk without such a row. Its memory is bounded by the
-    chunk."""
+    """The search probes every row at 4 angles, and evaluates only the rows
+    whose grid minimum is interior on the 65-point grid and at 12*8 = 96
+    more angles: one kernel call for a whole chunk's probe, one for its
+    grid and one per round, and none for the grid and the rounds of a chunk
+    without such a row. Its memory is bounded by the chunk."""
 
     def test_chunk_without_live_row_makes_one_call(self, grid_points):
         # the measure-sweep benchmark's sweep at workload seed 0
         theta = minimize_numeric(random_xstate(np.random.default_rng(1654615998), 300))[0]
         assert n_interior(theta) == 0
-        assert grid_points == [300 * THETA_GRID]
+        assert grid_points == [300 * 4]
 
     def test_live_rows_make_the_rounds(self, grid_points):
         # the measure-sweep benchmark's sweep at workload seed 1
         theta = minimize_numeric(random_xstate(np.random.default_rng(577090037), 300))[0]
         assert n_interior(theta) == 1
         assert grid_points == expected_calls(300, 1)
-        assert (len(grid_points), sum(grid_points)) == (13, 300 * THETA_GRID + 96)
+        assert (len(grid_points), sum(grid_points)) == (14, 300 * 4 + THETA_GRID + 96)
 
     @pytest.mark.parametrize("n", [1, 300, SEARCH_CHUNK])
     def test_one_chunk_refines_only_its_live_rows(self, grid_points, n):
@@ -751,17 +758,27 @@ class TestSearchWork:
             assert np.array_equal(got[i], np.concatenate([part[i] for part in parts]))
 
     def test_peak_memory_of_a_large_batch(self):
-        # one chunk's (65, 4096) arrays, about 15 MB, bound the peak; one
-        # pass over all 20,000 rows at once would take about 61 MB
-        batch = random_xstate(np.random.default_rng(44), 20_000)
-        minimize_numeric(take_rows(batch, slice(0, 10)))
-        tracemalloc.start()
-        try:
-            minimize_numeric(batch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 25e6
+        # the probe's (4, 4096) arrays bound the peak, about 1.6 MB; one
+        # probe of all 20,000 rows at once took 5.8 MB
+        assert_search_peak(random_xstate(np.random.default_rng(44), 20_000), 4e6)
+
+    def test_peak_memory_of_a_flagged_batch(self):
+        # every row flagged: one chunk's (65, 4096) grid arrays, about 16 MB,
+        # bound the peak; the grid of all 20,000 rows at once took 73 MB
+        assert_search_peak(XColumns.from_states([INTERIOR] * 20_000), 25e6)
+
+
+def assert_search_peak(batch, bound):
+    """minimize_numeric(batch) allocates at most `bound` bytes at its peak
+    (tracemalloc), after a warm-up search."""
+    minimize_numeric(take_rows(batch, slice(0, 10)))
+    tracemalloc.start()
+    try:
+        minimize_numeric(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def full_interval_search(c):
@@ -808,17 +825,41 @@ def ungated_search(c):
     return theta, value
 
 
-def assert_gated_like_ungated(c):
-    """Rows whose grid minimum is interior are refined exactly as by
-    ungated_search; every other row keeps its grid endpoint, 0 or pi/4, and
-    its grid value, which the rounds could lower by rounding noise only.
-    Returns the mask of interior rows."""
-    theta, _, value = minimize_numeric(c)
-    ref_theta, ref_value = ungated_search(c)
+def probed_search(c):
+    """minimize_numeric(c), and the rows that its probe handed on to the grid
+    search, over all chunks in order, as one XColumns batch."""
+    search, parts = DISCORD._search_theta, []
+
+    def spy(rows):
+        parts.append(rows)
+        return search(rows)
+
+    with mock.patch.object(DISCORD, "_search_theta", spy):
+        result = minimize_numeric(c)
+    flagged = XColumns(
+        *(np.concatenate([np.empty(0)] + [getattr(p, name) for p in parts]) for name in FIELDS)
+    )
+    return result, flagged
+
+
+def grid_search_parts(c):
+    """The 65-point grid of every row: (thetas, values, k, live), k each
+    row's grid argmin and live the mask of rows where it is interior."""
     thetas = np.linspace(0.0, math.pi / 4, THETA_GRID)
     grid = _cond_entropy_grid(c, np.sin(thetas[:, None]) ** 2, c.r14 + c.r23)
     k = np.argmin(grid, axis=0)
-    live = (k > 0) & (k < THETA_GRID - 1)
+    return thetas, grid, k, (k > 0) & (k < THETA_GRID - 1)
+
+
+def assert_gated_like_ungated(c):
+    """The probe flags exactly the rows whose grid minimum is interior, and
+    those rows are refined exactly as by ungated_search; every other row
+    keeps its grid endpoint, 0 or pi/4, and its grid value, which the rounds
+    could lower by rounding noise only. Returns the mask of interior rows."""
+    (theta, _, value), flagged = probed_search(c)
+    ref_theta, ref_value = ungated_search(c)
+    thetas, grid, k, live = grid_search_parts(c)
+    assert_rows_equal(flagged, take_rows(c, live))
     assert_array_equal((theta > 0.0) & (theta < math.pi / 4), live)
     assert np.array_equal(theta[live], ref_theta[live])
     assert np.array_equal(value[live], ref_value[live])
@@ -830,10 +871,25 @@ def assert_gated_like_ungated(c):
     return live
 
 
+def assert_rows_equal(a, b):
+    for name in FIELDS:
+        assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def is_valid(state):
+    try:
+        require_valid(state)
+    except InvalidStateError:
+        return False
+    return True
+
+
 class TestEndpointGate:
-    """Only rows whose grid minimum is interior go on to the shrink rounds:
-    at theta = 0 the entropy's slope is 0, and it is symmetric about pi/4,
-    so an endpoint minimum is flat and the rounds find only rounding noise."""
+    """A probe at theta_0, theta_1, theta_63 and theta_64 hands on to the
+    grid and the shrink rounds exactly the rows whose grid minimum is
+    interior: at theta = 0 the entropy's slope is 0, and it is symmetric
+    about pi/4, so an endpoint minimum is flat and the rounds find only
+    rounding noise."""
 
     @pytest.mark.parametrize("boundary_fraction", [0.0, 0.1, 1.0])
     def test_matches_ungated_search(self, boundary_fraction):
@@ -854,6 +910,28 @@ class TestEndpointGate:
     @given(state=x_states)
     def test_matches_ungated_search_on_one_row(self, state):
         assert_gated_like_ungated(XColumns.from_states([state]))
+
+    @given(st.lists(family_edge_xstates().filter(is_valid), min_size=1, max_size=20))
+    @example([FLAT_NOISY])
+    @example([EDGE_ROUGH])
+    def test_flat_and_edge_rows(self, states):
+        # The probe's rule assumes that the grid values fall and then rise.
+        # On a row whose entropy is flat, or that a population within the
+        # tolerance below 0 makes rough at the 1e-12 scale, rounding can put
+        # the grid minimum inside while the probe keeps an endpoint. Every
+        # flagged row is still interior and refined as before, and the
+        # endpoint kept is within 1e-11 of the grid minimum.
+        c = XColumns.from_states(states)
+        (theta, _, value), flagged = probed_search(c)
+        _, grid, k, live = grid_search_parts(c)
+        flag = (grid[1] < grid[0]) & (grid[-2] <= grid[-1])
+        assert_rows_equal(flagged, take_rows(c, flag))
+        assert np.all(live[flag])
+        assert np.array_equal(value[flag], ungated_search(take_rows(c, flag))[1])
+        right = grid[-1] < grid[0]
+        assert np.array_equal(theta[~flag], np.where(right, math.pi / 4, 0.0)[~flag])
+        assert np.array_equal(value[~flag], np.where(right, grid[-1], grid[0])[~flag])
+        assert np.all(value[~flag] - grid[k, np.arange(len(c))][~flag] <= 1e-11)
 
 
 class TestHalfInterval:

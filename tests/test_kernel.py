@@ -131,13 +131,18 @@ def test_evolve_from_a_valid_edge_state_stays_within_the_tolerance_and_rounding(
     # p3 closes the initial trace, so it does not absorb the trace's
     # distance from 1: the third example's p3 stays at -1e-12, where
     # closing the trace to 1 gave -1.9e-12, and the second's trace of
-    # 1 + 1e-12 is kept. At the edges a row can still miss require_valid by
-    # rounding: the rotation of a block on its tolerant bound rounds past it
-    # (the first example: r23^2 exceeds (p2 + 1e-12)*(p3 + 1e-12) by 1 ulp),
-    # and trajectory refuses such samples. Nothing worse: every row passes
-    # the checks at DEFAULT_TOL plus 8 units of rounding, the discord column
-    # is finite, and it is exact on the rows that pass.
+    # 1 + 1e-12 is kept. The rotation of a block on its tolerant bound
+    # rounded r23^2 past (p2 + 1e-12)*(p3 + 1e-12) by 1 ulp in the first
+    # example; evolve puts r23 back inside the bound, so the inner block
+    # passes wherever p2 and p3 pass theirs. At the edges a row can still
+    # miss require_valid by rounding (a trace or a population on its
+    # tolerant bound can round past it), and trajectory refuses such samples.
+    # Nothing worse: every row passes the checks at DEFAULT_TOL plus 8 units
+    # of rounding, the discord column is finite, and it is exact on the rows
+    # that pass.
     rows = evolve(state, par, np.array(times))
+    q2, q3 = rows.p2 + DEFAULT_TOL, rows.p3 + DEFAULT_TOL
+    assert ((q2 * q3 >= rows.r23 * rows.r23) | (np.minimum(q2, q3) < 0.0)).all()
     assert passes_within(rows, DEFAULT_TOL + 8.0 * np.finfo(float).eps).all()
     assert np.isfinite(_discord_column(rows)).all()
     ok = passes_within(rows, DEFAULT_TOL)

@@ -55,14 +55,14 @@ def test_output_matches_reference(name, reference, tmp_path, capsys):
 
 @pytest.mark.parametrize("seed, live", [(1, 1), (2, 0), (3, 0)])
 def test_measure_sweep_refines_only_interior_rows(seed, live, grid_points, tmp_path):
-    # discord's C_m1 and C_m2 of the 300 states, then the search: the 65-point
-    # grid, and 12 rounds of 8 points for each state whose grid minimum is
-    # interior
+    # discord's C_m1 and C_m2 of the 300 states, then the search: a probe of
+    # 4 points per state, and the 65-point grid and 12 rounds of 8 points
+    # for each state whose grid minimum is interior
     out = tmp_path / "out"
     assert main(list(COMMANDS[f"verify-measure-sweep/{seed}"].argv) + ["--out", str(out)]) == 0
     assert json.loads(out.read_text(encoding="utf-8"))["measurement_sweep"]["interior_optima"] == live
     assert grid_points[0] == 2 * 300
-    assert sum(grid_points[1:]) == 19_500 + 96 * live
+    assert sum(grid_points[1:]) == 1200 + 161 * live
 
 
 def test_all_benchmark_commands_are_checked():
